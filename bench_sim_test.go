@@ -65,74 +65,3 @@ func BenchmarkSimFull(b *testing.B) { benchSim(b, false) }
 // BenchmarkSimLite is the probe-lite variant: identical timing model, no
 // annotation recording (what EvaluateBatch(..., withDEG=false) runs).
 func BenchmarkSimLite(b *testing.B) { benchSim(b, true) }
-
-// benchBatchConfigs are four sibling back-end variants of the baseline —
-// the shape of an explorer-issued batch (same front end, so one branch
-// replay serves all four lanes; differing window/FU provisioning).
-func benchBatchConfigs() []uarch.Config {
-	base := uarch.Baseline()
-	small := base
-	small.ROBEntries /= 2
-	small.IQEntries /= 2
-	wide := base
-	wide.ROBEntries *= 2
-	wide.IntRF += 32
-	wide.FpRF += 32
-	lean := base
-	lean.IntALU = 2
-	lean.LQEntries /= 2
-	lean.SQEntries /= 2
-	return []uarch.Config{base, small, wide, lean}
-}
-
-func benchBatch(b *testing.B, workers int) {
-	stream := benchStream(b)
-	cfgs := benchBatchConfigs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ooo.RunBatch(stream, cfgs, ooo.BatchOptions{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-			r.Trace.Release()
-		}
-	}
-	b.ReportMetric(float64(len(stream)*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}
-
-// BenchmarkSimBatch is the batched multi-config pass the evaluator's
-// -sim-batch fast path runs: four configs over one shared stream, workers
-// defaulted to the host's cores. inst/s counts simulated instructions
-// across all lanes, so it is directly comparable to BenchmarkSimBatchSeq.
-func BenchmarkSimBatch(b *testing.B) { benchBatch(b, 0) }
-
-// BenchmarkSimBatchW1 pins the single-threaded batch pass: what stream
-// sharing and branch-replay amortization buy before any worker
-// parallelism.
-func BenchmarkSimBatchW1(b *testing.B) { benchBatch(b, 1) }
-
-// BenchmarkSimBatchSeq is the per-config path the batch replaces: the same
-// four configs as four independent full-fidelity runs.
-func BenchmarkSimBatchSeq(b *testing.B) {
-	stream := benchStream(b)
-	cfgs := benchBatchConfigs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cfg := range cfgs {
-			core, err := ooo.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr, _, err := core.Run(stream)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr.Release()
-		}
-	}
-	b.ReportMetric(float64(len(stream)*len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}

@@ -38,13 +38,11 @@ func main() {
 		ckpt      cli.Checkpoint
 		resil     cli.Resilience
 		degf      cli.DEG
-		simf      cli.Sim
 	)
 	tele.AddTelemetryFlags(flag.CommandLine)
 	ckpt.AddCheckpointFlags(flag.CommandLine)
 	resil.AddResilienceFlags(flag.CommandLine)
 	degf.AddDEGFlags(flag.CommandLine)
-	simf.AddSimFlags(flag.CommandLine)
 	flag.Parse()
 
 	var suite []workload.Profile
@@ -95,7 +93,6 @@ func main() {
 	ev.SpanParent = campaignSpan
 	resil.Apply(ev)
 	degf.Apply(ev)
-	simf.Apply(ev)
 	if err := ckpt.Wire(ev, ex.Name(), strings.ToUpper(*suiteName), *budget, *seed, rec); err != nil {
 		stopTelemetry()
 		cli.Fatal(err)

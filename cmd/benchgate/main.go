@@ -28,10 +28,10 @@
 // Either ref form takes an optional leading multiplier:
 //
 //	benchgate -tolerance 0 \
-//	    -expect 'BenchmarkSimBatch=1.5*bench:BenchmarkSimBatchSeq'
+//	    -expect 'BenchmarkPipelineStreamPar=1.5*bench:BenchmarkPipelineStream'
 //
 // scales the baseline before the tolerance applies — here requiring the
-// batched pass to reach at least 1.5× the same run's sequential
+// parallel pipeline to reach at least 1.5× the same run's sequential
 // throughput, a speedup floor rather than a regression floor.
 package main
 
@@ -132,7 +132,7 @@ func parseBench(r io.Reader, metric string) (map[string]float64, error) {
 // benchmark's value from the same run's measurements; anything else is a
 // "file.json:dotted.path" into a committed baseline file. A leading
 // "<factor>*" scales the resolved value, turning the gate into a speedup
-// floor (e.g. "1.5*bench:BenchmarkSimBatchSeq").
+// floor (e.g. "1.5*bench:BenchmarkPipelineStream").
 func resolveBaseline(ref string, measured map[string]float64) (float64, error) {
 	scale := 1.0
 	if head, rest, ok := strings.Cut(ref, "*"); ok {

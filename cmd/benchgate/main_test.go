@@ -12,7 +12,7 @@ func TestParseBench(t *testing.T) {
 	out := `goos: linux
 goarch: amd64
 BenchmarkSimFull-8    	     100	  12345 ns/op	   3200000 inst/s	  64 B/op
-BenchmarkSimBatch     	      80	  30959063 ns/op	   2584060 inst/s
+BenchmarkPipelineStreamPar	      80	  30959063 ns/op	   2584060 inst/s
 BenchmarkNoMetric-8   	     100	  999 ns/op
 PASS
 `
@@ -23,7 +23,7 @@ PASS
 	if got := m["BenchmarkSimFull"]; got != 3200000 {
 		t.Fatalf("suffix-stripped benchmark: got %v", got)
 	}
-	if got := m["BenchmarkSimBatch"]; got != 2584060 {
+	if got := m["BenchmarkPipelineStreamPar"]; got != 2584060 {
 		t.Fatalf("unsuffixed benchmark: got %v", got)
 	}
 	if _, ok := m["BenchmarkNoMetric"]; ok {

@@ -105,7 +105,7 @@ func main() {
 			})
 			cli.Check(err)
 			t0 = time.Now()
-			stats, err = core.RunStream(stream, degf.Chunk, sa.Feed)
+			stats, err = core.RunStream(stream, 0, sa.Feed)
 			cli.Check(err)
 			peak := sa.PeakBufferedRecords()
 			rep, ws, err = sa.Finish(stats.Cycles)

@@ -37,12 +37,10 @@ func main() {
 		tele     cli.Telemetry
 		resil    cli.Resilience
 		degf     cli.DEG
-		simf     cli.Sim
 	)
 	tele.AddTelemetryFlags(flag.CommandLine)
 	resil.AddResilienceFlags(flag.CommandLine)
 	degf.AddDEGFlags(flag.CommandLine)
-	simf.AddSimFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *list || *run == "" {
@@ -83,8 +81,6 @@ func main() {
 		DEGWindow:       degf.Window,
 		DEGOverlap:      degf.Overlap,
 		DEGStream:       degf.Stream,
-		DEGChunk:        degf.Chunk,
-		SimBatch:        simf.Batch,
 	}
 	// Campaign grids are multi-minute; surface cell completions live
 	// whenever any telemetry is on.

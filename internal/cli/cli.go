@@ -169,10 +169,8 @@ type DEG struct {
 	Overlap int
 	// Stream fuses simulation and analysis into the streaming pipeline
 	// (-deg-stream): no full trace is materialized and peak memory is
-	// O(window + margin). Chunk is the records-per-chunk granularity
-	// (-deg-chunk); 0 uses the simulator default.
+	// O(window + margin).
 	Stream bool
-	Chunk  int
 	// Workers is the windowed analyzer's worker-pool size (-deg-workers):
 	// 0 derives it from the machine (GOMAXPROCS), 1 forces the sequential
 	// path. Reports are bit-identical at every worker count.
@@ -184,7 +182,6 @@ func (d *DEG) AddDEGFlags(fs *flag.FlagSet) {
 	fs.IntVar(&d.Window, "deg-window", 0, "run bottleneck analysis in instruction windows of this size (pooled buffers, O(window) memory); 0 analyzes the whole trace")
 	fs.IntVar(&d.Overlap, "deg-overlap", 0, "context margin in instructions prepended to each -deg-window so cross-boundary edges are seen; 0 derives it from the evaluated config's ROB")
 	fs.BoolVar(&d.Stream, "deg-stream", false, "stream simulator chunks straight into the windowed analyzer (no materialized trace, O(window+margin) memory; reports identical to the buffered path)")
-	fs.IntVar(&d.Chunk, "deg-chunk", 0, "records per chunk of the -deg-stream pipeline; 0 uses the simulator default")
 	fs.IntVar(&d.Workers, "deg-workers", 0, "worker goroutines analyzing -deg-window windows in parallel (reports bit-identical at any count); 0 derives the count from GOMAXPROCS, 1 runs sequentially")
 }
 
@@ -204,7 +201,6 @@ func (d *DEG) Apply(ev *dse.Evaluator) {
 	ev.DEGWindow = d.Window
 	ev.DEGOverlap = d.Overlap
 	ev.DEGStream = d.Stream
-	ev.DEGChunk = d.Chunk
 	ev.DEGWorkers = d.Workers
 }
 
@@ -233,25 +229,4 @@ func (r *Resilience) Apply(ev *dse.Evaluator) {
 	ev.Retry = fault.Retry{Max: r.Retries, Base: r.RetryBase, Cap: r.RetryCap}
 	ev.StageTimeout = r.StageTimeout
 	ev.SkipFailures = r.SkipFailures
-}
-
-// Sim is the shared simulation flag set: the batched multi-config fast
-// path. Off by default; results are bit-identical either way (pinned by
-// internal/conformance), so the flag is purely a throughput knob.
-type Sim struct {
-	// Batch simulates sibling configs of each evaluation batch over one
-	// shared instruction stream (-sim-batch, ooo.RunBatch): the trace
-	// decode and branch-prediction replay are paid once per workload
-	// instead of once per config.
-	Batch bool
-}
-
-// AddSimFlags registers the simulation flags on fs.
-func (s *Sim) AddSimFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&s.Batch, "sim-batch", false, "simulate a batch's sibling configs over one shared instruction stream (bit-identical results, amortized decode and branch replay)")
-}
-
-// Apply installs the simulation knobs on the evaluator.
-func (s *Sim) Apply(ev *dse.Evaluator) {
-	ev.SimBatch = s.Batch
 }

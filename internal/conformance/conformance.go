@@ -1,21 +1,22 @@
 // Package conformance is the differential-testing harness over the
-// simulator's five execution engines: per-config full-fidelity (Core.Run),
-// probe-lite (Core.RunLite), streaming (Core.RunStream), batched
-// multi-config (ooo.RunBatch, full and lite), and parallel windowed DEG
-// analysis (deg.AnalyzeWindowed with Workers > 1). All five implement one
-// timing-and-attribution model, so for any (config, stream) pair they must
-// agree exactly; the package quantifies that over randomly drawn valid
-// configurations.
+// simulator's three timing engines — per-config full-fidelity (Core.Run),
+// probe-lite (Core.RunLite), and streaming (Core.RunStream) — and the two
+// parallel windowed DEG analyzers: buffered (deg.AnalyzeWindowed with
+// Workers > 1) and streamed (RunStream chunks fed straight into a
+// deg.StreamAnalyzer, the shape of the evaluator's -deg-stream pipeline).
+// All of them implement one timing-and-attribution model, so for any
+// (config, stream) pair they must agree exactly; the package quantifies
+// that over randomly drawn valid configurations.
 //
-// The oracle is the fingerprint family in internal/ooo: full engines are
-// compared through ooo.Fingerprint (every deterministic record field),
-// lite engines through ooo.TimingFingerprint (the lite-preserved subset),
-// and the chunked stream through ooo.ChunkedFingerprint. DEG bottleneck
-// attributions computed from the reference and batched traces are compared
-// structurally — agreement of the traces' annotations is necessary but not
-// sufficient for ArchExplorer, whose decisions consume the reports — and
-// the parallel windowed analyzer must reproduce the sequential windowed
-// report bit for bit on the same trace.
+// The timing oracle is the fingerprint family in internal/ooo: the
+// reference run is hashed through ooo.Fingerprint (every deterministic
+// record field), the lite engine through ooo.TimingFingerprint (the
+// lite-preserved subset), and the chunked stream through
+// ooo.ChunkedFingerprint. Agreement of the traces' annotations is necessary
+// but not sufficient for ArchExplorer, whose decisions consume the
+// bottleneck reports, so both parallel DEG analyzers must also reproduce
+// the sequential windowed report and stats of the reference trace bit for
+// bit.
 //
 // When a draw disagrees, Shrink reduces the failing design point toward
 // the baseline one lattice step at a time, so the reported counterexample
@@ -63,10 +64,10 @@ func (g *Gen) Point() uarch.Point {
 // Config draws a random valid configuration.
 func (g *Gen) Config() uarch.Config { return g.Space.Decode(g.Point()) }
 
-// Mismatch is one engine disagreement: the named engine's fingerprint
-// diverged from the per-config reference run on this (config, workload).
+// Mismatch is one engine disagreement: the named engine's output diverged
+// from the per-config reference run on this (config, workload).
 type Mismatch struct {
-	Engine    string // "batch", "batch-lite", "lite", "stream", "deg", "deg-par"
+	Engine    string // "lite", "stream", "deg-par", "deg-stream"
 	Workload  string
 	Config    uarch.Config
 	Want, Got uint64 // reference and diverging fingerprints (0 for the deg engines)
@@ -79,134 +80,110 @@ func (m *Mismatch) Error() string {
 }
 
 // Check cross-checks every engine for each config over one instruction
-// stream and returns the first disagreement as a *Mismatch (or the first
-// operational error). nil means all engines agreed on every config.
-//
-// The batched engine runs all configs in one RunBatch call (full and
-// lite), exactly how the evaluator's fast path uses it, so cross-lane
-// state leaks — the bug class batching invites — are in scope.
+// stream, one config at a time, and returns the first disagreement as a
+// *Mismatch (or the first operational error). nil means all engines agreed
+// on every config. withDEG adds the two parallel DEG analyzers.
 func Check(stream []isa.Inst, wl string, cfgs []uarch.Config, withDEG bool) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("conformance: no configs to check")
 	}
 	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
+		r, err := runEngines(stream, cfg, withDEG)
+		if err != nil {
 			return err
 		}
-	}
-	full, err := ooo.RunBatch(stream, cfgs, ooo.BatchOptions{})
-	if err != nil {
-		return err
-	}
-	defer releaseAll(full)
-	lite, err := ooo.RunBatch(stream, cfgs, ooo.BatchOptions{Lite: true})
-	if err != nil {
-		return err
-	}
-	defer releaseAll(lite)
-	for i, cfg := range cfgs {
-		if err := checkOne(stream, wl, cfg, full[i], lite[i], withDEG); err != nil {
-			return err
+		if engine, want, got := r.diverged(); engine != "" {
+			return &Mismatch{Engine: engine, Workload: wl, Config: cfg, Want: want, Got: got}
 		}
 	}
 	return nil
 }
 
-func releaseAll(res []ooo.BatchResult) {
-	for _, r := range res {
-		if r.Trace != nil {
-			r.Trace.Release()
-		}
-	}
+// engineRuns is one config's engine outputs over a stream, reduced to what
+// the oracles compare.
+type engineRuns struct {
+	ref, refTiming uint64 // reference Run: Fingerprint and TimingFingerprint
+	lite           uint64 // RunLite: TimingFingerprint
+	stream         uint64 // RunStream: ChunkedFingerprint
+	// With the DEG oracles on: the sequential windowed analysis of the
+	// reference trace (seq) and the two parallel analyzers that must
+	// reproduce it. All three stay zero, and so agree, without them.
+	seq, par, streamed windowed
 }
 
-// checkOne compares one config's batch lanes and single-config engines
-// against a fresh reference run.
-func checkOne(stream []isa.Inst, wl string, cfg uarch.Config, full, lite ooo.BatchResult, withDEG bool) error {
-	if full.Err != nil {
-		return full.Err
-	}
-	if lite.Err != nil {
-		return lite.Err
-	}
+// windowed is one windowed DEG analysis: the stitched report and its stats.
+type windowed struct {
+	rep *deg.Report
+	st  *deg.WindowStats
+}
 
+// diverged names the first engine that disagrees with the reference, with
+// the fingerprints it compared (zero for the DEG engines); "" means every
+// engine agreed.
+func (r *engineRuns) diverged() (engine string, want, got uint64) {
+	switch {
+	case r.lite != r.refTiming:
+		return "lite", r.refTiming, r.lite
+	case r.stream != r.ref:
+		return "stream", r.ref, r.stream
+	case !reflect.DeepEqual(r.par, r.seq):
+		return "deg-par", 0, 0
+	case !reflect.DeepEqual(r.streamed, r.seq):
+		return "deg-stream", 0, 0
+	}
+	return "", 0, 0
+}
+
+// runEngines runs every engine for cfg over stream.
+func runEngines(stream []isa.Inst, cfg uarch.Config, withDEG bool) (*engineRuns, error) {
 	// Reference: the plain per-config full-fidelity engine.
 	core, err := ooo.New(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tr, st, err := core.Run(stream)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer tr.Release()
-	ref := ooo.Fingerprint(tr, st)
-	refTiming := ooo.TimingFingerprint(tr, st)
-
-	if got := ooo.Fingerprint(full.Trace, full.Stats); got != ref {
-		return &Mismatch{Engine: "batch", Workload: wl, Config: cfg, Want: ref, Got: got}
-	}
-	if got := ooo.TimingFingerprint(lite.Trace, lite.Stats); got != refTiming {
-		return &Mismatch{Engine: "batch-lite", Workload: wl, Config: cfg, Want: refTiming, Got: got}
+	r := &engineRuns{
+		ref:       ooo.Fingerprint(tr, st),
+		refTiming: ooo.TimingFingerprint(tr, st),
 	}
 
 	liteCore, err := ooo.New(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ltr, lst, err := liteCore.RunLite(stream)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	gotLite := ooo.TimingFingerprint(ltr, lst)
+	r.lite = ooo.TimingFingerprint(ltr, lst)
 	ltr.Release()
-	if gotLite != refTiming {
-		return &Mismatch{Engine: "lite", Workload: wl, Config: cfg, Want: refTiming, Got: gotLite}
+
+	if r.stream, err = streamFingerprint(cfg, stream); err != nil {
+		return nil, err
+	}
+	if !withDEG {
+		return r, nil
 	}
 
-	gotStream, err := streamFingerprint(cfg, stream)
-	if err != nil {
-		return err
+	// Window at roughly a quarter of the trace so the run genuinely spans
+	// several windows, with the margin derived from the config's own
+	// reorder window; the parallel analyzers run 4 workers.
+	opt := deg.WindowOptions{Window: max(1, len(tr.Records)/4), ReorderWindow: cfg.ROBEntries}
+	if r.seq.rep, r.seq.st, err = deg.AnalyzeWindowed(tr, opt); err != nil {
+		return nil, err
 	}
-	if gotStream != ref {
-		return &Mismatch{Engine: "stream", Workload: wl, Config: cfg, Want: ref, Got: gotStream}
+	opt.Workers = 4
+	if r.par.rep, r.par.st, err = deg.AnalyzeWindowed(tr, opt); err != nil {
+		return nil, err
 	}
-
-	if withDEG {
-		refRep, _, _, err := deg.Analyze(tr, deg.Options{})
-		if err != nil {
-			return err
-		}
-		batchRep, _, _, err := deg.Analyze(full.Trace, deg.Options{})
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(refRep, batchRep) {
-			return &Mismatch{Engine: "deg", Workload: wl, Config: cfg}
-		}
-
-		// Fifth engine: parallel windowed DEG analysis. Window at roughly a
-		// quarter of the trace so the run genuinely spans several windows,
-		// with the margin derived from the config's own reorder window —
-		// then the 4-worker report and stats must be bit-identical to the
-		// sequential windowed run on the same trace.
-		window := max(1, len(tr.Records)/4)
-		seq := deg.WindowOptions{Window: window, ReorderWindow: cfg.ROBEntries}
-		seqRep, seqSt, err := deg.AnalyzeWindowed(tr, seq)
-		if err != nil {
-			return err
-		}
-		par := seq
-		par.Workers = 4
-		parRep, parSt, err := deg.AnalyzeWindowed(tr, par)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(parRep, seqRep) || !reflect.DeepEqual(parSt, seqSt) {
-			return &Mismatch{Engine: "deg-par", Workload: wl, Config: cfg}
-		}
+	if r.streamed, err = streamWindowed(cfg, stream, opt); err != nil {
+		return nil, err
 	}
-	return nil
+	return r, nil
 }
 
 // streamFingerprint runs the streaming engine and folds its chunks through
@@ -237,6 +214,26 @@ func streamFingerprint(cfg uarch.Config, stream []isa.Inst) (uint64, error) {
 			}
 		}
 	}), nil
+}
+
+// streamWindowed runs the streamed DEG pipeline: the streaming engine's
+// chunks go straight into a StreamAnalyzer, so no trace is materialized.
+func streamWindowed(cfg uarch.Config, stream []isa.Inst, opt deg.WindowOptions) (windowed, error) {
+	core, err := ooo.New(cfg)
+	if err != nil {
+		return windowed{}, err
+	}
+	sa, err := deg.NewStreamAnalyzer(opt)
+	if err != nil {
+		return windowed{}, err
+	}
+	defer sa.Close() // idempotent; Finish closes on the success path
+	st, err := core.RunStream(stream, 0, sa.Feed)
+	if err != nil {
+		return windowed{}, err
+	}
+	rep, ws, err := sa.Finish(st.Cycles)
+	return windowed{rep: rep, st: ws}, err
 }
 
 // Shrink greedily minimises a failing design point toward the space's

@@ -27,12 +27,13 @@ func stream(t testing.TB, name string, n int) []isa.Inst {
 }
 
 // TestCorpus is the conformance corpus: 200 random valid configs (40 with
-// -short) checked across all five engines on every bundled workload, in
-// RunBatch-sized rounds so the batched engine sees realistic multi-config
-// batches. A failing draw is shrunk toward the baseline before reporting,
-// so the log names a locally minimal counterexample.
+// -short) checked across every engine on every bundled workload. A failing
+// draw is shrunk toward the baseline before reporting, so the log names a
+// locally minimal counterexample.
 func TestCorpus(t *testing.T) {
-	const round = 25
+	// DEG attribution comparison is the expensive oracle; the first
+	// degConfigs draws per workload exercise it, fingerprints cover the rest.
+	const degConfigs = 25
 	configs := 200
 	if testing.Short() {
 		configs = 40
@@ -44,20 +45,10 @@ func TestCorpus(t *testing.T) {
 	}
 	for _, name := range suiteNames {
 		st := stream(t, name, 1000)
-		for lo := 0; lo < len(pts); lo += round {
-			hi := lo + round
-			if hi > len(pts) {
-				hi = len(pts)
-			}
-			// DEG attribution comparison is the expensive oracle; one
-			// round per workload exercises it, fingerprints cover the rest.
-			withDEG := lo == 0
-			cfgs := make([]uarch.Config, 0, hi-lo)
-			for _, pt := range pts[lo:hi] {
-				cfgs = append(cfgs, gen.Space.Decode(pt))
-			}
-			if err := Check(st, name, cfgs, withDEG); err != nil {
-				reportShrunk(t, gen.Space, st, name, pts[lo:hi], withDEG, err)
+		for i, pt := range pts {
+			withDEG := i < degConfigs
+			if err := Check(st, name, []uarch.Config{gen.Space.Decode(pt)}, withDEG); err != nil {
+				reportShrunk(t, gen.Space, st, name, pt, withDEG, err)
 			}
 		}
 	}
@@ -65,11 +56,11 @@ func TestCorpus(t *testing.T) {
 
 // TestCorpusEdges pins the capacity-floor corners of the space: configs
 // with every pool starved at once (at both width extremes) and with each
-// pool starved individually, checked across all five engines with the DEG
-// oracles on (including the parallel windowed engine). Random draws never
-// land here, but these are the points where
-// the pool free lists saturate every cycle — the first place a pool
-// bookkeeping or release-tie-order bug would surface.
+// pool starved individually, checked across every engine with the DEG
+// oracles on (including both parallel windowed analyzers). Random draws
+// never land here, but these are the points where the pool free lists
+// saturate every cycle — the first place a pool bookkeeping or
+// release-tie-order bug would surface.
 func TestCorpusEdges(t *testing.T) {
 	cfgs := EdgeConfigs()
 	if len(cfgs) < 10 {
@@ -87,24 +78,16 @@ func TestCorpusEdges(t *testing.T) {
 	}
 }
 
-// reportShrunk minimises the failing round to a single-config, reduced
+// reportShrunk minimises a failing config to a locally minimal
 // counterexample and fails with both the original and shrunk reports.
-func reportShrunk(t *testing.T, space *uarch.Space, st []isa.Inst, name string, pts []uarch.Point, withDEG bool, err error) {
+func reportShrunk(t *testing.T, space *uarch.Space, st []isa.Inst, name string, pt uarch.Point, withDEG bool, err error) {
 	t.Helper()
 	fails := func(pt uarch.Point) bool {
 		return Check(st, name, []uarch.Config{space.Decode(pt)}, withDEG) != nil
 	}
-	for _, pt := range pts {
-		if !fails(pt) {
-			continue
-		}
-		min := Shrink(space, pt, fails)
-		t.Fatalf("engines diverged on %s: %v\nshrunk counterexample: %v\n%v",
-			name, err, min, Check(st, name, []uarch.Config{space.Decode(min)}, withDEG))
-	}
-	// No single config reproduces it: a cross-lane interaction inside the
-	// batch. Report the whole round.
-	t.Fatalf("engines diverged on %s (only as a batch of %d): %v", name, len(pts), err)
+	min := Shrink(space, pt, fails)
+	t.Fatalf("engines diverged on %s: %v\nshrunk counterexample: %v\n%v",
+		name, err, min, Check(st, name, []uarch.Config{space.Decode(min)}, withDEG))
 }
 
 // TestCheckAgreesOnBaseline is the fast smoke: the baseline design point,
@@ -117,12 +100,12 @@ func TestCheckAgreesOnBaseline(t *testing.T) {
 	}
 }
 
-// TestCheckRejectsBadInput: empty batches and invalid configs surface as
-// errors, not as silent agreement.
+// TestCheckRejectsBadInput: empty config lists and invalid configs surface
+// as errors, not as silent agreement.
 func TestCheckRejectsBadInput(t *testing.T) {
 	st := stream(t, "458.sjeng", 500)
 	if err := Check(st, "458.sjeng", nil, false); err == nil {
-		t.Fatal("empty batch accepted")
+		t.Fatal("empty config list accepted")
 	}
 	bad := uarch.Baseline()
 	bad.IntRF = 2 // fewer physical than architectural registers
@@ -224,13 +207,13 @@ func TestShrinkMovesUpTowardBaseline(t *testing.T) {
 // TestMismatchError: the failure report names the engine, workload, and
 // both fingerprints — everything needed to reproduce by hand.
 func TestMismatchError(t *testing.T) {
-	m := &Mismatch{Engine: "batch", Workload: "429.mcf", Config: uarch.Baseline(), Want: 0xabc, Got: 0xdef}
+	m := &Mismatch{Engine: "stream", Workload: "429.mcf", Config: uarch.Baseline(), Want: 0xabc, Got: 0xdef}
 	var err error = m
 	var back *Mismatch
 	if !errors.As(err, &back) {
 		t.Fatal("Mismatch does not travel as an error")
 	}
-	for _, want := range []string{"batch", "429.mcf", "0xabc", "0xdef"} {
+	for _, want := range []string{"stream", "429.mcf", "0xabc", "0xdef"} {
 		if !strings.Contains(m.Error(), want) {
 			t.Fatalf("mismatch report %q missing %q", m.Error(), want)
 		}
@@ -238,8 +221,8 @@ func TestMismatchError(t *testing.T) {
 }
 
 // FuzzConformance feeds the differential check from the fuzzer: each input
-// seeds the generator for a three-config batch over a short stream. The
-// seed corpus covers both oracles; `go test -fuzz=FuzzConformance` explores
+// seeds the generator for three configs over a short stream. The seed
+// corpus covers runs with and without the DEG oracles; `go test -fuzz=FuzzConformance` explores
 // further.
 func FuzzConformance(f *testing.F) {
 	f.Add(int64(1))

@@ -1,68 +1,89 @@
 package conformance
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
-	"archexplorer/internal/ooo"
+	"archexplorer/internal/deg"
 	"archexplorer/internal/uarch"
 )
 
-// TestCheckOneDetectsBatchDivergence drives the detector itself: hand
-// checkOne batch lanes simulated with a DIFFERENT config than the
-// reference and it must name the diverging engine. This is the only way
-// to exercise the mismatch paths while the real engines agree.
-func TestCheckOneDetectsBatchDivergence(t *testing.T) {
+// TestDivergedNamesEngine drives the detector itself: splice one output of
+// a run with a DIFFERENT config into an agreeing run and diverged must name
+// that engine. This is the only way to exercise the mismatch paths while
+// the real engines agree.
+func TestDivergedNamesEngine(t *testing.T) {
 	st := stream(t, "458.sjeng", 600)
 	space := uarch.StandardSpace()
 	ref := space.Decode(space.Nearest(uarch.Baseline()))
 	other := ref
 	other.Width = ref.Width * 2
 
-	lanes := func(cfg uarch.Config, lite bool) ooo.BatchResult {
-		res, err := ooo.RunBatch(st, []uarch.Config{cfg}, ooo.BatchOptions{Lite: lite})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res[0]
+	want, err := runEngines(st, ref, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	refFull, refLite := lanes(ref, false), lanes(ref, true)
-	otherFull, otherLite := lanes(other, false), lanes(other, true)
-	defer func() {
-		for _, r := range []ooo.BatchResult{refFull, refLite, otherFull, otherLite} {
-			r.Trace.Release()
-		}
-	}()
-
-	var m *Mismatch
-	if err := checkOne(st, "wl", ref, otherFull, refLite, false); !errors.As(err, &m) || m.Engine != "batch" {
-		t.Fatalf("divergent full lane not caught: %v", err)
+	diff, err := runEngines(st, other, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := checkOne(st, "wl", ref, refFull, otherLite, false); !errors.As(err, &m) || m.Engine != "batch-lite" {
-		t.Fatalf("divergent lite lane not caught: %v", err)
-	}
-	if err := checkOne(st, "wl", ref, refFull, refLite, true); err != nil {
-		t.Fatalf("agreeing lanes rejected: %v", err)
+	if engine, _, _ := want.diverged(); engine != "" {
+		t.Fatalf("agreeing engines reported as diverged: %s", engine)
 	}
 
-	// Poisoned lanes short-circuit with their own error.
-	poison := errors.New("lane poisoned")
-	if err := checkOne(st, "wl", ref, ooo.BatchResult{Err: poison}, refLite, false); !errors.Is(err, poison) {
-		t.Fatalf("full lane error not surfaced: %v", err)
+	cases := []struct {
+		engine string
+		splice func(r *engineRuns)
+		fp     bool // the engine is compared by fingerprint
+	}{
+		{"lite", func(r *engineRuns) { r.lite = diff.lite }, true},
+		{"stream", func(r *engineRuns) { r.stream = diff.stream }, true},
+		{"deg-par", func(r *engineRuns) { r.par = diff.par }, false},
+		{"deg-stream", func(r *engineRuns) { r.streamed = diff.streamed }, false},
+		// Equal reports with diverging stats are still a divergence.
+		{"deg-stream", func(r *engineRuns) {
+			st := *r.streamed.st
+			st.Windows++
+			r.streamed.st = &st
+		}, false},
 	}
-	if err := checkOne(st, "wl", ref, refFull, ooo.BatchResult{Err: poison}, false); !errors.Is(err, poison) {
-		t.Fatalf("lite lane error not surfaced: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.engine, func(t *testing.T) {
+			r := *want
+			tc.splice(&r)
+			engine, w, g := r.diverged()
+			if engine != tc.engine {
+				t.Fatalf("spliced %s output reported as %q", tc.engine, engine)
+			}
+			if tc.fp && (w == g || w == 0 || g == 0) {
+				t.Fatalf("%s mismatch carries fingerprints %#x/%#x", engine, w, g)
+			}
+			if !tc.fp && (w != 0 || g != 0) {
+				t.Fatalf("%s mismatch carries fingerprints %#x/%#x", engine, w, g)
+			}
+		})
 	}
 
-	// A config the reference engine itself rejects surfaces as an error.
-	bad := ref
+	// Without the DEG oracles no analysis runs, and the timing engines
+	// still agree.
+	plain, err := runEngines(st, ref, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engine, _, _ := plain.diverged(); engine != "" || plain.seq.rep != nil {
+		t.Fatalf("DEG-off run: diverged %q, seq report %+v", engine, plain.seq.rep)
+	}
+}
+
+// TestRunEnginesErrors: a config the reference engine rejects, and an empty
+// stream, surface as errors rather than a verdict.
+func TestRunEnginesErrors(t *testing.T) {
+	bad := uarch.Baseline()
 	bad.IntRF = 2
-	if err := checkOne(st, "wl", bad, refFull, refLite, false); err == nil {
+	if _, err := runEngines(stream(t, "458.sjeng", 200), bad, false); err == nil {
 		t.Fatal("invalid reference config accepted")
 	}
-	// An empty stream fails the reference run.
-	if err := checkOne(nil, "wl", ref, refFull, refLite, false); err == nil {
+	if _, err := runEngines(nil, uarch.Baseline(), false); err == nil {
 		t.Fatal("empty stream accepted by the reference run")
 	}
 }
@@ -78,6 +99,26 @@ func TestStreamFingerprintErrors(t *testing.T) {
 	bad.IntRF = 2
 	if _, err := streamFingerprint(bad, stream(t, "458.sjeng", 200)); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestStreamWindowedErrors: the streamed DEG pipeline propagates simulator
+// and analyzer failures.
+func TestStreamWindowedErrors(t *testing.T) {
+	ref := uarch.Baseline()
+	st := stream(t, "458.sjeng", 200)
+	opt := deg.WindowOptions{Window: 50, ReorderWindow: ref.ROBEntries}
+	if _, err := streamWindowed(ref, nil, opt); err == nil {
+		t.Fatal("empty stream accepted")
+	}
+	bad := ref
+	bad.IntRF = 2
+	if _, err := streamWindowed(bad, st, opt); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+	opt.Overlap = ref.ROBEntries - 1 // would clip in-flight producers
+	if _, err := streamWindowed(ref, st, opt); err == nil {
+		t.Fatal("overlap below the reorder window accepted")
 	}
 }
 

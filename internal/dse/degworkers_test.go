@@ -33,9 +33,10 @@ func evalWithWorkers(t *testing.T, workers int, streamed bool) (*Evaluation, []b
 }
 
 // nsFields matches every wall-clock-valued journal field (they all end in
-// _ns) plus the RFC3339 "time" stamps — the only nondeterministic bytes a
-// journal may contain.
-var nsFields = regexp.MustCompile(`"[a-z_]+_ns":-?\d+|"time":"[^"]*"`)
+// _ns), the RFC3339 "time" stamps, and the span "worker" slot (which
+// worker ran a stage depends on scheduling) — the only nondeterministic
+// bytes a journal may contain.
+var nsFields = regexp.MustCompile(`"[a-z_]+_ns":-?\d+|"time":"[^"]*"|"worker":\d+`)
 
 func scrubTimings(raw []byte) []byte {
 	return nsFields.ReplaceAll(raw, []byte(`"t":0`))
@@ -44,9 +45,10 @@ func scrubTimings(raw []byte) []byte {
 // TestEvaluatorDEGWorkersDeterminism pins the tentpole's end-to-end
 // guarantee at the evaluator level, for both the buffered and the streamed
 // DEG path: the worker count changes neither any deterministic evaluation
-// field nor a single journal byte (once wall-clock timings, the only
-// legitimately nondeterministic fields, are scrubbed). Telemetry may gauge
-// the worker count, but the journal event stream must be invariant.
+// field nor a single journal byte (once wall-clock timings and worker
+// slots, the only legitimately nondeterministic fields, are scrubbed).
+// Telemetry may gauge the worker count, but the journal event stream must
+// be invariant.
 func TestEvaluatorDEGWorkersDeterminism(t *testing.T) {
 	for _, streamed := range []bool{false, true} {
 		name := "buffered"

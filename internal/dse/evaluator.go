@@ -169,28 +169,16 @@ type Evaluator struct {
 	DEGWindow  int
 	DEGOverlap int
 
-	// SimBatch enables the batched-simulation fast path: when a batch
-	// carries ≥2 jobs that will really simulate, each workload's configs
-	// run through ooo.RunBatch in one shared-stream pass (see batchsim.go)
-	// and the per-job sim stages consume the pre-computed results. Outputs
-	// are bit-identical to per-config simulation — the conformance suite
-	// pins it — so the switch trades nothing but the journal's extra
-	// sim_batch spans. Streamed evaluations (DEGStream) bypass it: the
-	// fused pipeline never materialises the trace a seed carries.
-	SimBatch bool
-
 	// DEGStream fuses simulation and bottleneck analysis into one streaming
-	// stage: the simulator emits committed records in fixed-size chunks
-	// through a bounded channel and the windowed analyzer consumes each
-	// window as soon as its context margin is buffered, so analysis overlaps
-	// simulation and no full trace is ever materialized — peak memory is
-	// O(window + margin) instead of O(trace). Reports are bit-identical to
-	// the buffered path at equal window/overlap. Probes and calipers runs
-	// need the materialized trace and keep the buffered path regardless.
-	// DEGChunk is the records-per-chunk granularity; 0 uses
-	// ooo.DefaultChunkSize.
+	// stage: the simulator emits committed records in ooo.DefaultChunkSize
+	// chunks through a bounded channel and the windowed analyzer consumes
+	// each window as soon as its context margin is buffered, so analysis
+	// overlaps simulation and no full trace is ever materialized — peak
+	// memory is O(window + margin) instead of O(trace). Reports are
+	// bit-identical to the buffered path at equal window/overlap. Probes and
+	// calipers runs need the materialized trace and keep the buffered path
+	// regardless.
 	DEGStream bool
-	DEGChunk  int
 
 	// DEGWorkers sets the windowed analyzer's worker-pool size for both
 	// the buffered and streamed DEG paths. 0, the default, derives it from
@@ -403,10 +391,6 @@ type job struct {
 	startNS  int64
 	durNS    int64
 	replayed bool
-	// seeds are the batched-simulation pre-phase's per-workload outputs for
-	// this job (nil without the fast path); each sim stage consumes its
-	// slot instead of running the simulator (see batchsim.go).
-	seeds []*simSeed
 }
 
 // batch implements Evaluate/Probe/EvaluateBatch/ProbeBatch: resolve cache
@@ -468,19 +452,9 @@ func (ev *Evaluator) batch(pts []uarch.Point, withDEG, probe bool) ([]*Evaluatio
 
 	// Phase 2: compute misses — points × workloads fan out onto the
 	// compute-slot pool. Job goroutines are structural (they only wait),
-	// so they are not slot-bounded themselves. With the batched fast path
-	// on, a pre-phase simulates all jobs' configs per workload in shared-
-	// stream passes first; the jobs' sim stages then consume the seeds.
-	var bs *batchSeeds
+	// so they are not slot-bounded themselves.
 	if len(jobs) > 0 {
 		leaf := ev.leafGate()
-		streamed := withDEG && ev.DEGStream && !ev.UseCalipers && !probe
-		if ev.SimBatch && !streamed && len(jobs) > 1 {
-			bs = ev.runBatchSim(jobs, withDEG, probe, leaf)
-			if bs != nil && bs.killErr != nil {
-				return nil, bs.killErr
-			}
-		}
 		var wg sync.WaitGroup
 		for _, j := range jobs {
 			j := j
@@ -491,9 +465,6 @@ func (ev *Evaluator) batch(pts []uarch.Point, withDEG, probe bool) ([]*Evaluatio
 			}()
 		}
 		wg.Wait()
-		// Seeds nobody consumed (stage skipped by an injected fault, job
-		// failed earlier) recycle here, before any result is visible.
-		bs.discardUnused()
 	}
 
 	// Phase 3: commit in first-occurrence order — exactly the order a
@@ -508,10 +479,6 @@ func (ev *Evaluator) batch(pts []uarch.Point, withDEG, probe bool) ([]*Evaluatio
 	if len(pts) > 0 && rec.JournalEnabled() {
 		batchSpan = rec.NextSpan()
 	}
-	// The pre-phase's sim_batch spans and fallback events precede every
-	// eval span, in suite order — the order a sequential pre-phase would
-	// have produced them.
-	bs.emit(rec, batchSpan)
 	committed := false
 	for _, j := range jobs {
 		if j.err != nil && (fault.IsKill(j.err) || !ev.SkipFailures) {
@@ -752,16 +719,10 @@ func (ev *Evaluator) compute(j *job, probe bool, leaf func(func())) {
 	}
 	traceLen, _ := ev.planCost(probe)
 
-	seedAt := func(k int) *simSeed {
-		if k < len(j.seeds) {
-			return j.seeds[k]
-		}
-		return nil
-	}
 	outs := make([]wlResult, len(ev.Workloads))
 	if leaf == nil {
 		for k := range ev.Workloads {
-			outs[k] = ev.simWorkload(cfg, ev.Workloads[k], traceLen, j.withDEG, probe, seedAt(k))
+			outs[k] = ev.simWorkload(cfg, ev.Workloads[k], traceLen, j.withDEG, probe)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -771,7 +732,7 @@ func (ev *Evaluator) compute(j *job, probe bool, leaf func(func())) {
 			go func() {
 				defer wg.Done()
 				leaf(func() {
-					outs[k] = ev.simWorkload(cfg, ev.Workloads[k], traceLen, j.withDEG, probe, seedAt(k))
+					outs[k] = ev.simWorkload(cfg, ev.Workloads[k], traceLen, j.withDEG, probe)
 				})
 			}()
 		}
@@ -785,12 +746,9 @@ func (ev *Evaluator) compute(j *job, probe bool, leaf func(func())) {
 
 // simOutcome bundles the simulate stage's products so the stage closure can
 // return them as one fresh value (see runStage's self-containment rule).
-// seeded marks an outcome consumed from the batched pre-phase rather than
-// simulated by this attempt.
 type simOutcome struct {
-	tr     *pipetrace.Trace
-	stats  *ooo.Stats
-	seeded bool
+	tr    *pipetrace.Trace
+	stats *ooo.Stats
 }
 
 // degOutcome bundles the bottleneck stage's products: the report plus the
@@ -809,7 +767,7 @@ type degOutcome struct {
 // timeout bounding, transient retries — via runStage; the stage closures
 // only read their inputs and return fresh values, so an abandoned (timed
 // out) attempt cannot race a retry.
-func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen int, withDEG, probe bool, seed *simSeed) (r wlResult) {
+func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen int, withDEG, probe bool) (r wlResult) {
 	// Streamed evaluations fuse simulation and analysis; probes need the
 	// materialized trace for warm-window IPC and calipers runs need it for
 	// the static graph, so both keep the buffered path.
@@ -883,14 +841,6 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 		// A timed-out attempt's late trace has no receiver; recycle it.
 		func(o simOutcome) { o.tr.Release() },
 		func() (simOutcome, error) {
-			// Batched fast path: claim this workload's pre-simulated lane.
-			// The claim happens after the injected-fault check in the stage
-			// runner, so an injection here leaves the seed unclaimed for the
-			// retry; a seedless retry (or a lane that failed in the batch
-			// pass) falls through to the live per-config simulation below.
-			if tr, stats, ok := seed.take(); ok {
-				return simOutcome{tr: tr, stats: stats, seeded: true}, nil
-			}
 			core, err := ooo.New(cfg)
 			if err != nil {
 				return simOutcome{}, err
@@ -915,13 +865,6 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 			return simOutcome{tr: tr, stats: stats}, nil
 		})
 	r.times.Sim = time.Since(t0)
-	if err == nil && sim.seeded {
-		// The compute happened in the batch pass; record this lane's share
-		// of it as the sim time so per-eval stage accounting still sums to
-		// the real compute spent (the sim_batch span carries the pass's
-		// actual interval).
-		r.times.Sim = time.Duration(seed.durNS)
-	}
 	endStage(r.times.Sim)
 	if err != nil {
 		r.err = err
@@ -1099,10 +1042,6 @@ func (ev *Evaluator) runStreamed(cfg uarch.Config, wl workload.Profile, stream [
 	if err != nil {
 		return streamOutcome{}, err
 	}
-	chunkSize := ev.DEGChunk
-	if chunkSize <= 0 {
-		chunkSize = ooo.DefaultChunkSize
-	}
 
 	ch := make(chan *pipetrace.Chunk, streamDepth)
 	done := make(chan struct{})
@@ -1116,7 +1055,7 @@ func (ev *Evaluator) runStreamed(cfg uarch.Config, wl workload.Profile, stream [
 			}
 		}
 	}()
-	stats, simErr := core.RunStream(stream, chunkSize, func(c *pipetrace.Chunk) error {
+	stats, simErr := core.RunStream(stream, ooo.DefaultChunkSize, func(c *pipetrace.Chunk) error {
 		select {
 		case ch <- c:
 			return nil

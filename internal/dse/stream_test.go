@@ -60,30 +60,6 @@ func TestEvaluatorStreamedParity(t *testing.T) {
 	}
 }
 
-// TestEvaluatorStreamedChunkIndependence: the chunk granularity is a purely
-// mechanical knob — any size yields the identical evaluation.
-func TestEvaluatorStreamedChunkIndependence(t *testing.T) {
-	results := make([]*Evaluation, 0, 3)
-	for _, chunk := range []int{0, 64, 5000} {
-		ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
-		ev.DEGWindow = 400
-		ev.DEGStream = true
-		ev.DEGChunk = chunk
-		e, err := ev.Evaluate(ev.Space.Nearest(uarch.Baseline()), true)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", chunk, err)
-		}
-		results = append(results, e)
-	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0].Report, results[i].Report) ||
-			results[0].PPA != results[i].PPA {
-			t.Fatalf("chunk size changed the evaluation: %+v vs %+v",
-				results[0].Report, results[i].Report)
-		}
-	}
-}
-
 // TestEvaluatorStreamedWholeTrace: DEGStream with no window streams into the
 // whole-trace short-circuit and still matches the plain whole-trace report.
 func TestEvaluatorStreamedWholeTrace(t *testing.T) {

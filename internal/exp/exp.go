@@ -72,17 +72,10 @@ type Options struct {
 	// DEGWindow and DEGOverlap switch every evaluator the harness builds
 	// to windowed bottleneck analysis (see dse.Evaluator); 0 keeps the
 	// whole-trace analyzer. DEGStream additionally fuses simulation and
-	// analysis into the streaming pipeline, DEGChunk setting its chunk
-	// granularity.
+	// analysis into the streaming pipeline.
 	DEGWindow  int
 	DEGOverlap int
 	DEGStream  bool
-	DEGChunk   int
-
-	// SimBatch turns on the batched multi-config simulation fast path in
-	// every evaluator the harness builds (see dse.Evaluator.SimBatch);
-	// results are bit-identical either way.
-	SimBatch bool
 
 	// Retry, StageTimeout, and SkipFailures are the evaluator resilience
 	// policy applied to every evaluator the harness builds (see dse).
@@ -170,8 +163,6 @@ func newEvaluator(o Options, suite []workload.Profile) *dse.Evaluator {
 	ev.DEGWindow = o.DEGWindow
 	ev.DEGOverlap = o.DEGOverlap
 	ev.DEGStream = o.DEGStream
-	ev.DEGChunk = o.DEGChunk
-	ev.SimBatch = o.SimBatch
 	return ev
 }
 

@@ -45,12 +45,6 @@ const (
 	// sim->DEG pipeline (Evaluator.DEGStream); it stands in for both SiteSim
 	// and SiteDEG when the two stages run as one.
 	SiteDEGStream = "deg_stream"
-	// SiteSimBatch is the batched multi-config simulation pre-phase
-	// (Evaluator.SimBatch): one hit per (batch, workload) RunBatch call.
-	// A failure here never fails an evaluation — the affected workload
-	// falls back to per-config simulation — so injections at this site
-	// exercise the fallback path rather than the failure path.
-	SiteSimBatch = "sim_batch"
 	// SitePersistWrite is a campaign checkpoint/save write.
 	SitePersistWrite = "persist.write"
 	// SitePersistRead is a campaign checkpoint/resume read.
@@ -59,7 +53,7 @@ const (
 
 // Sites returns the registry of valid failure-site names, sorted.
 func Sites() []string {
-	out := []string{SiteTrace, SiteSim, SiteSimBatch, SitePower, SiteDEG, SiteDEGStream, SitePersistWrite, SitePersistRead}
+	out := []string{SiteTrace, SiteSim, SitePower, SiteDEG, SiteDEGStream, SitePersistWrite, SitePersistRead}
 	sort.Strings(out)
 	return out
 }

@@ -11,8 +11,8 @@ import (
 
 func TestSitesRegistry(t *testing.T) {
 	sites := Sites()
-	if len(sites) != 8 {
-		t.Fatalf("expected 8 registered sites, got %v", sites)
+	if len(sites) != 7 {
+		t.Fatalf("expected 7 registered sites, got %v", sites)
 	}
 	for _, s := range sites {
 		if !ValidSite(s) {

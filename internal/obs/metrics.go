@@ -52,7 +52,6 @@ const (
 	MetricStageDEGStream = "archx_stage_deg_stream_seconds"
 	MetricSimInsts       = "archx_sim_insts_total"   // instructions committed by the cycle-level simulator
 	MetricSimInstRate    = "archx_sim_insts_per_sec" // throughput of the most recent simulation (gauge)
-	MetricSimBatchSize   = "archx_sim_batch_size"    // histogram: configs per batched-simulation pass
 
 	MetricDEGWindows   = "archx_deg_windows"             // windows of the last windowed analysis (gauge)
 	MetricDEGPeakEdges = "archx_deg_peak_edges"          // largest single-window edge count (gauge)

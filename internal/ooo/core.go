@@ -106,12 +106,6 @@ type Core struct {
 	pred *bpred.Predictor
 	hier *cache.Hierarchy
 
-	// replay substitutes a batch's shared precomputed branch outcomes for
-	// live predictor queries (pred is nil then — see RunBatch); replayNext
-	// indexes the next branch of the stream in the replay's bitmap.
-	replay     *BranchReplay
-	replayNext int
-
 	// Program-order stage trackers.
 	fetchBW, decodeBW, renameBW, dispatchBW, commitBW *inorderBW
 	issueBW                                           *bwRing
@@ -152,7 +146,7 @@ type Core struct {
 	pendingRedirectSeq int
 
 	// Per-run recording state: the arena the current record's annotations
-	// intern into — the batch trace's in Run, the current chunk's in
+	// intern into — the whole trace's in Run, the current chunk's in
 	// RunStream — and whether this run elides the DEG-only annotations
 	// (probe-lite).
 	arena *pipetrace.Arena
@@ -169,30 +163,16 @@ type storeEntry struct {
 
 // New builds a core for the given configuration.
 func New(cfg uarch.Config) (*Core, error) {
-	pred, err := bpred.New(predConfig(cfg))
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newCore(cfg, pred)
-}
-
-// predConfig projects the front-end predictor parameters out of a design
-// point. Configs that agree on it share identical prediction behaviour on
-// a given stream — the batch path's replay-sharing key.
-func predConfig(cfg uarch.Config) bpred.Config {
-	return bpred.Config{
+	pred, err := bpred.New(bpred.Config{
 		LocalEntries:  cfg.LocalPredictor,
 		GlobalEntries: cfg.GlobalPredictor,
 		BTBEntries:    cfg.BTBEntries,
 		RASEntries:    cfg.RASEntries,
-	}
-}
-
-// newCore builds the core around an optional live predictor. RunBatch
-// passes nil and installs a shared BranchReplay instead; every other path
-// supplies the predictor New constructs.
-func newCore(cfg uarch.Config, pred *bpred.Predictor) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	hier, err := cache.NewHierarchy(
@@ -319,32 +299,8 @@ func (c *Core) finalizeStats(n int) {
 	c.stats.DCacheMisses = c.hier.L1D.Misses
 	c.stats.L2Accesses = c.hier.L2.Accesses
 	c.stats.L2Misses = c.hier.L2.Misses
-	if c.pred != nil {
-		c.stats.BranchLookups = c.pred.Lookups
-		c.stats.Mispredicts = c.pred.Mispredicts
-	} else {
-		// Replay lanes share one predictor run; its counters were captured
-		// when the replay was built and are identical for every lane.
-		c.stats.BranchLookups = c.replay.lookups
-		c.stats.Mispredicts = c.replay.mispredicts
-	}
-}
-
-// resolveBranch runs one branch through the live predictor exactly as the
-// fetch stage always has — predict, recover on a mispredict, train — and
-// reports whether it mispredicted. It is the single definition of the
-// prediction outcome: the fetch stage calls it for live cores and
-// NewBranchReplay calls it to precompute a batch's shared outcome stream,
-// so the two paths cannot drift.
-func resolveBranch(p *bpred.Predictor, in *isa.Inst) bool {
-	pred := p.Predict(in.PC, in.BrKind)
-	mispred := pred.Taken != in.Taken || (in.Taken && pred.Target != in.NextPC())
-	if mispred {
-		p.Mispredicts++
-		p.Recover(pred.Snap, in.BrKind, in.Taken)
-	}
-	p.Train(in.PC, in.BrKind, in.Taken, in.NextPC(), pred.Snap.Hist())
-	return mispred
+	c.stats.BranchLookups = c.pred.Lookups
+	c.stats.Mispredicts = c.pred.Mispredicts
 }
 
 // fetch resolves F1/F2/F for one instruction, handling fetch grouping,
@@ -387,18 +343,12 @@ func (c *Core) fetch(in *isa.Inst, rec *pipetrace.Record) {
 	groupDone := c.groupLeft == 0
 
 	if in.Class == isa.OpBranch {
-		var mispred bool
-		if c.replay != nil {
-			// Batch lane: prediction outcomes are a pure function of the
-			// stream and the predictor config, precomputed once and shared
-			// by every lane with this front end (see BranchReplay).
-			mispred = c.replay.mispredicted(c.replayNext)
-			c.replayNext++
-		} else {
-			mispred = resolveBranch(c.pred, in)
-		}
+		pred := c.pred.Predict(in.PC, in.BrKind)
+		mispred := pred.Taken != in.Taken || (in.Taken && pred.Target != in.NextPC())
 		if mispred {
+			c.pred.Mispredicts++
 			rec.Mispredicted = true
+			c.pred.Recover(pred.Snap, in.BrKind, in.Taken)
 			// The front end stalls until the branch resolves; the
 			// resolve time is filled in by schedule().
 			c.pendingRedirectSeq = rec.Seq
@@ -408,6 +358,7 @@ func (c *Core) fetch(in *isa.Inst, rec *pipetrace.Record) {
 			// fetch group to the target with a one-cycle bubble.
 			groupDone = true
 		}
+		c.pred.Train(in.PC, in.BrKind, in.Taken, in.NextPC(), pred.Snap.Hist())
 	}
 
 	if groupDone {
