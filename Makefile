@@ -64,10 +64,14 @@ fuzz-seeds:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Whole-trace vs windowed DEG analysis: same trace, same report, compare
-# B/op and allocs/op to see the pooled windowed path's working-set bound.
+# The DEG layer: whole-trace Analyze (a fresh graph per call) and windowed
+# AnalyzeWindowed (pooled buffers) on the 20k-instruction trace, plus
+# BenchmarkDEGAnalyzeProbe, the DEG work of one explore probe (12 SPEC06
+# workloads x 500 instructions, whole-trace). BENCH_deg.json records the
+# numbers before and after the sort-free, map-free core; bench-all gates
+# them.
 bench-deg:
-	$(GO) test -bench='BenchmarkDEG' -benchmem -run XXX .
+	$(GO) test -bench='BenchmarkDEGAnalyze(Windowed|Probe)?$$' -benchmem -run XXX -count 3 .
 
 # Simulator hot path: full-fidelity (pooled, annotated) vs probe-lite runs
 # on the 20k-instruction trace. BENCH_sim.json records the before/after of
@@ -124,8 +128,9 @@ bench-spans:
 	    -expect 'BenchmarkPipelineStreamSpans=bench:BenchmarkPipelineStream'
 
 # Every benchmark family, gated against the committed baselines: fails if
-# simulator or pipeline throughput lands more than 10% below what
-# BENCH_sim.json / BENCH_pipeline.json record for the reference host.
+# simulator, DEG or pipeline throughput lands more than 10% below what
+# BENCH_sim.json / BENCH_deg.json / BENCH_pipeline.json record for the
+# reference host.
 # The simulator gates are the calendar-queue numbers (the current
 # baseline) PLUS a speedup floor: SimFull must also hold >=1.2x the
 # pre-calendar-queue after_full record, so the pool rewrite's win cannot
@@ -141,6 +146,9 @@ bench-all:
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:after.analyze.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:after.windowed.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:after.probe.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec'
 	$(MAKE) bench-spans
@@ -157,6 +165,9 @@ bench-all-smoke:
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:after.analyze.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:after.windowed.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:after.probe.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStreamPar=1.5*bench:BenchmarkPipelineStream' \

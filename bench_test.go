@@ -17,6 +17,7 @@ import (
 	"archexplorer/internal/exp"
 	"archexplorer/internal/ooo"
 	"archexplorer/internal/pareto"
+	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 	"archexplorer/internal/workload"
 )
@@ -84,14 +85,15 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
-// BenchmarkDEGAnalyze measures induced-DEG construction plus Algorithm 1
-// plus attribution on a 20k-instruction trace.
-func BenchmarkDEGAnalyze(b *testing.B) {
-	p, err := workload.ByName("458.sjeng")
+// annotatedTrace simulates n instructions of the named workload on the
+// baseline design with DEG annotations on.
+func annotatedTrace(b *testing.B, name string, n int) *pipetrace.Trace {
+	b.Helper()
+	p, err := workload.ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream, err := workload.CachedTrace(p, 20000)
+	stream, err := workload.CachedTrace(p, n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,12 +105,27 @@ func BenchmarkDEGAnalyze(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return tr
+}
+
+// reportInstRate reports analyzed instructions per second, the unit
+// benchgate gates the DEG benchmarks on.
+func reportInstRate(b *testing.B, instsPerOp int) {
+	b.ReportMetric(float64(instsPerOp)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
+}
+
+// BenchmarkDEGAnalyze measures induced-DEG construction plus Algorithm 1
+// plus attribution on a 20k-instruction trace, through the public Analyze
+// (a fresh graph per call).
+func BenchmarkDEGAnalyze(b *testing.B) {
+	tr := annotatedTrace(b, "458.sjeng", 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := deg.Analyze(tr, deg.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportInstRate(b, len(tr.Records))
 }
 
 // BenchmarkDEGAnalyzeWindowed measures the same analysis through the
@@ -117,28 +134,35 @@ func BenchmarkDEGAnalyze(b *testing.B) {
 // one window's graph, and the pooled buffers amortize to near-zero steady-
 // state allocation.
 func BenchmarkDEGAnalyzeWindowed(b *testing.B) {
-	p, err := workload.ByName("458.sjeng")
-	if err != nil {
-		b.Fatal(err)
-	}
-	stream, err := workload.CachedTrace(p, 20000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	core, err := ooo.New(uarch.Baseline())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, _, err := core.Run(stream)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := annotatedTrace(b, "458.sjeng", 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{Window: 2000}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportInstRate(b, len(tr.Records))
+}
+
+// BenchmarkDEGAnalyzeProbe is the DEG work of one explore probe: the
+// evaluator's whole-trace analysis call (AnalyzeWindowed, Window 0) over
+// 500-instruction annotated traces of the 12 SPEC06 workloads. One op
+// analyzes all 12 traces.
+func BenchmarkDEGAnalyzeProbe(b *testing.B) {
+	const n = 500
+	var traces []*pipetrace.Trace
+	for _, p := range workload.Suite06() {
+		traces = append(traces, annotatedTrace(b, p.Name, n))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			if _, _, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	reportInstRate(b, n*len(traces))
 }
 
 // BenchmarkHypervolume3D measures the exact hypervolume computation on a

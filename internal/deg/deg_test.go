@@ -45,7 +45,9 @@ func TestBuildProducesDAGForwardEdges(t *testing.T) {
 		if e.Delay < 0 {
 			t.Fatalf("backward edge %v", e)
 		}
-		if !orderLess(g.order(e.From), g.order(e.To)) {
+		// Edges run forward in (time, VertexID) order, the topological
+		// order the DP visits.
+		if tf, tt := g.time(e.From), g.time(e.To); tf > tt || (tf == tt && e.From >= e.To) {
 			t.Fatalf("edge violates topological key: %v -> %v", e.From, e.To)
 		}
 		if e.Cost != 0 && e.Kind != EdgeResource && e.Kind != EdgeFU && e.Kind != EdgeMispredict {

@@ -30,7 +30,6 @@ package deg
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
@@ -109,9 +108,11 @@ type Graph struct {
 	// graphs have base 0.
 	base int
 
-	// in[v] lists indices into Edges of v's incoming edges; indexed
-	// densely by VertexID.
-	in [][]int32
+	// b holds the vertex list, the in-edge index and the DP tables: fresh
+	// buffers the graph owns after Build, pooled ones that a windowed
+	// analysis reuses for its next window. ks orders the vertices.
+	b  *buffers
+	ks keyspace
 
 	// Statistics.
 	NumVertices int
@@ -120,7 +121,7 @@ type Graph struct {
 	// virtual-edge rules.
 	SkewedAnchors int
 
-	// Defensive-drop counters: edges addEdge refused to create. On a trace
+	// Defensive-drop counters: edges the builder refused to create. On a trace
 	// that passes pipetrace validation both must stay zero (the simulator
 	// invariants test asserts this); non-zero values indicate trace
 	// corruption and are surfaced through the evaluator's telemetry rather
@@ -142,22 +143,6 @@ func (g *Graph) time(v VertexID) int64 {
 	return g.Trace.Records[g.base+v.Seq()].Stamp[v.Stage()]
 }
 
-// order is the topological sort key: edges always go forward in
-// (time, seq, stage) lexicographic order.
-func (g *Graph) order(v VertexID) [3]int64 {
-	return [3]int64{g.time(v), int64(v.Seq()), int64(v.Stage())}
-}
-
-func orderLess(a, b [3]int64) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	if a[1] != b[1] {
-		return a[1] < b[1]
-	}
-	return a[2] < b[2]
-}
-
 // Options tunes graph construction.
 type Options struct {
 	// MaxVirtualScan bounds the candidate scan for virtual-edge rules.
@@ -165,36 +150,36 @@ type Options struct {
 	MaxVirtualScan int
 }
 
-// anchor is one endpoint of a skewed edge — a participant in the induced
-// DEG's virtual-edge rules.
-type anchor struct {
-	v     VertexID
-	ord   [3]int64
-	start bool // true for skewed-edge start vertices (virtual targets)
-}
+// Bits of buffers.mark, per local vertex.
+const (
+	markListed uint8 = 1 << iota // in the vertex list
+	markStart                    // starts a skewed edge: a virtual-edge target
+	markEnd                      // ends a skewed edge
+)
 
-// vkey dedups virtual edges; akey dedups skewed-edge anchors.
-type vkey struct{ f, t VertexID }
-type akey struct {
-	v     VertexID
-	start bool
-}
-
-// Build constructs the induced DEG from a pipeline trace.
+// Build constructs the induced DEG from a pipeline trace, in fresh buffers
+// the graph owns.
 func Build(tr *pipetrace.Trace, opts Options) (*Graph, error) {
 	g := &Graph{}
-	if err := buildInto(g, tr, opts, 0, len(tr.Records), nil); err != nil {
+	if err := buildInto(g, tr, opts, 0, len(tr.Records), new(buffers)); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
+// builder is the state of one graph build over recs, the build range's
+// records, indexed by local sequence number.
+type builder struct {
+	g    *Graph
+	b    *buffers
+	recs []pipetrace.Record
+}
+
 // buildInto constructs the induced DEG over records [base, end) into the
-// zeroed graph g, with vertex IDs local to base. When b is non-nil the
-// graph's slices and scratch maps come from the (pooled) buffers so
-// repeated builds reuse their allocations; such a graph is only valid until
-// the buffers' next build. Dependence annotations reaching back before base
-// are clipped and counted (whole-trace builds pass base 0 and never clip).
+// zeroed graph g, with vertex IDs local to base, using the buffers b: the
+// graph is valid until b's next build. Dependence annotations reaching back
+// before base are clipped and counted (whole-trace builds pass base 0 and
+// never clip).
 func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *buffers) error {
 	nRecs := end - base
 	if nRecs <= 0 {
@@ -209,63 +194,16 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 		return fmt.Errorf("deg: trace of %d instructions exceeds the %d-instruction graph limit",
 			nRecs, (math.MaxInt32-pipetrace.NumStages+1)/pipetrace.NumStages)
 	}
-	g.Trace = tr
-	g.base = base
+	g.Trace, g.base, g.b = tr, base, b
+	b.reset(nRecs * pipetrace.NumStages)
+	g.Edges = b.edges[:0]
+	bd := builder{g: g, b: b, recs: tr.Records[base:end]}
 
 	// Producer annotations are global sequence numbers; records sit at
 	// index Seq - seq0 in tr.Records. Batch traces have seq0 == 0 (index
 	// equals sequence number); the stream analyzer's sliding buffer starts
 	// at whatever sequence is still retained.
 	seq0 := tr.Records[0].Seq
-
-	// Skewed-edge anchor bookkeeping for the induced DEG, deduped by
-	// (vertex, start): a vertex shared by several skewed edges used to push
-	// one anchor per edge, repeating identical Rule 1/Rule 2 scans and
-	// crowding the bounded Rule-2 candidate window with duplicates.
-	var anchors []anchor
-	var aseen map[akey]bool
-	if b != nil {
-		g.Edges = b.edges[:0]
-		anchors = b.anchors[:0]
-		aseen = b.aseen
-		clear(aseen)
-	} else {
-		aseen = make(map[akey]bool)
-	}
-
-	addEdge := func(from, to VertexID, kind EdgeKind, res uarch.Resource) {
-		df, dt := g.time(from), g.time(to)
-		if df == pipetrace.NoStamp || dt == pipetrace.NoStamp {
-			g.DroppedNoStamp++
-			return
-		}
-		delay := dt - df
-		if delay < 0 {
-			g.DroppedBackward++
-			return // defensive: never create a backward edge
-		}
-		var cost int64
-		if kind == EdgeResource || kind == EdgeFU || kind == EdgeMispredict {
-			cost = delay
-		}
-		g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: kind, Res: res, Delay: delay, Cost: cost})
-	}
-
-	addSkewed := func(from, to VertexID, kind EdgeKind, res uarch.Resource) {
-		n := len(g.Edges)
-		addEdge(from, to, kind, res)
-		if len(g.Edges) == n {
-			return
-		}
-		if k := (akey{from, true}); !aseen[k] {
-			aseen[k] = true
-			anchors = append(anchors, anchor{v: from, ord: g.order(from), start: true})
-		}
-		if k := (akey{to, false}); !aseen[k] {
-			aseen[k] = true
-			anchors = append(anchors, anchor{v: to, ord: g.order(to), start: false})
-		}
-	}
 
 	// clip drops a producer annotation that precedes the build range;
 	// toLocal maps a surviving global producer sequence to the build
@@ -279,8 +217,8 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 	}
 	toLocal := func(producer int) int { return producer - seq0 - base }
 
-	for i := 0; i < nRecs; i++ {
-		rec := &tr.Records[base+i]
+	for i := range bd.recs {
+		rec := &bd.recs[i]
 		// Horizontal pipeline chain. Attribution of base latencies: the
 		// I$ response edge attributes to ICache and the load access edge
 		// to DCache; remaining hops are unattributed pipeline progress.
@@ -308,7 +246,7 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 				// front-end width/buffer pressure.
 				res = uarch.ResFrontend
 			}
-			addEdge(Vertex(i, prev), Vertex(i, s), EdgePipeline, res)
+			bd.edge(i, prev, i, s, EdgePipeline, res)
 			prev = s
 		}
 
@@ -317,128 +255,147 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 			if clip(rd.Producer) {
 				continue
 			}
-			addSkewed(Vertex(toLocal(rd.Producer), pipetrace.SR), Vertex(i, pipetrace.SR), EdgeResource, rd.Resource)
+			bd.skewed(toLocal(rd.Producer), pipetrace.SR, i, pipetrace.SR, EdgeResource, rd.Resource)
 		}
 		// Functional unit and port contention (issue to issue).
 		if rec.FUProducer >= 0 && !clip(rec.FUProducer) {
-			addSkewed(Vertex(toLocal(rec.FUProducer), pipetrace.SI), Vertex(i, pipetrace.SI), EdgeFU, rec.FURes)
+			bd.skewed(toLocal(rec.FUProducer), pipetrace.SI, i, pipetrace.SI, EdgeFU, rec.FURes)
 		}
 		if rec.PortProducer >= 0 && !clip(rec.PortProducer) {
-			addSkewed(Vertex(toLocal(rec.PortProducer), pipetrace.SI), Vertex(i, pipetrace.SI), EdgeFU, uarch.ResRdWrPort)
+			bd.skewed(toLocal(rec.PortProducer), pipetrace.SI, i, pipetrace.SI, EdgeFU, uarch.ResRdWrPort)
 		}
 		// True data dependence.
 		for _, p := range rec.DataProducers {
 			if clip(p) {
 				continue
 			}
-			addSkewed(Vertex(toLocal(p), pipetrace.SI), Vertex(i, pipetrace.SI), EdgeData, uarch.ResRawDep)
+			bd.skewed(toLocal(p), pipetrace.SI, i, pipetrace.SI, EdgeData, uarch.ResRawDep)
 		}
 		// Misprediction dependence.
 		if rec.MispredictFrom >= 0 && !clip(rec.MispredictFrom) {
-			addSkewed(Vertex(toLocal(rec.MispredictFrom), pipetrace.SP), Vertex(i, pipetrace.SF1), EdgeMispredict, uarch.ResBranchPred)
+			bd.skewed(toLocal(rec.MispredictFrom), pipetrace.SP, i, pipetrace.SF1, EdgeMispredict, uarch.ResBranchPred)
 		}
 	}
 
 	// Induced DEG: virtual edges. Candidate targets are skewed-edge start
 	// vertices; every anchor connects to (Rule 1) the target whose time is
 	// closest after its own, and (Rule 2) the target whose instruction
-	// sequence is closest after its own.
-	var targets []anchor
-	if b != nil {
-		targets = b.targets[:0]
-	}
-	for _, a := range anchors {
-		if a.start {
-			targets = append(targets, a)
+	// sequence is closest after its own. Every target is ordered strictly
+	// after its anchor, so no virtual edge is a self-loop or runs backward.
+	g.ks = newKeyspace(nRecs, b.verts)
+	tkeys := b.sortKeys(&g.ks, b.targets)
+	for _, a := range b.anchors {
+		r1, r2 := g.ks.virtualTargets(tkeys, g.ks.key(a), opts.MaxVirtualScan)
+		if r1 == len(tkeys) {
+			continue
 		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return orderLess(targets[i].ord, targets[j].ord) })
-	g.SkewedAnchors = len(anchors)
-
-	// Dedup helper for virtual edges.
-	var seen map[vkey]bool
-	if b != nil {
-		seen = b.vseen
-		clear(seen)
-	} else {
-		seen = make(map[vkey]bool)
-	}
-	addVirtual := func(from, to VertexID) {
-		if from == to {
-			return
-		}
-		k := vkey{from, to}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		addEdge(from, to, EdgeVirtual, uarch.ResNone)
-	}
-
-	for _, a := range anchors {
-		// Rule 1: binary search targets by order; first strictly greater.
-		lo := sort.Search(len(targets), func(i int) bool {
-			return orderLess(a.ord, targets[i].ord)
-		})
-		if lo < len(targets) {
-			best := targets[lo]
-			addVirtual(a.v, best.v)
-			// Rule 2: among the next few targets, closest sequence.
-			bestSeq := best
-			bestDist := seqDist(a.v, best.v)
-			hi := lo + opts.MaxVirtualScan
-			if hi > len(targets) {
-				hi = len(targets)
-			}
-			for _, t := range targets[lo:hi] {
-				if d := seqDist(a.v, t.v); d < bestDist {
-					bestSeq, bestDist = t, d
-				}
-			}
-			if bestSeq.v != best.v {
-				addVirtual(a.v, bestSeq.v)
-			}
+		from := vertexOf(a.code)
+		bd.virtual(from, a.t, tkeys[r1])
+		if r2 != r1 {
+			bd.virtual(from, a.t, tkeys[r2])
 		}
 	}
 
-	// Index incoming edges and tally statistics.
-	total := nRecs * pipetrace.NumStages
-	var touched []bool
-	if b != nil {
-		g.in = b.ensureIn(total)
-		touched = b.ensureTouched(total)
-	} else {
-		g.in = make([][]int32, total)
-		touched = make([]bool, total)
-	}
+	// Index incoming edges as CSR, filled in edge-index order (the DP's
+	// lowest-index parent tie-break reads them in that order), and tally
+	// statistics. Counting into off[v+2] and filling through off[v+1]
+	// leaves v's in-edges at inIdx[off[v]:off[v+1]].
+	off := b.inOff
 	for i := range g.Edges {
-		e := &g.Edges[i]
-		g.in[e.To] = append(g.in[e.To], int32(i))
-		g.EdgesByKind[e.Kind]++
-		touched[e.From] = true
-		touched[e.To] = true
+		off[g.Edges[i].To+2]++
+		g.EdgesByKind[g.Edges[i].Kind]++
 	}
-	for _, t := range touched {
-		if t {
-			g.NumVertices++
-		}
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
 	}
-	if b != nil {
-		// Hand the (possibly reallocated) slices back so the next build
-		// reuses their grown capacity.
-		b.edges = g.Edges
-		b.anchors = anchors
-		b.targets = targets
+	b.inIdx = resize(b.inIdx, len(g.Edges))
+	for i := range g.Edges {
+		to := g.Edges[i].To
+		b.inIdx[off[to+1]] = int32(i)
+		off[to+1]++
 	}
+	g.NumVertices = len(b.verts)
+	b.edges = g.Edges // hand back grown capacity for the next build
 	return nil
 }
 
-func seqDist(a, b VertexID) int {
-	d := a.Seq() - b.Seq()
-	if d < 0 {
-		d = -d
+// edge adds the edge from local vertex (fs, fst) to (ts, tst), listing both
+// endpoints, unless an endpoint's stage never happened or the edge would
+// run backward in time; those are counted as drops. It reports whether the
+// edge was added.
+func (bd *builder) edge(fs int, fst pipetrace.Stage, ts int, tst pipetrace.Stage, kind EdgeKind, res uarch.Resource) bool {
+	df, dt := bd.recs[fs].Stamp[fst], bd.recs[ts].Stamp[tst]
+	if df == pipetrace.NoStamp || dt == pipetrace.NoStamp {
+		bd.g.DroppedNoStamp++
+		return false
 	}
-	return d
+	delay := dt - df
+	if delay < 0 {
+		bd.g.DroppedBackward++
+		return false // defensive: never create a backward edge
+	}
+	var cost int64
+	if kind == EdgeResource || kind == EdgeFU || kind == EdgeMispredict {
+		cost = delay
+	}
+	bd.g.Edges = append(bd.g.Edges, Edge{
+		From: bd.list(fs, fst, df), To: bd.list(ts, tst, dt),
+		Kind: kind, Res: res, Delay: delay, Cost: cost,
+	})
+	return true
+}
+
+// list returns local vertex (seq, st), appending it with its stamp t to the
+// vertex list on first touch.
+func (bd *builder) list(seq int, st pipetrace.Stage, t int64) VertexID {
+	v := Vertex(seq, st)
+	if bd.b.mark[v]&markListed == 0 {
+		bd.b.mark[v] |= markListed
+		bd.b.verts = append(bd.b.verts, stamped{vcode(seq, st), t})
+	}
+	return v
+}
+
+// skewed adds a skewed edge and registers its endpoints as virtual-edge
+// anchors.
+func (bd *builder) skewed(fs int, fst pipetrace.Stage, ts int, tst pipetrace.Stage, kind EdgeKind, res uarch.Resource) {
+	if bd.edge(fs, fst, ts, tst, kind, res) {
+		bd.anchor(fs, fst, markStart)
+		bd.anchor(ts, tst, markEnd)
+	}
+}
+
+// anchor registers local vertex (seq, st) in one anchor role. Roles are
+// deduplicated per vertex — SkewedAnchors counts distinct (vertex, role)
+// pairs, and a vertex shared by several skewed edges must not crowd the
+// bounded Rule-2 candidate window with duplicates. The anchor list holds
+// each vertex once, in first-occurrence order: Rule 1 and Rule 2 read only
+// the anchor's vertex, so a vertex that both starts and ends skewed edges
+// would repeat the same virtual edges in its second role.
+func (bd *builder) anchor(seq int, st pipetrace.Stage, role uint8) {
+	v := Vertex(seq, st)
+	m := bd.b.mark[v]
+	if m&role != 0 {
+		return
+	}
+	bd.b.mark[v] = m | role
+	bd.g.SkewedAnchors++
+	a := stamped{vcode(seq, st), bd.recs[seq].Stamp[st]}
+	if m&(markStart|markEnd) == 0 {
+		bd.b.anchors = append(bd.b.anchors, a)
+	}
+	if role == markStart {
+		bd.b.targets = append(bd.b.targets, a)
+	}
+}
+
+// virtual adds the zero-cost virtual edge from the anchor vertex from,
+// stamped t, to the target with order key k.
+func (bd *builder) virtual(from VertexID, t int64, k uint64) {
+	ks := &bd.g.ks
+	bd.g.Edges = append(bd.g.Edges, Edge{
+		From: from, To: vertexOf(ks.code(k)), Kind: EdgeVirtual, Delay: ks.time(k) - t,
+	})
 }
 
 // NumEdges returns the total edge count.

@@ -2,6 +2,8 @@ package deg
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"archexplorer/internal/pipetrace"
@@ -22,170 +24,219 @@ type CriticalPath struct {
 	Span int64
 }
 
-// topoSort orders verts by (time, VertexID), which equals the
-// (time, seq, stage) topological order because a VertexID is
-// seq*NumStages+stage. The common case packs both into one uint64 key —
-// time in the upper 32 bits, vertex in the lower — so the sort comparator
-// stays branch-cheap; that packing is exact while every stamp fits in 32
-// bits (VertexID is int32, so the low half always fits). Stamps at or past
-// 1<<32 cycles fall back to an explicit two-key comparison instead of
-// silently corrupting the order — the bug the old 24-bit packing had for
-// traces beyond ~2M records.
-func topoSort(verts []VertexID, time func(VertexID) int64) {
-	topoSortInto(verts, time, nil)
+// stageBits is the width of the stage field of a vertex code, the packing
+// seq<<stageBits | stage of a local vertex. Codes order like VertexIDs, but
+// their fields come apart with a shift and a mask instead of a divide.
+const stageBits = 4
+
+// The stage field must hold every stage.
+var _ [1<<stageBits - pipetrace.NumStages]struct{}
+
+func vcode(seq int, st pipetrace.Stage) uint64 { return uint64(seq)<<stageBits | uint64(st) }
+
+// vertexOf converts a vertex code to its VertexID.
+func vertexOf(code uint64) VertexID {
+	return VertexID(int(code>>stageBits)*pipetrace.NumStages + int(code&(1<<stageBits-1)))
 }
 
-// topoSortInto is topoSort with a reusable key buffer (the windowed
-// analyzer pools it); it returns the buffer so grown capacity survives.
-func topoSortInto(verts []VertexID, time func(VertexID) int64, keys []uint64) []uint64 {
-	var maxTime int64
-	for _, v := range verts {
-		if t := time(v); t > maxTime {
-			maxTime = t
+// stamped is a local vertex, by code, with its stamp.
+type stamped struct {
+	code uint64
+	t    int64
+}
+
+// keyspace packs a graph's vertices into order keys: uint64s whose numeric
+// order is the (time, seq, stage) order every edge runs forward in, which
+// makes it a topological order. The time field sits above the vertex code
+// and holds the stamp's offset from the graph's earliest stamp — or, when
+// the graph spans 2³² cycles or more, the stamp's rank among its distinct
+// stamps, which keeps keys within 64 bits and leaves the order unchanged.
+// Distinct vertices have distinct keys, so every correct sort of them
+// yields the same sequence.
+type keyspace struct {
+	shift uint    // width of the vertex-code field
+	tmin  int64   // earliest stamp
+	ranks []int64 // the distinct stamps, ascending, when ranked; else nil
+	max   uint64  // upper bound of every key
+}
+
+// newKeyspace sizes the key layout for a graph over nRecs instructions with
+// the listed vertices vs.
+func newKeyspace(nRecs int, vs []stamped) keyspace {
+	k := keyspace{shift: uint(bits.Len(uint(nRecs-1))) + stageBits}
+	var span uint64
+	if len(vs) > 0 {
+		tmin, tmax := vs[0].t, vs[0].t
+		for _, v := range vs[1:] {
+			tmin, tmax = min(tmin, v.t), max(tmax, v.t)
+		}
+		k.tmin, span = tmin, uint64(tmax)-uint64(tmin)
+	}
+	if span >= 1<<32 {
+		// Cold path: rank the stamps with a comparison sort.
+		k.ranks = make([]int64, len(vs))
+		for i, v := range vs {
+			k.ranks[i] = v.t
+		}
+		slices.Sort(k.ranks)
+		k.ranks = slices.Compact(k.ranks)
+		span = uint64(len(k.ranks) - 1)
+	}
+	k.max = span<<k.shift | (1<<k.shift - 1)
+	return k
+}
+
+func (k *keyspace) key(v stamped) uint64 {
+	off := uint64(v.t) - uint64(k.tmin)
+	if k.ranks != nil {
+		i, _ := slices.BinarySearch(k.ranks, v.t)
+		off = uint64(i)
+	}
+	return off<<k.shift | v.code
+}
+
+// code and time recover a key's vertex code and stamp.
+func (k *keyspace) code(key uint64) uint64 { return key & (1<<k.shift - 1) }
+
+func (k *keyspace) time(key uint64) int64 {
+	if k.ranks != nil {
+		return k.ranks[key>>k.shift]
+	}
+	return k.tmin + int64(key>>k.shift)
+}
+
+// virtualTargets picks one anchor's virtual-edge targets from the sorted
+// target keys tkeys, given the anchor's own order key ka. Rule 1's target,
+// r1, is the first one ordered after the anchor (len(tkeys) if none is).
+// Rule 2's, r2, is the one closest to the anchor in instruction sequence
+// among the scan targets from r1 on, the earliest on ties.
+func (k *keyspace) virtualTargets(tkeys []uint64, ka uint64, scan int) (r1, r2 int) {
+	lo, hi := 0, len(tkeys)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); tkeys[m] <= ka {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	if maxTime < 1<<32 {
-		if cap(keys) < len(verts) {
-			keys = make([]uint64, len(verts))
+	aseq := k.code(ka) >> stageBits
+	r2, best := lo, ^uint64(0)
+	for i := lo; i < min(lo+scan, len(tkeys)); i++ {
+		d := k.code(tkeys[i])>>stageBits - aseq
+		if int64(d) < 0 {
+			d = -d
 		}
-		keys = keys[:len(verts)]
-		for i, v := range verts {
-			keys[i] = uint64(time(v))<<32 | uint64(uint32(v))
+		if d < best {
+			r2, best = i, d
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for i, k := range keys {
-			verts[i] = VertexID(uint32(k))
-		}
-		return keys
 	}
-	sort.Slice(verts, func(i, j int) bool {
-		ti, tj := time(verts[i]), time(verts[j])
-		if ti != tj {
-			return ti < tj
+	return lo, r2
+}
+
+// sortKeys fills the buffers' key slice with the order keys of vs,
+// ascending.
+func (b *buffers) sortKeys(k *keyspace, vs []stamped) []uint64 {
+	b.keys = resize(b.keys, len(vs))
+	for i, v := range vs {
+		b.keys[i] = k.key(v)
+	}
+	b.scratch = resize(b.scratch, len(vs))
+	radixSort(b.keys, b.scratch, k.max)
+	return b.keys
+}
+
+// radixSort sorts keys ascending by least-significant-digit radix sort over
+// bytes, one pass per byte of maxKey, the bound on every key, using scratch
+// (at least as long as keys). It needs 256 counters, whatever the keys'
+// range.
+func radixSort(keys, scratch []uint64, maxKey uint64) {
+	src, dst := keys, scratch[:len(keys)]
+	for shift := uint(0); shift < 64 && maxKey>>shift != 0; shift += 8 {
+		var count [256]int
+		for _, k := range src {
+			count[byte(k>>shift)]++
 		}
-		return verts[i] < verts[j]
-	})
-	return keys
+		if len(src) == 0 || count[byte(src[0]>>shift)] == len(src) {
+			continue // every key has this digit: the pass would move nothing
+		}
+		pos := 0
+		for d, c := range count {
+			count[d], pos = pos, pos+c
+		}
+		for _, k := range src {
+			d := byte(k >> shift)
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if len(keys) > 0 && &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// longestPath is Algorithm 1's dynamic program: it visits the vertices in
+// topological order, fills the buffers' d/parent tables, and returns the
+// super-sink — the first vertex in that order with the maximum path cost —
+// and that cost. Vertices without predecessors start at cost zero (line 8
+// of the paper's pseudocode acts as a virtual super-source), and a vertex's
+// parent is its lowest-index in-edge achieving the maximum. The d/parent
+// tables need no reinitialisation: every listed vertex's entry is written
+// before any read.
+func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
+	if len(g.Edges) == 0 {
+		return 0, 0, fmt.Errorf("deg: graph has no edges")
+	}
+	b := g.b
+	b.d, b.parent = resize(b.d, len(b.mark)), resize(b.parent, len(b.mark))
+	d, parent := b.d, b.parent
+	cost = -1
+	for _, k := range b.sortKeys(&g.ks, b.verts) {
+		v := vertexOf(g.ks.code(k))
+		var dv int64
+		pe := int32(-1) // incoming edge index, -1 none
+		for _, ei := range b.inIdx[b.inOff[v]:b.inOff[v+1]] {
+			e := &g.Edges[ei]
+			if cand := d[e.From] + e.Cost; cand > dv || (cand == dv && pe < 0) {
+				dv, pe = cand, ei
+			}
+		}
+		d[v], parent[v] = dv, pe
+		if dv > cost {
+			sink, cost = v, dv
+		}
+	}
+	return sink, cost, nil
 }
 
 // Construct runs Algorithm 1 (dynamic-programming longest path in
-// topological order). Vertices without predecessors start at cost zero
-// (line 8 of the paper's pseudocode acts as a virtual super-source); the
-// path is reconstructed backwards from the maximum-cost vertex, which acts
-// as the virtual super-sink. Runtime not covered by the path telescopes
-// into the report's Base share.
+// topological order) and reconstructs the path backwards from the
+// maximum-cost vertex, which acts as the virtual super-sink. Runtime not
+// covered by the path telescopes into the report's Base share. Construct
+// reuses the graph's scratch buffers, so it is not safe for concurrent use
+// on one Graph; the returned path is the caller's.
 func (g *Graph) Construct() (*CriticalPath, error) {
-	return g.constructInto(nil)
-}
-
-// constructInto is Construct with pooled scratch arrays: when b is non-nil
-// the topological order, DP tables, and the reconstructed path all live in
-// the buffers, so the returned path is only valid until the buffers' next
-// use. The d/parent tables need no reinitialisation between uses — every
-// sorted vertex's entry is written before any read.
-func (g *Graph) constructInto(b *buffers) (*CriticalPath, error) {
-	if len(g.Edges) == 0 {
-		return nil, fmt.Errorf("deg: graph has no edges")
+	sink, cost, err := g.longestPath()
+	if err != nil {
+		return nil, err
 	}
-
-	// Topological order: (time, seq, stage) is valid by construction.
-	// len(g.in) is the dense vertex-ID space of this (possibly windowed)
-	// graph.
-	total := len(g.in)
-	var present []bool
-	var d []int64
-	var parent []int32 // incoming edge index, -1 none
-	var verts []VertexID
-	if b != nil {
-		present = b.ensurePresent(total)
-		d = b.ensureD(total)
-		parent = b.ensureParent(total)
-		verts = b.verts[:0]
-	} else {
-		present = make([]bool, total)
-		d = make([]int64, total)
-		parent = make([]int32, total)
+	parent := g.b.parent
+	n := 1
+	for v := sink; parent[v] >= 0; v = g.Edges[parent[v]].From {
+		n++
 	}
-	nVerts := 0
-	for i := range g.Edges {
-		for _, v := range [2]VertexID{g.Edges[i].From, g.Edges[i].To} {
-			if !present[v] {
-				present[v] = true
-				nVerts++
-			}
-		}
+	cp := &CriticalPath{Vertices: make([]VertexID, n), Cost: cost}
+	if n > 1 {
+		cp.Edges = make([]Edge, n-1)
 	}
-	if b == nil {
-		verts = make([]VertexID, 0, nVerts)
+	v := sink
+	for i := n - 1; i > 0; i-- {
+		cp.Vertices[i] = v
+		cp.Edges[i-1] = g.Edges[parent[v]]
+		v = cp.Edges[i-1].From
 	}
-	for v := 0; v < total; v++ {
-		if present[v] {
-			verts = append(verts, VertexID(v))
-		}
-	}
-	var keys []uint64
-	if b != nil {
-		keys = b.keys
-	}
-	keys = topoSortInto(verts, g.time, keys)
-	if b != nil {
-		b.keys = keys
-		b.verts = verts
-	}
-
-	var bestV VertexID
-	var bestD int64 = -1
-	for _, v := range verts {
-		var dv int64
-		pe := int32(-1)
-		for _, ei := range g.in[v] {
-			e := &g.Edges[ei]
-			cand := d[e.From] + e.Cost
-			if cand > dv || (cand == dv && pe < 0) {
-				dv = cand
-				pe = ei
-			}
-		}
-		d[v] = dv
-		parent[v] = pe
-		if dv > bestD {
-			bestD, bestV = dv, v
-		}
-	}
-
-	// Reconstruct backwards from the super-sink.
-	var redges []Edge
-	var rverts []VertexID
-	if b != nil {
-		redges = b.redges[:0]
-		rverts = b.rverts[:0]
-	}
-	v := bestV
-	for {
-		rverts = append(rverts, v)
-		pe := parent[v]
-		if pe < 0 {
-			break
-		}
-		redges = append(redges, g.Edges[pe])
-		v = g.Edges[pe].From
-	}
-	if b != nil {
-		b.redges = redges
-		b.rverts = rverts
-	}
-	// Reverse into execution order.
-	for i, j := 0, len(rverts)-1; i < j; i, j = i+1, j-1 {
-		rverts[i], rverts[j] = rverts[j], rverts[i]
-	}
-	for i, j := 0, len(redges)-1; i < j; i, j = i+1, j-1 {
-		redges[i], redges[j] = redges[j], redges[i]
-	}
-
-	cp := &CriticalPath{Vertices: rverts, Edges: redges, Cost: bestD}
-	if len(rverts) > 0 {
-		cp.Span = g.time(rverts[len(rverts)-1]) - g.time(rverts[0])
-	}
+	cp.Vertices[0] = v
+	cp.Span = g.time(sink) - g.time(v)
 	return cp, nil
 }
 

@@ -4,10 +4,12 @@ import (
 	"sort"
 	"testing"
 
+	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 )
 
-// refSort is the explicit (time, VertexID) comparison topoSort must match.
+// refSort is the explicit (time, VertexID) comparison the order keys must
+// match.
 func refSort(verts []VertexID, time func(VertexID) int64) []VertexID {
 	out := append([]VertexID(nil), verts...)
 	sort.Slice(out, func(i, j int) bool {
@@ -28,6 +30,63 @@ func (x *xorshift) next() uint64 {
 	*x ^= *x >> 7
 	*x ^= *x << 17
 	return uint64(*x)
+}
+
+// keyOrder orders verts the way the graph build and the DP do — through a
+// keyspace's order keys and the radix sort — reading vertex IDs as local to
+// a graph over one more instruction than the largest sequence number. It
+// also checks that every key decodes back to its vertex's stamp.
+func keyOrder(t *testing.T, verts []VertexID, time func(VertexID) int64) []VertexID {
+	t.Helper()
+	nRecs := 1
+	vs := make([]stamped, len(verts))
+	for i, v := range verts {
+		vs[i] = stamped{vcode(v.Seq(), v.Stage()), time(v)}
+		nRecs = max(nRecs, v.Seq()+1)
+	}
+	ks := newKeyspace(nRecs, vs)
+	var b buffers
+	out := make([]VertexID, 0, len(verts))
+	for _, k := range b.sortKeys(&ks, vs) {
+		v := vertexOf(ks.code(k))
+		if got := ks.time(k); got != time(v) {
+			t.Fatalf("key of vertex %d decodes to stamp %d, want %d", v, got, time(v))
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// checkOrder fails unless keyOrder and refSort agree on verts.
+func checkOrder(t *testing.T, verts []VertexID, time func(VertexID) int64) {
+	t.Helper()
+	want := refSort(verts, time)
+	got := keyOrder(t, verts, time)
+	if len(got) != len(want) {
+		t.Fatalf("ordered %d vertices, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("order diverges at %d: got v=%d t=%d, want v=%d t=%d",
+				i, got[i], time(got[i]), want[i], time(want[i]))
+		}
+	}
+}
+
+// randomVerts draws n distinct vertex IDs below limit with stamps from
+// stamp.
+func randomVerts(rng *xorshift, n int, limit uint64, stamp func() int64) ([]VertexID, func(VertexID) int64) {
+	verts := make([]VertexID, 0, n)
+	times := make(map[VertexID]int64, n)
+	for len(verts) < n {
+		v := VertexID(rng.next() % limit)
+		if _, dup := times[v]; dup {
+			continue
+		}
+		times[v] = stamp()
+		verts = append(verts, v)
+	}
+	return verts, func(v VertexID) int64 { return times[v] }
 }
 
 // TestTopoSortBeyond24Bits is the regression test for the old packing
@@ -54,41 +113,117 @@ func TestTopoSortBeyond24Bits(t *testing.T) {
 		times[v] = int64(rng.next() % 7)
 		verts = append(verts, v)
 	}
-	timeOf := func(v VertexID) int64 { return times[v] }
+	checkOrder(t, verts, func(v VertexID) int64 { return times[v] })
+}
 
-	want := refSort(verts, timeOf)
-	topoSort(verts, timeOf)
-	for i := range verts {
-		if verts[i] != want[i] {
-			t.Fatalf("order diverges at %d: got v=%d t=%d, want v=%d t=%d",
-				i, verts[i], timeOf(verts[i]), want[i], timeOf(want[i]))
-		}
+// TestTopoSortTimeOverflowFallback drives the stamps of one graph 2³²
+// cycles or more apart, beyond the key's 32-bit time offset: the keyspace
+// must fall back to ranking the stamps rather than corrupt the order.
+func TestTopoSortTimeOverflowFallback(t *testing.T) {
+	rng := xorshift(99)
+	verts, time := randomVerts(&rng, 512, 1<<30, func() int64 {
+		// Colliding stamps on both sides of the 32-bit span limit.
+		return int64(rng.next()%3)<<32 + int64(rng.next()%5)
+	})
+	if ks := newKeyspace(1, []stamped{{0, 0}, {1, 1 << 32}}); ks.ranks == nil {
+		t.Fatal("a 2^32-cycle span did not select the ranked keyspace")
+	}
+	checkOrder(t, verts, time)
+}
+
+// TestOrderKeysMatchRefSort checks the radix-sorted order keys against the
+// comparison sort across the time shapes windows produce: spans narrower
+// than the vertex count (many vertices per cycle), spans far wider than
+// it, a handful of heavily tied stamps, stamps below zero, and a single
+// vertex.
+func TestOrderKeysMatchRefSort(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		limit uint64
+		stamp func(rng *xorshift) int64
+	}{
+		{"dense", 4096, 1 << 16, func(rng *xorshift) int64 { return int64(rng.next() % 512) }},
+		{"sparse", 4096, 1 << 16, func(rng *xorshift) int64 { return int64(rng.next() % (1 << 31)) }},
+		{"ties", 4096, 1 << 20, func(rng *xorshift) int64 { return int64(rng.next() % 3) }},
+		{"negative", 1024, 1 << 12, func(rng *xorshift) int64 { return int64(rng.next()%2000) - 1000 }},
+		{"single", 1, 8, func(rng *xorshift) int64 { return 5 }},
+	}
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := xorshift(1000 + i)
+			verts, time := randomVerts(&rng, c.n, c.limit, func() int64 { return c.stamp(&rng) })
+			checkOrder(t, verts, time)
+		})
 	}
 }
 
-// TestTopoSortTimeOverflowFallback drives stamps past 1<<32, where the
-// packed key would overflow; topoSort must detect this and fall back to the
-// explicit comparison.
-func TestTopoSortTimeOverflowFallback(t *testing.T) {
-	const n = 512
-	rng := xorshift(99)
-	verts := make([]VertexID, 0, n)
-	times := make(map[VertexID]int64, n)
-	for i := 0; i < n; i++ {
-		v := VertexID(rng.next() % (1 << 30))
-		if _, dup := times[v]; dup {
-			continue
+// TestVirtualTargetsMatchBruteForce checks the Rule-1/Rule-2 target choice
+// — a binary search over sorted order keys plus a bounded scan — against a
+// direct scan of every target on random anchor sets: Rule 1 picks the
+// first target after the anchor in (time, VertexID) order, Rule 2 the one
+// closest in instruction sequence among the next scan targets, the
+// earliest on ties.
+func TestVirtualTargetsMatchBruteForce(t *testing.T) {
+	rng := xorshift(7)
+	for iter := 0; iter < 300; iter++ {
+		const nRecs = 64
+		span := []uint64{4, 100, 1 << 40}[iter%3]
+		var vs, targets []stamped
+		seen := make(map[uint64]bool)
+		for n := 1 + int(rng.next()%200); len(vs) < n; {
+			c := vcode(int(rng.next()%nRecs), pipetrace.Stage(rng.next()%uint64(pipetrace.NumStages)))
+			if seen[c] {
+				continue
+			}
+			seen[c] = true
+			v := stamped{c, int64(rng.next() % span)}
+			vs = append(vs, v)
+			if rng.next()%2 == 0 {
+				targets = append(targets, v)
+			}
 		}
-		times[v] = int64(1<<32) + int64(rng.next()%5) // collides above the packing limit
-		verts = append(verts, v)
-	}
-	timeOf := func(v VertexID) int64 { return times[v] }
+		scan := 1 + int(rng.next()%8)
+		ks := newKeyspace(nRecs, vs)
+		var b buffers
+		tkeys := b.sortKeys(&ks, targets)
 
-	want := refSort(verts, timeOf)
-	topoSort(verts, timeOf)
-	for i := range verts {
-		if verts[i] != want[i] {
-			t.Fatalf("fallback order diverges at %d: got %d, want %d", i, verts[i], want[i])
+		before := func(a, b stamped) bool {
+			return a.t < b.t || (a.t == b.t && vertexOf(a.code) < vertexOf(b.code))
+		}
+		for _, a := range vs {
+			var after []stamped
+			for _, c := range targets {
+				if before(a, c) {
+					after = append(after, c)
+				}
+			}
+			sort.Slice(after, func(i, j int) bool { return before(after[i], after[j]) })
+			r1, r2 := ks.virtualTargets(tkeys, ks.key(a), scan)
+			if len(after) == 0 {
+				if r1 != len(tkeys) {
+					t.Fatalf("iter %d: anchor %+v has no later target, got r1=%d", iter, a, r1)
+				}
+				continue
+			}
+			seqDist := func(c stamped) int {
+				d := vertexOf(a.code).Seq() - vertexOf(c.code).Seq()
+				return max(d, -d)
+			}
+			want2 := after[0]
+			for _, c := range after[:min(scan, len(after))] {
+				if seqDist(c) < seqDist(want2) {
+					want2 = c
+				}
+			}
+			if r1 == len(tkeys) {
+				t.Fatalf("iter %d: anchor %+v: no Rule-1 target, want %+v", iter, a, after[0])
+			}
+			got1, got2 := ks.code(tkeys[r1]), ks.code(tkeys[r2])
+			if got1 != after[0].code || got2 != want2.code {
+				t.Fatalf("iter %d (scan %d): anchor %+v: targets %d/%d, want %d/%d", iter, scan, a,
+					vertexOf(got1), vertexOf(got2), vertexOf(after[0].code), vertexOf(want2.code))
+			}
 		}
 	}
 }

@@ -120,7 +120,7 @@ func (t *windowTask) recycle() {
 // overlap is resolved eagerly — an explicit overlap smaller than the
 // config's reorder window errors here, before any simulation runs.
 // Worker goroutines (for Workers > 1) start lazily at the first sealed
-// window, so a short trace that short-circuits to whole-trace analysis
+// window, so a short trace, analyzed as one whole-trace window,
 // never spawns them.
 func NewStreamAnalyzer(opts WindowOptions) (*StreamAnalyzer, error) {
 	overlap, err := opts.effectiveOverlap()
@@ -401,37 +401,24 @@ func (s *StreamAnalyzer) Finish(cycles int64) (*Report, *WindowStats, error) {
 	if s.seen == 0 {
 		return nil, nil, fmt.Errorf("deg: empty trace")
 	}
+	var err error
 	if s.opts.Window <= 0 || s.opts.Window >= s.seen {
-		// Whole-trace short-circuit, mirroring AnalyzeWindowed: nothing
-		// was sealed (sealing needs Window+overlap buffered records), so
-		// the buffer still holds the entire trace and the batch analyzer
-		// runs over it unchanged.
+		// One window, mirroring AnalyzeWindowed: nothing was sealed
+		// (sealing needs Window+overlap buffered records), so the buffer
+		// still holds the entire trace.
 		s.view.Records = s.buf
-		s.view.Cycles = cycles
-		rep, g, _, err := Analyze(&s.view, s.opts.Options)
+		err = s.wa.analyzeWindow(&s.view, s.opts.Options, 0, s.seen, 0, s.seen, s.b)
 		s.view.Records = nil
-		s.view.Cycles = 0
-		if err != nil {
-			return nil, nil, err
-		}
-		st := &WindowStats{
-			Windows:         1,
-			PeakEdges:       g.NumEdges(),
-			PeakVertices:    g.NumVertices,
-			DroppedNoStamp:  g.DroppedNoStamp,
-			DroppedBackward: g.DroppedBackward,
-			ClippedDeps:     g.ClippedDeps,
-		}
-		return rep, st, nil
-	}
-	if err := s.drain(true); err != nil {
-		s.stopWorkers()
-		return nil, nil, err
+	} else {
+		err = s.drain(true)
 	}
 	// Parallel mode: wait for every dispatched window to run and fold
 	// before reading the accumulator; a worker failure surfaces as the
 	// lowest failed window's error, matching sequential error order.
 	s.stopWorkers()
+	if err != nil {
+		return nil, nil, err
+	}
 	s.mu.Lock()
 	werr := s.werr
 	s.mu.Unlock()

@@ -11,12 +11,11 @@ import (
 
 // TestStreamAllocsBounded is the CI allocation gate on the streaming hot
 // path: once the pools are warm, a full streamed analysis allocates a
-// small, record-count-independent number of times — analyzer construction,
-// initial buffer growth to the window+margin working set, and per-window
-// map resizes. A per-record allocation regression (the thing the arenas and
-// pooled buffers exist to prevent) blows through the budget by two orders
-// of magnitude on this trace. Excluded under -race: the race runtime
-// inflates allocation counts.
+// small, record-count-independent number of times — analyzer construction
+// and initial buffer growth to the window+margin working set. A per-record
+// allocation regression (the thing the arenas and pooled buffers exist to
+// prevent) blows through the budget by two orders of magnitude on this
+// trace. Excluded under -race: the race runtime inflates allocation counts.
 func TestStreamAllocsBounded(t *testing.T) {
 	const n, window, chunk = 3000, 500, 256
 	tr := traceFor(t, uarch.Baseline(), "458.sjeng", n)
@@ -54,5 +53,26 @@ func TestStreamAllocsBounded(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, run); allocs > budget {
 		t.Fatalf("streamed analysis of %d records allocates %.0f times, budget %.0f",
 			n, allocs, budget)
+	}
+}
+
+// TestWholeTraceAllocsBounded is the allocation gate on whole-trace
+// analysis, the evaluator's DEG call for every probe and for unwindowed
+// evaluations: with the buffer pool warm, AnalyzeWindowed over a whole
+// 500-instruction trace allocates only its results — the Report and
+// WindowStats — and never per vertex, per edge or per sort.
+func TestWholeTraceAllocsBounded(t *testing.T) {
+	tr := traceFor(t, uarch.Baseline(), "458.sjeng", 500)
+	run := func() {
+		if _, _, err := AnalyzeWindowed(tr, WindowOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the analyzer buffer pool
+
+	const budget = 4.0
+	if allocs := testing.AllocsPerRun(20, run); allocs > budget {
+		t.Fatalf("whole-trace analysis of %d records allocates %.0f times, budget %.0f",
+			len(tr.Records), allocs, budget)
 	}
 }

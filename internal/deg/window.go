@@ -2,6 +2,7 @@ package deg
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,83 +137,53 @@ type WindowStats struct {
 // Dropped is the total defensively dropped edge count across all windows.
 func (s *WindowStats) Dropped() int { return s.DroppedNoStamp + s.DroppedBackward }
 
-// buffers is the reusable scratch state for one windowed analysis: every
-// slice the graph build and the critical-path DP would otherwise allocate
-// per window. The d/parent tables carry stale values between windows by
-// design — constructInto writes every sorted vertex's entry before reading
-// it — while present/touched and the dedup maps are cleared each build.
+// buffers is the scratch state of one graph build and its critical-path
+// DP: every slice either would otherwise allocate. Build gives each graph
+// fresh buffers; windowed analyses reuse pooled ones window after window,
+// so they grow to the largest window seen. The mark array and the in-edge
+// offsets are cleared per build; the d/parent tables carry stale values by
+// design (longestPath writes every listed vertex's entry before reading
+// it).
 type buffers struct {
 	// Graph build.
 	edges   []Edge
-	anchors []anchor
-	targets []anchor
-	in      [][]int32
-	touched []bool
-	vseen   map[vkey]bool
-	aseen   map[akey]bool
+	mark    []uint8   // per local VertexID: markListed|markStart|markEnd
+	verts   []stamped // the vertex list, in first-touch order
+	anchors []stamped // distinct skewed-edge endpoints, first-occurrence order
+	targets []stamped // distinct skewed-edge start vertices
+	inOff   []int32   // per VertexID: in-edges at inIdx[inOff[v]:inOff[v+1]]
+	inIdx   []int32   // edge indices grouped by head, in edge order
 
-	// Critical-path construction.
-	present []bool
-	d       []int64
-	parent  []int32
-	keys    []uint64
-	verts   []VertexID
-	rverts  []VertexID
-	redges  []Edge
+	// Sorting (virtual-edge targets, then the topological order) and the
+	// critical-path DP.
+	keys, scratch []uint64
+	d             []int64
+	parent        []int32
 }
 
-var bufPool = sync.Pool{
-	New: func() any {
-		return &buffers{
-			vseen: make(map[vkey]bool),
-			aseen: make(map[akey]bool),
-		}
-	},
+var bufPool = sync.Pool{New: func() any { return new(buffers) }}
+
+// reset readies the buffers for a build over total vertex slots. The
+// vertex list gets room for every slot and the edge list for 12.5 edges
+// per instruction (the bundled workloads average 11.5), so a fresh build
+// allocates each about once instead of growing by repeated copies.
+func (b *buffers) reset(total int) {
+	b.mark = resize(b.mark, total)
+	clear(b.mark)
+	b.inOff = resize(b.inOff, total+2)
+	clear(b.inOff)
+	b.edges = slices.Grow(b.edges[:0], total+total/4)
+	b.verts = slices.Grow(b.verts[:0], total)
+	b.anchors, b.targets = b.anchors[:0], b.targets[:0]
 }
 
-func (b *buffers) ensureIn(total int) [][]int32 {
-	if cap(b.in) < total {
-		b.in = append(b.in[:cap(b.in)], make([][]int32, total-cap(b.in))...)
+// resize returns s resized to n elements, reallocating only when its
+// capacity is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	b.in = b.in[:total]
-	for i := range b.in {
-		b.in[i] = b.in[i][:0]
-	}
-	return b.in
-}
-
-func (b *buffers) ensureTouched(total int) []bool {
-	if cap(b.touched) < total {
-		b.touched = make([]bool, total)
-	}
-	b.touched = b.touched[:total]
-	clear(b.touched)
-	return b.touched
-}
-
-func (b *buffers) ensurePresent(total int) []bool {
-	if cap(b.present) < total {
-		b.present = make([]bool, total)
-	}
-	b.present = b.present[:total]
-	clear(b.present)
-	return b.present
-}
-
-func (b *buffers) ensureD(total int) []int64 {
-	if cap(b.d) < total {
-		b.d = make([]int64, total)
-	}
-	b.d = b.d[:total]
-	return b.d
-}
-
-func (b *buffers) ensureParent(total int) []int32 {
-	if cap(b.parent) < total {
-		b.parent = make([]int32, total)
-	}
-	b.parent = b.parent[:total]
-	return b.parent
+	return s[:n]
 }
 
 // AnalyzeWindowed is the streaming counterpart of Analyze: it slices the
@@ -226,10 +197,12 @@ func (b *buffers) ensureParent(total int) []int32 {
 // Every attributed edge is owned by exactly one window — the one whose
 // [lo, hi) instruction range contains the edge's head (To) instruction;
 // margin edges appear in a window's graph for path context but are
-// attributed only by their owner. On traces no longer than one window the
-// result is identical to Analyze; across windows the per-resource Contrib
-// matches whole-trace analysis within a small tolerance because each
-// window picks its own locally longest path (see DESIGN.md §10).
+// attributed only by their owner. A Window of zero, or one covering the
+// trace, analyzes the whole trace as a single window with no margin: the
+// same build and DP as Analyze, in pooled buffers, with an identical
+// result. Across windows the per-resource Contrib matches whole-trace
+// analysis within a small tolerance because each window picks its own
+// locally longest path (see DESIGN.md §10).
 //
 // The returned Report and WindowStats are self-contained; no pooled memory
 // escapes.
@@ -238,26 +211,15 @@ func AnalyzeWindowed(tr *pipetrace.Trace, opts WindowOptions) (*Report, *WindowS
 	if n == 0 {
 		return nil, nil, fmt.Errorf("deg: empty trace")
 	}
-	if opts.Window <= 0 || opts.Window >= n {
-		rep, g, _, err := Analyze(tr, opts.Options)
-		if err != nil {
+	window, overlap := n, 0
+	if opts.Window > 0 && opts.Window < n {
+		var err error
+		if overlap, err = opts.effectiveOverlap(); err != nil {
 			return nil, nil, err
 		}
-		st := &WindowStats{
-			Windows:         1,
-			PeakEdges:       g.NumEdges(),
-			PeakVertices:    g.NumVertices,
-			DroppedNoStamp:  g.DroppedNoStamp,
-			DroppedBackward: g.DroppedBackward,
-			ClippedDeps:     g.ClippedDeps,
-		}
-		return rep, st, nil
+		window = opts.Window
 	}
-	overlap, err := opts.effectiveOverlap()
-	if err != nil {
-		return nil, nil, err
-	}
-	nWin := (n + opts.Window - 1) / opts.Window
+	nWin := (n + window - 1) / window
 	// bounds returns window i's record range: [lo, hi) is the owned span,
 	// [base, end) adds the context margin on both sides. The margin extends
 	// forward as well as back: the window's path then chooses how to cross
@@ -265,8 +227,8 @@ func AnalyzeWindowed(tr *pipetrace.Trace, opts WindowOptions) (*Report, *WindowS
 	// maximizing cost up to hi — which is where a context-free local path
 	// diverges most from the global one.
 	bounds := func(i int) (base, end, lo, hi int) {
-		lo = i * opts.Window
-		hi = min(lo+opts.Window, n)
+		lo = i * window
+		hi = min(lo+window, n)
 		base = max(lo-overlap, 0)
 		end = min(hi+overlap, n)
 		return
@@ -325,6 +287,7 @@ type windowAccum struct {
 	rep        Report
 	st         WindowStats
 	attributed int64
+	pathSpan   int64 // the last folded window's critical-path span
 }
 
 // windowResult is the pure phase's output for one window: everything
@@ -338,13 +301,14 @@ type windowResult struct {
 	delayByRes [uarch.NumResources]int64
 	edgeCount  [uarch.NumResources]int
 	attributed int64
+	pathSpan   int64
 
 	edges, vertices                              int
 	droppedNoStamp, droppedBackward, clippedDeps int
 }
 
 // analyzeWindowPure builds the induced DEG over records [base, end) of tr
-// (indices into tr.Records), constructs its critical path in the caller's
+// (indices into tr.Records), runs Algorithm 1 over it in the caller's
 // buffers, and accumulates into res the delay of path edges owned by
 // [lo, hi) — the window proper, excluding the context margins. It reads
 // the trace and writes only b and res, so distinct windows run
@@ -360,21 +324,25 @@ func analyzeWindowPure(tr *pipetrace.Trace, opts Options, base, end, lo, hi int,
 	res.droppedBackward = g.DroppedBackward
 	res.clippedDeps = g.ClippedDeps
 
-	cp, err := g.constructInto(b)
+	sink, _, err := g.longestPath()
 	if err != nil {
 		return err
 	}
-	for _, e := range cp.Edges {
-		if e.Res == uarch.ResNone {
+	// Walk the path back from the super-sink. An edge whose head lies
+	// outside [lo, hi) is a margin edge; its owner window attributes it.
+	own0, own1 := Vertex(lo-base, 0), Vertex(hi-base, 0)
+	v := sink
+	for pe := b.parent[v]; pe >= 0; pe = b.parent[v] {
+		e := &g.Edges[pe]
+		v = e.From
+		if e.Res == uarch.ResNone || e.To < own0 || e.To >= own1 {
 			continue
-		}
-		if seq := base + e.To.Seq(); seq < lo || seq >= hi {
-			continue // a margin edge; its owner window attributes it
 		}
 		res.delayByRes[e.Res] += e.Delay
 		res.edgeCount[e.Res]++
 		res.attributed += e.Delay
 	}
+	res.pathSpan = g.time(sink) - g.time(v)
 	return nil
 }
 
@@ -392,6 +360,7 @@ func (wa *windowAccum) fold(res *windowResult) {
 		wa.rep.EdgeCount[r] += res.edgeCount[r]
 	}
 	wa.attributed += res.attributed
+	wa.pathSpan = res.pathSpan
 }
 
 // analyzeWindow is the sequential fusion of the pure phase and the fold.
@@ -404,13 +373,18 @@ func (wa *windowAccum) analyzeWindow(tr *pipetrace.Trace, opts Options, base, en
 	return nil
 }
 
-// finish computes the report's ratios over the runtime L: the trace's
-// cycle count, falling back to its wall-clock span, falling back to 1.
-func (wa *windowAccum) finish(cycles, span int64) (*Report, *WindowStats, error) {
+// finish computes the report's ratios over the runtime L: the trace's cycle
+// count, falling back to a span, then to 1. A one-window analysis is
+// whole-trace analysis and falls back to its critical path's span, as
+// Attribute does; a multi-window one to traceSpan, the trace's F1→C span.
+func (wa *windowAccum) finish(cycles, traceSpan int64) (*Report, *WindowStats, error) {
 	rep, st := &wa.rep, &wa.st
 	rep.L = cycles
 	if rep.L <= 0 {
-		rep.L = span
+		rep.L = traceSpan
+		if st.Windows == 1 {
+			rep.L = wa.pathSpan
+		}
 	}
 	if rep.L <= 0 {
 		rep.L = 1

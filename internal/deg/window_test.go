@@ -18,25 +18,40 @@ import (
 	"archexplorer/internal/workload"
 )
 
+// TestAnalyzeWindowedSingleWindowExact: a window covering the trace is
+// whole-trace analysis, buffered or streamed — including on a trace without
+// a cycle count, where the runtime falls back to the critical path's span
+// as in Attribute, not to the trace's F1→C span the multi-window stitch
+// uses.
 func TestAnalyzeWindowedSingleWindowExact(t *testing.T) {
 	tr := traceFor(t, uarch.Baseline(), "458.sjeng", 1500)
-	want, _, _, err := Analyze(tr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, len(tr.Records), len(tr.Records) + 7} {
-		got, st, err := AnalyzeWindowed(tr, WindowOptions{Window: w})
+	noCycles := &pipetrace.Trace{Records: tr.Records}
+	for _, tr := range []*pipetrace.Trace{tr, noCycles} {
+		want, g, cp, err := Analyze(tr, Options{})
 		if err != nil {
-			t.Fatalf("window %d: %v", w, err)
+			t.Fatal(err)
 		}
-		if st.Windows != 1 {
-			t.Fatalf("window %d: %d windows, want 1", w, st.Windows)
+		if tr.Cycles == 0 && (want.L != cp.Span || cp.Span == tr.Span()) {
+			t.Fatalf("fixture: L=%d, path span %d, trace span %d; want L = path span != trace span",
+				want.L, cp.Span, tr.Span())
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window %d: report differs from whole-trace Analyze\n got %+v\nwant %+v", w, got, want)
-		}
-		if st.PeakEdges == 0 || st.PeakVertices == 0 {
-			t.Fatalf("window %d: empty peak stats %+v", w, st)
+		for _, w := range []int{0, len(tr.Records), len(tr.Records) + 7} {
+			got, st, err := AnalyzeWindowed(tr, WindowOptions{Window: w})
+			if err != nil {
+				t.Fatalf("cycles %d window %d: %v", tr.Cycles, w, err)
+			}
+			wantSt := &WindowStats{Windows: 1, PeakEdges: g.NumEdges(), PeakVertices: g.NumVertices}
+			if !reflect.DeepEqual(st, wantSt) {
+				t.Fatalf("cycles %d window %d: stats %+v, want %+v", tr.Cycles, w, st, wantSt)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycles %d window %d: report differs from whole-trace Analyze\n got %+v\nwant %+v",
+					tr.Cycles, w, got, want)
+			}
+			if got, _, _ := streamReport(t, tr, WindowOptions{Window: w}, 512); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycles %d window %d: streamed report differs from whole-trace Analyze\n got %+v\nwant %+v",
+					tr.Cycles, w, got, want)
+			}
 		}
 	}
 }

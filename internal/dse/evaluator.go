@@ -753,7 +753,8 @@ type simOutcome struct {
 
 // degOutcome bundles the bottleneck stage's products: the report plus the
 // windowed analyzer's stats (zero for whole-trace and calipers analysis,
-// except drops which both DEG modes surface).
+// so their journals carry no window fields, except drops which every DEG
+// analysis surfaces).
 type degOutcome struct {
 	rep       *deg.Report
 	windows   int
@@ -914,23 +915,19 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 					rep, err := calipersReport(tr, cfg)
 					return degOutcome{rep: rep}, err
 				}
-				if ev.DEGWindow > 0 {
-					rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{
-						Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
-						ReorderWindow: cfg.ROBEntries,
-						Workers:       ev.degWorkers(),
-					})
-					if err != nil {
-						return degOutcome{}, err
-					}
-					return degOutcome{rep: rep, windows: ws.Windows,
-						peakEdges: ws.PeakEdges, drops: int64(ws.Dropped())}, nil
-				}
-				rep, g, _, err := deg.Analyze(tr, deg.Options{})
+				rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{
+					Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
+					ReorderWindow: cfg.ROBEntries,
+					Workers:       ev.degWorkers(),
+				})
 				if err != nil {
 					return degOutcome{}, err
 				}
-				return degOutcome{rep: rep, drops: int64(g.Dropped())}, nil
+				out := degOutcome{rep: rep, drops: int64(ws.Dropped())}
+				if ev.DEGWindow > 0 {
+					out.windows, out.peakEdges = ws.Windows, ws.PeakEdges
+				}
+				return out, nil
 			})
 		r.times.DEG = time.Since(t0)
 		endStage(r.times.DEG)

@@ -237,14 +237,17 @@ func TestNoTraceLeakWithStageTimeouts(t *testing.T) {
 
 	// A DEG attempt that times out (injected stall) and is abandoned: the
 	// abandoned reader holds its own reference, the retry succeeds, and
-	// once the straggler finishes the pool is balanced again.
+	// once the straggler finishes the pool is balanced again. The timeout
+	// bounds every stage attempt, including the retry, so it leaves the
+	// real work (well under 50 ms each, unloaded) headroom for a loaded
+	// -race run while staying far below the injected stall.
 	plan := fault.MustPlan(fault.Injection{
 		Site: fault.SiteDEG, Nth: 1, Count: 1, Class: fault.Transient,
-		Delay: 300 * time.Millisecond,
+		Delay: time.Second,
 	})
 	ev2 := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
 	ev2.Parallelism = 1
-	ev2.StageTimeout = 50 * time.Millisecond
+	ev2.StageTimeout = 250 * time.Millisecond
 	ev2.Retry = noSleepRetry
 	ev2.Faults = plan
 	ev2.Obs = obs.New()
