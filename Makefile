@@ -33,8 +33,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# The second line repeats the pooled-core concurrency test: recycled
+# cores cross goroutines through a sync.Pool, and one pass of a race test
+# only sees the interleavings that pass happened to run.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestRecycledCoresConcurrent$$' ./internal/ooo/
 
 cover:
 	@set -e; \
@@ -74,15 +78,17 @@ bench-deg:
 	$(GO) test -bench='BenchmarkDEGAnalyze(Windowed|Probe)?$$' -benchmem -run XXX -count 3 .
 
 # Simulator hot path: full-fidelity (pooled, annotated) vs probe-lite runs
-# on the 20k-instruction trace. BENCH_sim.json records the before/after of
-# the allocation-free rewrite; re-run this after touching internal/ooo.
+# on the 20k-instruction trace, plus BenchmarkSimProbe, the simulation work
+# of explore probes (12 SPEC06 workloads x 500 instructions, New+Run+Release
+# per simulation). BENCH_sim.json records the before/after of each
+# rewrite; re-run this after touching internal/ooo.
 bench-sim:
-	$(GO) test -bench='BenchmarkSim(Full|Lite)$$' -benchmem -run XXX -count 3 .
+	$(GO) test -bench='BenchmarkSim(Full|Lite|Probe)$$' -benchmem -run XXX -count 3 .
 
 # Single-iteration smoke of the simulator benchmarks — catches a broken
 # bench harness in CI without paying for a full measurement run.
 bench-sim-smoke:
-	$(GO) test -bench='BenchmarkSim(Full|Lite)$$' -benchtime=1x -run XXX .
+	$(GO) test -bench='BenchmarkSim(Full|Lite|Probe)$$' -benchtime=1x -run XXX .
 
 # Buffered (Run + AnalyzeWindowed) vs fused streaming (RunStream +
 # StreamAnalyzer) sim→DEG pipeline on the 20k-instruction trace.
@@ -135,17 +141,19 @@ bench-spans:
 # baseline) PLUS a speedup floor: SimFull must also hold >=1.2x the
 # pre-calendar-queue after_full record, so the pool rewrite's win cannot
 # silently erode back even across re-baselines of the calqueue section.
+# SimProbe holds the recycled-core probe number (BENCH_sim.json probe).
 # Re-baseline (re-run bench-sim / bench-pipeline and update the JSONs)
 # when a deliberate change moves the numbers. The span-overhead gate rides
 # along (span capture must cost <2% of same-run pipeline throughput), as
 # does the parallel-DEG speedup gate.
 bench-all:
 	$(GO) build -o benchgate ./cmd/benchgate
-	$(GO) test -bench='BenchmarkSim(Full|Lite)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream)$$' -benchmem -run XXX -count 1 . | \
+	$(GO) test -bench='BenchmarkSim(Full|Lite|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream)$$' -benchmem -run XXX -count 1 . | \
 	  ./benchgate -tolerance 0.10 \
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
+	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:after.analyze.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:after.windowed.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:after.probe.inst_per_sec' \
@@ -160,11 +168,12 @@ bench-all:
 # any host, without paying for — or trusting — a real measurement run.
 bench-all-smoke:
 	$(GO) build -o benchgate ./cmd/benchgate
-	$(GO) test -bench='BenchmarkSim(Full|Lite)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream|StreamPar)$$' -benchtime=1x -run XXX . | \
+	$(GO) test -bench='BenchmarkSim(Full|Lite|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream|StreamPar)$$' -benchtime=1x -run XXX . | \
 	  ./benchgate -tolerance 0.95 \
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
+	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:after.analyze.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:after.windowed.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:after.probe.inst_per_sec' \

@@ -1,19 +1,22 @@
 // Simulator hot-path benchmarks: the bench-sim / profile-sim Makefile
 // targets run exactly these. BenchmarkSimFull measures the steady-state DSE
-// configuration — pooled trace storage recycled between runs, all DEG
+// configuration — pooled trace storage and recycled cores, all DEG
 // annotations recorded — and BenchmarkSimLite the probe-lite path that
-// skips annotation recording. BENCH_sim.json records the before/after
-// numbers for the allocation-free rewrite.
+// skips annotation recording. BenchmarkSimProbe is the simulation work of
+// explore probes, where core construction costs as much as the run.
+// BENCH_sim.json records the before/after numbers of each rewrite.
 //
-//	make bench-sim       # both benchmarks, -benchmem
+//	make bench-sim       # all three benchmarks, -benchmem
 //	make profile-sim     # CPU profile of BenchmarkSimFull → sim.pprof
 package archexplorer
 
 import (
+	"math/rand"
 	"testing"
 
 	"archexplorer/internal/isa"
 	"archexplorer/internal/ooo"
+	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 	"archexplorer/internal/workload"
 )
@@ -53,15 +56,61 @@ func benchSim(b *testing.B, lite bool) {
 			b.Fatal(err2)
 		}
 		tr.Release()
+		core.Release()
 	}
 	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
 // BenchmarkSimFull is the steady-state full-fidelity simulation: trace
-// buffers recycle through the pool, annotations are recorded and interned
-// into the trace arenas.
+// buffers and cores recycle through their pools, annotations are recorded
+// and interned into the trace arenas.
 func BenchmarkSimFull(b *testing.B) { benchSim(b, false) }
 
 // BenchmarkSimLite is the probe-lite variant: identical timing model, no
 // annotation recording (what EvaluateBatch(..., withDEG=false) runs).
 func BenchmarkSimLite(b *testing.B) { benchSim(b, true) }
+
+// probeConfigs is the number of seeded StandardSpace design points
+// BenchmarkSimProbe cycles through, so cores are recycled across
+// different shapes as in a campaign.
+const probeConfigs = 4
+
+// BenchmarkSimProbe is the simulation work of explore probes: New, an
+// annotated Run and Release per simulation, over 500-instruction traces of
+// the 12 SPEC06 workloads, for each of probeConfigs seeded design points.
+// One op is all 12 x probeConfigs simulations.
+func BenchmarkSimProbe(b *testing.B) {
+	const n = 500
+	var streams [][]isa.Inst
+	for _, p := range workload.Suite06() {
+		stream, err := workload.CachedTrace(p, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams = append(streams, stream)
+	}
+	space := uarch.StandardSpace()
+	rng := rand.New(rand.NewSource(1))
+	cfgs := make([]uarch.Config, probeConfigs)
+	for i := range cfgs {
+		cfgs[i] = space.Decode(space.Random(rng))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			for _, stream := range streams {
+				core, err := ooo.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var tr *pipetrace.Trace
+				if tr, _, err = core.Run(stream); err != nil {
+					b.Fatal(err)
+				}
+				tr.Release()
+				core.Release()
+			}
+		}
+	}
+	reportInstRate(b, n*len(streams)*len(cfgs))
+}

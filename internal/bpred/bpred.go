@@ -66,8 +66,15 @@ type Predictor struct {
 	BTBMisses            uint64
 }
 
-// New constructs a predictor; table sizes must be powers of two.
-func New(cfg Config) (*Predictor, error) {
+// New constructs a predictor; table sizes must be powers of two. It is
+// Reset on a nil predictor.
+func New(cfg Config) (*Predictor, error) { return (*Predictor)(nil).Reset(cfg) }
+
+// Reset returns the predictor to the untrained state New(cfg) builds —
+// zeroed tables, empty history and RAS, zero statistics — reusing p's
+// tables when their capacity suffices, and returns it; a nil p allocates.
+// An invalid cfg leaves p untouched.
+func (p *Predictor) Reset(cfg Config) (*Predictor, error) {
 	for _, s := range []struct {
 		name string
 		v    int
@@ -79,15 +86,30 @@ func New(cfg Config) (*Predictor, error) {
 	if cfg.RASEntries < 1 {
 		return nil, fmt.Errorf("bpred: RASEntries=%d must be >= 1", cfg.RASEntries)
 	}
-	return &Predictor{
+	if p == nil {
+		p = new(Predictor)
+	}
+	*p = Predictor{
 		cfg:       cfg,
-		localHist: make([]uint16, cfg.LocalEntries),
-		localCtr:  make([]counter, cfg.LocalEntries),
-		globalCtr: make([]counter, cfg.GlobalEntries),
-		choiceCtr: make([]counter, cfg.GlobalEntries),
-		btb:       make([]btbEntry, cfg.BTBEntries),
-		ras:       make([]uint64, cfg.RASEntries),
-	}, nil
+		localHist: zeroed(p.localHist, cfg.LocalEntries),
+		localCtr:  zeroed(p.localCtr, cfg.LocalEntries),
+		globalCtr: zeroed(p.globalCtr, cfg.GlobalEntries),
+		choiceCtr: zeroed(p.choiceCtr, cfg.GlobalEntries),
+		btb:       zeroed(p.btb, cfg.BTBEntries),
+		ras:       zeroed(p.ras, cfg.RASEntries),
+	}
+	return p, nil
+}
+
+// zeroed returns s resliced to n zero elements, reusing its backing array
+// when the capacity suffices.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Snapshot captures the speculative predictor state needed to recover from

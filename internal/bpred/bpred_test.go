@@ -1,6 +1,8 @@
 package bpred
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"archexplorer/internal/isa"
@@ -164,5 +166,41 @@ func TestStatisticsAccumulate(t *testing.T) {
 	}
 	if p.Lookups != 10 {
 		t.Fatalf("lookups %d", p.Lookups)
+	}
+}
+
+// TestResetMatchesNew: a trained predictor reset to any table sizes —
+// smaller, larger, equal — equals the one New builds.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := newPred(t)
+	for _, cfg := range []Config{
+		{LocalEntries: 512, GlobalEntries: 2048, BTBEntries: 4096, RASEntries: 40},
+		{LocalEntries: 2048, GlobalEntries: 8192, BTBEntries: 1024, RASEntries: 16},
+		{LocalEntries: 2048, GlobalEntries: 8192, BTBEntries: 1024, RASEntries: 16},
+	} {
+		for i := 0; i < 2000; i++ {
+			pc := uint64(rng.Intn(4096)) * 4
+			kind := isa.BranchKind(rng.Intn(4))
+			pred := p.Predict(pc, kind)
+			taken := kind != isa.BrCond || rng.Intn(2) == 0
+			if pred.Taken != taken {
+				p.Recover(pred.Snap, kind, taken)
+			}
+			p.Train(pc, kind, taken, pc+64, pred.Snap.Hist())
+		}
+		if _, err := p.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("Reset to %+v differs from New", cfg)
+		}
+	}
+	if _, err := p.Reset(Config{LocalEntries: 3, GlobalEntries: 4, BTBEntries: 4, RASEntries: 1}); err == nil {
+		t.Fatal("Reset accepted a bad size")
 	}
 }

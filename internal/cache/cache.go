@@ -40,7 +40,13 @@ type Cache struct {
 	valid []bool
 	// pfTag marks lines installed by the prefetcher and not yet demanded
 	// (tagged prefetching: the first demand hit re-arms the prefetcher).
-	pfTag   []bool
+	pfTag []bool
+	// filled lists every set that has taken a fill since the cache was
+	// built or Reset. A set's state changes only through a fill or a hit,
+	// and a hit needs a valid line, so every set outside this list is
+	// still cold and Reset restores only the listed ones. Its capacity is
+	// the set count, so recording a fill never allocates.
+	filled  []int32
 	assoc   int
 	setMask uint64
 
@@ -52,8 +58,17 @@ type Cache struct {
 }
 
 // New builds a cache; size must divide evenly into sets of the given
-// associativity.
-func New(cfg Config) (*Cache, error) {
+// associativity. It is Reset on a nil cache.
+func New(cfg Config) (*Cache, error) { return (*Cache)(nil).Reset(cfg) }
+
+// Reset returns the cache to the cold state New(cfg) builds — every line
+// invalid, initial recency ranks, zero statistics — reusing c's arrays, and
+// returns it; a nil c allocates a new cache. Only the sets the previous
+// run filled are restored, so resetting costs the state that run touched,
+// not the cache size. A changed shape reslices the arrays by capacity; the
+// restore has left every line cold, so only the ranks are laid out again.
+// An invalid cfg leaves c untouched.
+func (c *Cache) Reset(cfg Config) (*Cache, error) {
 	if cfg.SizeKB < 1 || cfg.Assoc < 1 {
 		return nil, fmt.Errorf("cache: bad config %+v", cfg)
 	}
@@ -62,20 +77,53 @@ func New(cfg Config) (*Cache, error) {
 	if nsets < 1 || nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: %dKB/%d-way yields %d sets (must be a power of two >= 1)", cfg.SizeKB, cfg.Assoc, nsets)
 	}
-	c := &Cache{
-		assoc:   cfg.Assoc,
-		setMask: uint64(nsets - 1),
-		tags:    make([]uint64, nsets*cfg.Assoc),
-		lru:     make([]uint8, nsets*cfg.Assoc),
-		valid:   make([]bool, nsets*cfg.Assoc),
-		pfTag:   make([]bool, nsets*cfg.Assoc),
+	if c == nil {
+		c = new(Cache)
 	}
-	// Recency ranks form a permutation 0..assoc-1 within each set; touch
-	// preserves that invariant, so they must start distinct.
-	for i := range c.lru {
-		c.lru[i] = uint8(i % cfg.Assoc)
+	for _, set := range c.filled {
+		c.coldSet(int(set) * c.assoc)
 	}
+	if len(c.tags) != lines || c.assoc != cfg.Assoc {
+		if cap(c.tags) < lines {
+			c.tags = make([]uint64, lines)
+			c.lru = make([]uint8, lines)
+			c.valid = make([]bool, lines)
+			c.pfTag = make([]bool, lines)
+		}
+		c.tags, c.lru = c.tags[:lines], c.lru[:lines]
+		c.valid, c.pfTag = c.valid[:lines], c.pfTag[:lines]
+		rankSets(c.lru, cfg.Assoc)
+	}
+	if cap(c.filled) < nsets {
+		c.filled = make([]int32, 0, nsets)
+	}
+	c.filled = c.filled[:0]
+	c.assoc = cfg.Assoc
+	c.setMask = uint64(nsets - 1)
+	c.Accesses, c.Misses, c.HitOnPrefetch = 0, 0, false
 	return c, nil
+}
+
+// rankSets lays out the initial recency ranks 0..assoc-1 in every set of
+// lru. Ranks form a permutation within each set and touch preserves that
+// invariant, so they must start distinct. It loops over sets and ways
+// rather than taking a modulo per line, which would cost a divide on each
+// of the L2's 32Ki lines whenever a cache is built.
+func rankSets(lru []uint8, assoc int) {
+	for base := 0; base < len(lru); base += assoc {
+		for w := 0; w < assoc; w++ {
+			lru[base+w] = uint8(w)
+		}
+	}
+}
+
+// coldSet restores the set at base to its never-filled state.
+func (c *Cache) coldSet(base int) {
+	end := base + c.assoc
+	clear(c.tags[base:end])
+	clear(c.valid[base:end])
+	clear(c.pfTag[base:end])
+	rankSets(c.lru[base:end], c.assoc)
 }
 
 // Access looks up addr, filling the line on a miss, and reports whether the
@@ -95,7 +143,8 @@ func (c *Cache) Install(addr uint64) {
 
 func (c *Cache) lookup(addr uint64, isPrefetch bool) (hit bool, way int) {
 	line := addr >> lineShift
-	base := int(line&c.setMask) * c.assoc
+	set := line & c.setMask
+	base := int(set) * c.assoc
 	tag := line >> 1 // keep set bits out of the tag for compactness
 
 	for w := 0; w < c.assoc; w++ {
@@ -121,6 +170,11 @@ func (c *Cache) lookup(addr uint64, isPrefetch bool) (hit bool, way int) {
 		if c.lru[base+w] > c.lru[base+victim] {
 			victim = w
 		}
+	}
+	if !c.valid[base] {
+		// A cold set's first fill always takes way 0, the first invalid
+		// way, and way 0 stays valid from then on.
+		c.filled = append(c.filled, int32(set))
 	}
 	c.valid[base+victim] = true
 	c.tags[base+victim] = tag
@@ -155,21 +209,33 @@ type Hierarchy struct {
 	Prefetches uint64
 }
 
-// NewHierarchy builds the full memory system for one design point.
+// NewHierarchy builds the full memory system for one design point. It is
+// Reset on a nil hierarchy.
 func NewHierarchy(l1i, l1d Config) (*Hierarchy, error) {
-	ic, err := New(l1i)
+	return (*Hierarchy)(nil).Reset(l1i, l1d)
+}
+
+// Reset returns the hierarchy to the cold state NewHierarchy(l1i, l1d)
+// builds, resetting its caches in place (see Cache.Reset), and returns it;
+// a nil h allocates.
+func (h *Hierarchy) Reset(l1i, l1d Config) (*Hierarchy, error) {
+	if h == nil {
+		h = new(Hierarchy)
+	}
+	ic, err := h.L1I.Reset(l1i)
 	if err != nil {
 		return nil, fmt.Errorf("L1I: %w", err)
 	}
-	dc, err := New(l1d)
+	dc, err := h.L1D.Reset(l1d)
 	if err != nil {
 		return nil, fmt.Errorf("L1D: %w", err)
 	}
-	l2, err := New(Config{SizeKB: L2SizeKB, Assoc: L2Assoc})
+	l2, err := h.L2.Reset(Config{SizeKB: L2SizeKB, Assoc: L2Assoc})
 	if err != nil {
 		return nil, fmt.Errorf("L2: %w", err)
 	}
-	return &Hierarchy{L1I: ic, L1D: dc, L2: l2}, nil
+	*h = Hierarchy{L1I: ic, L1D: dc, L2: l2}
+	return h, nil
 }
 
 // FetchLatency returns the cycles to fetch the instruction line at addr.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -145,5 +146,93 @@ func TestPrefetchDoesNotPerturbStats(t *testing.T) {
 	}
 	if c.Accesses != 0 || c.Misses != 0 {
 		t.Fatalf("Install perturbed stats: %d/%d", c.Accesses, c.Misses)
+	}
+}
+
+// drive runs a seeded mix of demand accesses and prefetch installs over a
+// footprint a few times the cache, returning the hit pattern.
+func drive(c *Cache, seed int64) []bool {
+	rng := rand.New(rand.NewSource(seed))
+	hits := make([]bool, 0, 3000)
+	for i := 0; i < 3000; i++ {
+		addr := uint64(rng.Intn(1<<18)) * 8
+		if rng.Intn(4) == 0 {
+			c.Install(addr)
+			continue
+		}
+		hits = append(hits, c.Access(addr))
+	}
+	return hits
+}
+
+// cold is the state a cache's behaviour depends on, with the filled-set
+// list reduced to its length.
+func cold(c *Cache) []any {
+	return []any{c.tags, c.lru, c.valid, c.pfTag, len(c.filled), c.assoc, c.setMask, c.Accesses, c.Misses, c.HitOnPrefetch}
+}
+
+// TestResetMatchesNew: a used cache reset to any shape — the same one, a
+// smaller or larger one, another associativity — holds exactly the state
+// New builds and then behaves identically.
+func TestResetMatchesNew(t *testing.T) {
+	shapes := []Config{{16, 2}, {64, 4}, {32, 4}, {16, 4}, {64, 2}, {L2SizeKB, L2Assoc}, {32, 2}, {32, 2}}
+	c, err := New(shapes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range shapes {
+		drive(c, int64(i))
+		if _, err := c.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold(c), cold(want)) {
+			t.Fatalf("step %d: Reset to %+v differs from New", i, cfg)
+		}
+		if got, ref := drive(c, 100+int64(i)), drive(want, 100+int64(i)); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("step %d: reset cache diverged from a new one on %+v", i, cfg)
+		}
+	}
+	before := cold(c)
+	if _, err := c.Reset(Config{SizeKB: 3, Assoc: 7}); err == nil {
+		t.Fatal("Reset accepted a bad shape")
+	}
+	if !reflect.DeepEqual(cold(c), before) {
+		t.Fatal("a rejected Reset changed the cache")
+	}
+}
+
+// TestHierarchyResetMatchesNew: the same through the hierarchy, including
+// the prefetch counter.
+func TestHierarchyResetMatchesNew(t *testing.T) {
+	h, err := NewHierarchy(Config{SizeKB: 64, Assoc: 4}, Config{SizeKB: 16, Assoc: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := uint64(0); addr < 1<<16; addr += 40 {
+		h.DataLatency(addr)
+		h.FetchLatency(addr << 3)
+	}
+	l1i, l1d := Config{SizeKB: 32, Assoc: 2}, Config{SizeKB: 64, Assoc: 4}
+	if _, err := h.Reset(l1i, l1d); err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewHierarchy(l1i, l1d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Prefetches != 0 {
+		t.Fatalf("Reset kept %d prefetches", h.Prefetches)
+	}
+	for _, pair := range [][2]*Cache{{h.L1I, want.L1I}, {h.L1D, want.L1D}, {h.L2, want.L2}} {
+		if !reflect.DeepEqual(cold(pair[0]), cold(pair[1])) {
+			t.Fatal("hierarchy Reset left a cache unlike a new one")
+		}
+	}
+	if _, err := h.Reset(l1i, Config{SizeKB: 3, Assoc: 7}); err == nil {
+		t.Fatal("Reset accepted a bad L1D")
 	}
 }

@@ -1,18 +1,19 @@
 // Package conformance is the differential-testing harness over the
 // simulator's three timing engines — per-config full-fidelity (Core.Run),
-// probe-lite (Core.RunLite), and streaming (Core.RunStream) — and the two
-// parallel windowed DEG analyzers: buffered (deg.AnalyzeWindowed with
-// Workers > 1) and streamed (RunStream chunks fed straight into a
-// deg.StreamAnalyzer, the shape of the evaluator's -deg-stream pipeline).
-// All of them implement one timing-and-attribution model, so for any
-// (config, stream) pair they must agree exactly; the package quantifies
-// that over randomly drawn valid configurations.
+// probe-lite (Core.RunLite), and streaming (Core.RunStream) — plus Run on
+// a recycled core (one a different config released, as in the evaluator's
+// steady state), and the two parallel windowed DEG analyzers: buffered
+// (deg.AnalyzeWindowed with Workers > 1) and streamed (RunStream chunks
+// fed straight into a deg.StreamAnalyzer, the shape of the evaluator's
+// -deg-stream pipeline). All of them implement one timing-and-attribution
+// model, so for any (config, stream) pair they must agree exactly; the
+// package quantifies that over randomly drawn valid configurations.
 //
 // The timing oracle is the fingerprint family in internal/ooo: the
-// reference run is hashed through ooo.Fingerprint (every deterministic
-// record field), the lite engine through ooo.TimingFingerprint (the
-// lite-preserved subset), and the chunked stream through
-// ooo.ChunkedFingerprint. Agreement of the traces' annotations is necessary
+// reference and recycled runs are hashed through ooo.Fingerprint (every
+// deterministic record field), the lite engine through
+// ooo.TimingFingerprint (the lite-preserved subset), and the chunked
+// stream through ooo.ChunkedFingerprint. Agreement of the traces' annotations is necessary
 // but not sufficient for ArchExplorer, whose decisions consume the
 // bottleneck reports, so both parallel DEG analyzers must also reproduce
 // the sequential windowed report and stats of the reference trace bit for
@@ -67,7 +68,7 @@ func (g *Gen) Config() uarch.Config { return g.Space.Decode(g.Point()) }
 // Mismatch is one engine disagreement: the named engine's output diverged
 // from the per-config reference run on this (config, workload).
 type Mismatch struct {
-	Engine    string // "lite", "stream", "deg-par", "deg-stream"
+	Engine    string // "lite", "stream", "recycled", "deg-par", "deg-stream"
 	Workload  string
 	Config    uarch.Config
 	Want, Got uint64 // reference and diverging fingerprints (0 for the deg engines)
@@ -105,6 +106,7 @@ type engineRuns struct {
 	ref, refTiming uint64 // reference Run: Fingerprint and TimingFingerprint
 	lite           uint64 // RunLite: TimingFingerprint
 	stream         uint64 // RunStream: ChunkedFingerprint
+	recycled       uint64 // Run on a recycled core: Fingerprint
 	// With the DEG oracles on: the sequential windowed analysis of the
 	// reference trace (seq) and the two parallel analyzers that must
 	// reproduce it. All three stay zero, and so agree, without them.
@@ -126,6 +128,8 @@ func (r *engineRuns) diverged() (engine string, want, got uint64) {
 		return "lite", r.refTiming, r.lite
 	case r.stream != r.ref:
 		return "stream", r.ref, r.stream
+	case r.recycled != r.ref:
+		return "recycled", r.ref, r.recycled
 	case !reflect.DeepEqual(r.par, r.seq):
 		return "deg-par", 0, 0
 	case !reflect.DeepEqual(r.streamed, r.seq):
@@ -163,6 +167,9 @@ func runEngines(stream []isa.Inst, cfg uarch.Config, withDEG bool) (*engineRuns,
 	ltr.Release()
 
 	if r.stream, err = streamFingerprint(cfg, stream); err != nil {
+		return nil, err
+	}
+	if r.recycled, err = recycledFingerprint(cfg, stream); err != nil {
 		return nil, err
 	}
 	if !withDEG {
@@ -214,6 +221,41 @@ func streamFingerprint(cfg uarch.Config, stream []isa.Inst) (uint64, error) {
 			}
 		}
 	}), nil
+}
+
+// recycledFingerprint runs cfg on a core recycled from a run of a
+// different config, and fingerprints it like the reference. The other
+// config is cfg's mirror image in the standard space (every parameter's
+// level reflected), so the recycled core changes cache shapes, ROB (and
+// with it the issue ring) and widths between the two runs. The final core
+// is dropped, not released: that normally leaves the pool empty, so the
+// other engines keep running on fresh cores.
+func recycledFingerprint(cfg uarch.Config, stream []isa.Inst) (uint64, error) {
+	space := uarch.StandardSpace()
+	pt := space.Nearest(cfg)
+	for p := range pt {
+		pt[p] = space.Levels(uarch.Param(p)) - 1 - pt[p]
+	}
+	prev, err := ooo.New(space.Decode(pt))
+	if err != nil {
+		return 0, err
+	}
+	ptr, _, err := prev.Run(stream)
+	if err != nil {
+		return 0, err
+	}
+	ptr.Release()
+	prev.Release()
+	core, err := ooo.New(cfg)
+	if err != nil {
+		return 0, err
+	}
+	tr, st, err := core.Run(stream)
+	if err != nil {
+		return 0, err
+	}
+	defer tr.Release()
+	return ooo.Fingerprint(tr, st), nil
 }
 
 // streamWindowed runs the streamed DEG pipeline: the streaming engine's

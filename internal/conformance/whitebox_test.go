@@ -38,6 +38,7 @@ func TestDivergedNamesEngine(t *testing.T) {
 	}{
 		{"lite", func(r *engineRuns) { r.lite = diff.lite }, true},
 		{"stream", func(r *engineRuns) { r.stream = diff.stream }, true},
+		{"recycled", func(r *engineRuns) { r.recycled = diff.recycled }, true},
 		{"deg-par", func(r *engineRuns) { r.par = diff.par }, false},
 		{"deg-stream", func(r *engineRuns) { r.streamed = diff.streamed }, false},
 		// Equal reports with diverging stats are still a divergence.
@@ -98,6 +99,19 @@ func TestStreamFingerprintErrors(t *testing.T) {
 	bad := ref
 	bad.IntRF = 2
 	if _, err := streamFingerprint(bad, stream(t, "458.sjeng", 200)); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestRecycledFingerprintErrors: failures of the recycled engine's runs
+// propagate instead of producing a bogus hash.
+func TestRecycledFingerprintErrors(t *testing.T) {
+	if _, err := recycledFingerprint(uarch.Baseline(), nil); err == nil {
+		t.Fatal("empty stream accepted")
+	}
+	bad := uarch.Baseline()
+	bad.IntRF = 2
+	if _, err := recycledFingerprint(bad, stream(t, "458.sjeng", 200)); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

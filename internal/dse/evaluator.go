@@ -846,6 +846,9 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 			if err != nil {
 				return simOutcome{}, err
 			}
+			// The attempt owns its core, even when a timeout abandons it;
+			// the trace and Stats it returns do not share the core's storage.
+			defer core.Release()
 			// Probe-lite: without bottleneck analysis downstream, nothing reads
 			// the DEG annotations, so skip recording them. Stamps and Stats are
 			// bit-identical either way (pinned by ooo's parity tests).
@@ -1039,6 +1042,7 @@ func (ev *Evaluator) runStreamed(cfg uarch.Config, wl workload.Profile, stream [
 	if err != nil {
 		return streamOutcome{}, err
 	}
+	defer core.Release()
 
 	ch := make(chan *pipetrace.Chunk, streamDepth)
 	done := make(chan struct{})

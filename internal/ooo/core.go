@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"fmt"
+	"sync"
 
 	"archexplorer/internal/bpred"
 	"archexplorer/internal/cache"
@@ -107,7 +108,7 @@ type Core struct {
 	hier *cache.Hierarchy
 
 	// Program-order stage trackers.
-	fetchBW, decodeBW, renameBW, dispatchBW, commitBW *inorderBW
+	fetchBW, decodeBW, renameBW, dispatchBW, commitBW inorderBW
 	issueBW                                           *bwRing
 
 	// Capacity pools. The fetch queue is the one pool with monotone
@@ -153,6 +154,10 @@ type Core struct {
 	lite  bool
 
 	stats Stats
+
+	// released marks a core handed back by Release and not yet reissued
+	// by New; a second Release is a bug and panics.
+	released bool
 }
 
 type storeEntry struct {
@@ -161,60 +166,95 @@ type storeEntry struct {
 	commit int64 // commit cycle (forwarding window end)
 }
 
-// New builds a core for the given configuration.
+// corePool holds released cores for New to recycle.
+var corePool sync.Pool
+
+// New returns a core for the given configuration in the cold state every
+// simulation starts from: empty pipeline, untrained predictor, invalid
+// caches. It recycles a core handed back by Release when one is available,
+// resetting it in place at a cost proportional to the state its last run
+// touched rather than to the structures' sizes; a core that is never
+// released is garbage collected like any value.
 func New(cfg uarch.Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pred, err := bpred.New(bpred.Config{
+	c, _ := corePool.Get().(*Core)
+	if c == nil {
+		c = new(Core)
+	}
+	if err := c.reset(cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Release hands the core back for a later New to recycle. The caller must
+// not use the core afterwards. Traces and Stats its runs returned do not
+// share its storage and stay valid. Releasing a core twice panics.
+func (c *Core) Release() {
+	if c.released {
+		panic("ooo: Core released twice")
+	}
+	c.released = true
+	corePool.Put(c)
+}
+
+// reset puts c in the state of a freshly built core for cfg. Every
+// structure's reset allocates on a nil receiver, so a fresh core is the
+// reset of an empty Core and construction and recycling share this path.
+func (c *Core) reset(cfg uarch.Config) error {
+	pred, err := c.pred.Reset(bpred.Config{
 		LocalEntries:  cfg.LocalPredictor,
 		GlobalEntries: cfg.GlobalPredictor,
 		BTBEntries:    cfg.BTBEntries,
 		RASEntries:    cfg.RASEntries,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	hier, err := cache.NewHierarchy(
+	hier, err := c.hier.Reset(
 		cache.Config{SizeKB: cfg.ICacheKB, Assoc: cfg.ICacheAssoc},
 		cache.Config{SizeKB: cfg.DCacheKB, Assoc: cfg.DCacheAssoc},
 	)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c := &Core{
-		cfg:                cfg,
-		pred:               pred,
-		hier:               hier,
-		fetchBW:            newInorderBW(cfg.Width),
-		decodeBW:           newInorderBW(cfg.Width),
-		renameBW:           newInorderBW(cfg.Width),
-		dispatchBW:         newInorderBW(cfg.Width),
-		commitBW:           newInorderBW(cfg.Width),
-		issueBW:            newBWRing(cfg.Width, issueRingSlots(cfg)),
-		rob:                newCapPool(cfg.ROBEntries),
-		iq:                 newCapPool(cfg.IQEntries),
-		lq:                 newCapPool(cfg.LQEntries),
-		sq:                 newCapPool(cfg.SQEntries),
-		fq:                 newFIFOPool(cfg.FetchQueueUops),
-		intRF:              newCapPool(cfg.IntRF - isa.NumIntArchRegs),
-		fpRF:               newCapPool(cfg.FpRF - isa.NumFpArchRegs),
-		ports:              newUnitPool(cfg.RdWrPorts),
-		storeBuf:           newStoreTable(),
+	*c = Core{
+		cfg:        cfg,
+		pred:       pred,
+		hier:       hier,
+		fetchBW:    inorderBW{width: cfg.Width},
+		decodeBW:   inorderBW{width: cfg.Width},
+		renameBW:   inorderBW{width: cfg.Width},
+		dispatchBW: inorderBW{width: cfg.Width},
+		commitBW:   inorderBW{width: cfg.Width},
+		issueBW:    c.issueBW.reset(cfg.Width, issueRingSlots(cfg)),
+		rob:        c.rob.reset(cfg.ROBEntries),
+		iq:         c.iq.reset(cfg.IQEntries),
+		lq:         c.lq.reset(cfg.LQEntries),
+		sq:         c.sq.reset(cfg.SQEntries),
+		fq:         c.fq.reset(cfg.FetchQueueUops),
+		intRF:      c.intRF.reset(cfg.IntRF - isa.NumIntArchRegs),
+		fpRF:       c.fpRF.reset(cfg.FpRF - isa.NumFpArchRegs),
+		fus: [uarch.NumResources]*unitPool{
+			uarch.ResIntALU:     c.fus[uarch.ResIntALU].reset(cfg.IntALU),
+			uarch.ResIntMultDiv: c.fus[uarch.ResIntMultDiv].reset(cfg.IntMultDiv),
+			uarch.ResFpALU:      c.fus[uarch.ResFpALU].reset(cfg.FpALU),
+			uarch.ResFpMultDiv:  c.fus[uarch.ResFpMultDiv].reset(cfg.FpMultDiv),
+		},
+		ports:              c.ports.reset(cfg.RdWrPorts),
+		storeBuf:           c.storeBuf.reset(),
 		refillFrom:         -1,
 		pendingRedirectSeq: -1,
 		groupDrain:         [2]int64{-1, -1},
 		maxGroupSize:       cfg.FetchBufBytes / 4,
 	}
-	c.fus[uarch.ResIntALU] = newUnitPool(cfg.IntALU)
-	c.fus[uarch.ResIntMultDiv] = newUnitPool(cfg.IntMultDiv)
-	c.fus[uarch.ResFpALU] = newUnitPool(cfg.FpALU)
-	c.fus[uarch.ResFpMultDiv] = newUnitPool(cfg.FpMultDiv)
 	for i := range c.intProd {
 		c.intProd[i] = -1
 		c.fpProd[i] = -1
 	}
-	return c, nil
+	return nil
 }
 
 // issueRingSlots sizes the issue bandwidth ring from the config's actual
@@ -248,6 +288,7 @@ func issueRingSlots(cfg uarch.Config) int {
 // contract. The returned trace draws its record storage from a process-
 // wide pool; callers that finish with it may hand it back via
 // (*pipetrace.Trace).Release, and callers that keep it simply never do.
+// The returned Stats is a copy that outlives the core's Release.
 func (c *Core) Run(stream []isa.Inst) (*pipetrace.Trace, *Stats, error) {
 	return c.run(stream, false)
 }
@@ -284,7 +325,8 @@ func (c *Core) run(stream []isa.Inst, lite bool) (*pipetrace.Trace, *Stats, erro
 	c.arena = nil
 	c.finalizeStats(len(stream))
 	tr.Cycles = c.stats.Cycles
-	return tr, &c.stats, nil
+	st := c.stats
+	return tr, &st, nil
 }
 
 // finalizeStats fills the end-of-run counters after n committed

@@ -59,7 +59,7 @@ func (p *refCapPool) free(t int64, owner int) {
 // number of allocs executed, so callers can assert coverage.
 func runPoolOps(t *testing.T, capacity int, ops []poolOp) int {
 	t.Helper()
-	got := newCapPool(capacity)
+	got := (*capPool)(nil).reset(capacity)
 	want := &refCapPool{capacity: capacity}
 	allocs := 0
 	live := 0 // entries the sim semantics would consider outstanding
@@ -130,7 +130,7 @@ func TestCapPoolMatchesReferenceHeap(t *testing.T) {
 // below capacity are unconstrained (0, -1), the transition to full is
 // taken from the heap, and draining to a single element skips the sift.
 func TestCapPoolEmptyAndBoundary(t *testing.T) {
-	p := newCapPool(2)
+	p := (*capPool)(nil).reset(2)
 	if tm, o := p.alloc(); tm != 0 || o != -1 {
 		t.Fatalf("alloc on empty pool = (%d, %d), want (0, -1)", tm, o)
 	}
@@ -167,7 +167,7 @@ func FuzzCapPoolParity(f *testing.F) {
 			return
 		}
 		capacity := int(data[0])%64 + 1
-		got := newCapPool(capacity)
+		got := (*capPool)(nil).reset(capacity)
 		want := &refCapPool{capacity: capacity}
 		clock := int64(1 << 20) // headroom so negative deltas stay positive
 		for i, b := range data[1:] {
@@ -194,7 +194,7 @@ func FuzzCapPoolParity(f *testing.F) {
 func TestFIFOPoolMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, capacity := range []int{1, 2, 7, 32} {
-		fifo := newFIFOPool(capacity)
+		fifo := (*fifoPool)(nil).reset(capacity)
 		ref := &refCapPool{capacity: capacity}
 		clock := int64(0)
 		pending := 0
@@ -225,7 +225,7 @@ func TestFIFOPoolMatchesHeap(t *testing.T) {
 // earlier than its predecessor would silently un-sort the ring, so it must
 // panic instead.
 func TestFIFOPoolRejectsNonMonotone(t *testing.T) {
-	p := newFIFOPool(4)
+	p := (*fifoPool)(nil).reset(4)
 	p.free(10)
 	defer func() {
 		if recover() == nil {
@@ -240,8 +240,8 @@ func TestFIFOPoolRejectsNonMonotone(t *testing.T) {
 // growth must be a lossless migration, not a lossy reset.
 func TestBWRingGrowthExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	small := newBWRing(2, 8)
-	big := newBWRing(2, 1<<16)
+	small := (*bwRing)(nil).reset(2, 8)
+	big := (*bwRing)(nil).reset(2, 1<<16)
 	base := int64(0)
 	for i := 0; i < 5000; i++ {
 		// Wander with occasional large jumps so live cycles spread far
@@ -290,7 +290,7 @@ func TestIssueRingSlots(t *testing.T) {
 // TestUnitPoolTieBreak pins the acquire tie-break: among equally-early
 // units the lowest index wins, so annotation blame is deterministic.
 func TestUnitPoolTieBreak(t *testing.T) {
-	u := newUnitPool(3)
+	u := (*unitPool)(nil).reset(3)
 	start, unit, prev := u.acquire(5, 2, 100)
 	if start != 5 || unit != 0 || prev != -1 {
 		t.Fatalf("first acquire = (%d, %d, %d), want (5, 0, -1)", start, unit, prev)
@@ -317,7 +317,7 @@ func TestUnitPoolTieBreak(t *testing.T) {
 // adjusted window but blames the adjusted instruction, not a re-derived
 // occupant.
 func TestUnitPoolAcquireAdjust(t *testing.T) {
-	u := newUnitPool(1)
+	u := (*unitPool)(nil).reset(1)
 	u.acquire(0, 4, 7) // unit busy until 4, last user 7
 
 	start, unit, prev := u.acquire(2, 1, 8)
@@ -341,7 +341,7 @@ func TestUnitPoolAcquireAdjust(t *testing.T) {
 // table, and misses.
 func TestStoreTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	st := newStoreTable()
+	st := (*storeTable)(nil).reset()
 	ref := make(map[uint64]storeEntry)
 	for i := 0; i < 20000; i++ {
 		addr := uint64(rng.Intn(4096)) * 8 // collisions and overwrites

@@ -57,12 +57,21 @@ type capPool struct {
 	owners   []int   // owners[i] released the entry freeing at times[i]
 }
 
-func newCapPool(capacity int) *capPool {
-	return &capPool{
-		capacity: capacity,
-		times:    make([]int64, 0, capacity),
-		owners:   make([]int, 0, capacity),
+// reset empties the pool for a structure of the given capacity, reusing
+// its arrays when they are large enough, and returns it; a nil p
+// allocates. The pool never holds more than capacity entries, so the
+// arrays never grow during a run.
+func (p *capPool) reset(capacity int) *capPool {
+	if p == nil {
+		p = new(capPool)
 	}
+	if cap(p.times) < capacity {
+		p.times = make([]int64, 0, capacity)
+		p.owners = make([]int, 0, capacity)
+	}
+	p.capacity = capacity
+	p.times, p.owners = p.times[:0], p.owners[:0]
+	return p
 }
 
 // alloc reserves one entry and returns the earliest cycle the entry is
@@ -151,12 +160,18 @@ type fifoPool struct {
 	last     int64 // newest release accepted, for the monotone check
 }
 
-func newFIFOPool(capacity int) *fifoPool {
+// reset empties the pool for a structure of the given capacity, reusing
+// its ring when it is large enough, and returns it; a nil p allocates.
+func (p *fifoPool) reset(capacity int) *fifoPool {
 	size := 1
 	for size < capacity {
 		size <<= 1
 	}
-	return &fifoPool{times: make([]int64, size), mask: size - 1, capacity: capacity}
+	if p == nil {
+		p = new(fifoPool)
+	}
+	*p = fifoPool{times: zeroed(p.times, size), mask: size - 1, capacity: capacity}
+	return p
 }
 
 // alloc reserves one entry and returns the earliest cycle it is available
@@ -208,8 +223,14 @@ type unitPool struct {
 	lastUser []int
 }
 
-func newUnitPool(n int) *unitPool {
-	u := &unitPool{nextFree: make([]int64, n), lastUser: make([]int, n)}
+// reset returns the bank to n idle, never-used units, reusing its arrays
+// when they are large enough, and returns it; a nil u allocates.
+func (u *unitPool) reset(n int) *unitPool {
+	if u == nil {
+		u = new(unitPool)
+	}
+	u.nextFree = zeroed(u.nextFree, n)
+	u.lastUser = zeroed(u.lastUser, n)
 	for i := range u.lastUser {
 		u.lastUser[i] = -1
 	}
@@ -265,12 +286,18 @@ func (u *unitPool) adjust(unit int, start, occ int64) {
 // migration, since remapping into a larger power-of-two ring keeps
 // distinct cycles distinct — and a runaway guard fails loudly if growth
 // ever exceeds the hard cap.
+//
+// The ring also records the latest cycle it has booked. A booking touches
+// only the slots of the cycles it passes over on its way to the cycle it
+// books, so while that cycle is below the ring size every slot past it is
+// still zero, and reset clears only the booked prefix.
 type bwRing struct {
-	cycle []int64
-	used  []int32
-	width int32
-	mask  int64
-	grown int // growth events, surfaced to tests
+	cycle  []int64
+	used   []int32
+	width  int32
+	mask   int64
+	latest int64 // latest cycle booked since reset, -1 before the first
+	grown  int   // growth events, surfaced to tests
 }
 
 // maxBWRingSlots is the runaway guard: needing growth beyond this means
@@ -278,17 +305,34 @@ type bwRing struct {
 // big.
 const maxBWRingSlots = 1 << 22
 
-func newBWRing(width int, slots int) *bwRing {
+// reset empties the ring for a stage of the given width with at least
+// slots slots and returns it; a nil r allocates. It clears only the prefix
+// the last run booked (the whole ring once bookings wrapped), after which
+// every slot of the backing arrays is zero, and reslices them by capacity:
+// a ring that grew keeps its larger arrays for the next run.
+func (r *bwRing) reset(width int, slots int) *bwRing {
 	size := int64(1)
 	for size < int64(slots) {
 		size <<= 1
 	}
-	return &bwRing{
-		cycle: make([]int64, size),
-		used:  make([]int32, size),
-		width: int32(width),
-		mask:  size - 1,
+	if r == nil {
+		r = new(bwRing)
 	}
+	if n := min(r.latest+1, int64(len(r.cycle))); n > 0 {
+		clear(r.cycle[:n])
+		clear(r.used[:n])
+	}
+	if int64(cap(r.cycle)) < size {
+		r.cycle, r.used = make([]int64, size), make([]int32, size)
+	}
+	*r = bwRing{
+		cycle:  r.cycle[:size],
+		used:   r.used[:size],
+		width:  int32(width),
+		mask:   size - 1,
+		latest: -1,
+	}
+	return r
 }
 
 // book finds the first cycle >= t with spare bandwidth and consumes a slot.
@@ -310,6 +354,7 @@ func (r *bwRing) book(t int64) int64 {
 		}
 		if r.used[slot] < r.width {
 			r.used[slot]++
+			r.latest = max(r.latest, t)
 			return t
 		}
 		t++
@@ -348,8 +393,6 @@ type inorderBW struct {
 	used  int
 }
 
-func newInorderBW(width int) *inorderBW { return &inorderBW{width: width} }
-
 // book returns the first cycle >= t with a free slot and consumes it.
 // t must be >= any previously returned cycle minus the stage's reordering
 // window (stages using this helper are strictly in order).
@@ -380,13 +423,21 @@ type storeTable struct {
 	n    int
 }
 
-func newStoreTable() *storeTable {
-	const initSize = 1024
-	return &storeTable{
-		keys: make([]uint64, initSize),
-		vals: make([]storeEntry, initSize),
-		mask: initSize - 1,
+// reset empties the table and returns it; a nil s allocates one of the
+// initial size. A table that grew keeps its size. Only the keys are
+// cleared: a value is read only under a matching key, and put writes both.
+func (s *storeTable) reset() *storeTable {
+	if s == nil {
+		const initSize = 1024
+		return &storeTable{
+			keys: make([]uint64, initSize),
+			vals: make([]storeEntry, initSize),
+			mask: initSize - 1,
+		}
 	}
+	clear(s.keys)
+	s.n = 0
+	return s
 }
 
 // hashAddr spreads the aligned-address key over the table (Fibonacci
@@ -454,4 +505,15 @@ func (s *storeTable) rehash() {
 		s.keys[j] = k
 		s.vals[j] = oldVals[i]
 	}
+}
+
+// zeroed returns s resliced to n zero elements, reusing its backing array
+// when the capacity suffices.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

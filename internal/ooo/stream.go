@@ -27,7 +27,7 @@ const DefaultChunkSize = 1024
 // annotation storage — passes wholesale to sink (see pipetrace.Chunk for
 // the ownership rules). A sink error stops the simulation immediately and
 // surfaces as RunStream's error; the chunk that produced the error is
-// still owned by the sink.
+// still owned by the sink. Like Run's, the returned Stats is a copy.
 //
 // Like Run, RunStream never mutates the stream.
 func (c *Core) RunStream(stream []isa.Inst, chunkSize int, sink func(*pipetrace.Chunk) error) (*Stats, error) {
@@ -79,5 +79,6 @@ func (c *Core) RunStream(stream []isa.Inst, chunkSize int, sink func(*pipetrace.
 		c.arena = nil
 	}
 	c.finalizeStats(len(stream))
-	return &c.stats, nil
+	st := c.stats
+	return &st, nil
 }
