@@ -35,10 +35,13 @@ test:
 
 # The second line repeats the pooled-core concurrency test: recycled
 # cores cross goroutines through a sync.Pool, and one pass of a race test
-# only sees the interleavings that pass happened to run.
+# only sees the interleavings that pass happened to run. The third repeats
+# the parallel windowed-DEG tests for the same reason: every window of a
+# parallel analysis crosses goroutines through the window ring.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestRecycledCoresConcurrent$$' ./internal/ooo/
+	$(GO) test -race -count=5 -run 'TestParallel' ./internal/deg/
 
 cover:
 	@set -e; \

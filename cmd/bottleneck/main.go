@@ -19,6 +19,7 @@ import (
 	"archexplorer/internal/mcpat"
 	"archexplorer/internal/obs"
 	"archexplorer/internal/ooo"
+	"archexplorer/internal/par"
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 	"archexplorer/internal/workload"
@@ -55,6 +56,9 @@ func main() {
 	if *dotOut != "" && (degf.Window > 0 || degf.Stream) {
 		cli.Usagef("-dot needs the whole-trace graph; drop -deg-window/-deg-stream")
 	}
+	if *dotOut != "" && *all {
+		cli.Usagef("-dot renders one workload's graph; drop -all")
+	}
 
 	profiles := []workload.Profile{}
 	if *all {
@@ -87,6 +91,7 @@ func main() {
 		core, err := ooo.New(cfg)
 		cli.Check(err)
 
+		var tr *pipetrace.Trace
 		var stats *ooo.Stats
 		var rep *deg.Report
 		var g *deg.Graph
@@ -96,12 +101,10 @@ func main() {
 			// Fused simulate+analyze: the simulator's chunks feed the
 			// windowed analyzer directly and no full trace is materialized —
 			// peak memory is the analyzer's window+margin working set.
-			qwait := rec.Histogram(obs.MetricDEGQueueWait)
 			sa, err := deg.NewStreamAnalyzer(deg.WindowOptions{
 				Window: degf.Window, Overlap: degf.Overlap,
 				ReorderWindow: cfg.ROBEntries,
-				Workers:       degf.ResolvedWorkers(),
-				OnQueueWait:   func(d time.Duration) { qwait.Observe(d.Seconds()) },
+				Workers:       par.DefaultLimit(),
 			})
 			cli.Check(err)
 			t0 = time.Now()
@@ -115,7 +118,6 @@ func main() {
 				ws.Windows, ws.PeakEdges, ws.PeakVertices, ws.ClippedDeps, peak)
 		} else {
 			t0 = time.Now()
-			var tr *pipetrace.Trace
 			tr, stats, err = core.Run(stream)
 			cli.Check(err)
 			times[1] = time.Since(t0)
@@ -125,7 +127,7 @@ func main() {
 				rep, ws, err = deg.AnalyzeWindowed(tr, deg.WindowOptions{
 					Window: degf.Window, Overlap: degf.Overlap,
 					ReorderWindow: cfg.ROBEntries,
-					Workers:       degf.ResolvedWorkers(),
+					Workers:       par.DefaultLimit(),
 				})
 				cli.Check(err)
 				fmt.Printf("windowed analysis: %d windows, peak %d edges / %d vertices, %d clipped deps\n",
@@ -136,10 +138,11 @@ func main() {
 			}
 			times[3] = time.Since(t0)
 		}
+		core.Release()
 		if ws != nil {
 			rec.Gauge(obs.MetricDEGWindows).Set(float64(ws.Windows))
 			rec.Gauge(obs.MetricDEGPeakEdges).Set(float64(ws.PeakEdges))
-			rec.Gauge(obs.MetricDEGWorkers).Set(float64(degf.ResolvedWorkers()))
+			rec.Gauge(obs.MetricDEGWorkers).Set(float64(par.DefaultLimit()))
 			if d := ws.Dropped(); d > 0 {
 				rec.Counter(obs.MetricDEGDrops).Add(int64(d))
 			}
@@ -175,13 +178,14 @@ func main() {
 		}
 		rec.Emit(span)
 
-		if *dotOut != "" && !*all {
+		if *dotOut != "" {
 			f, err := os.Create(*dotOut)
 			cli.Check(err)
 			cli.Check(g.WriteDOT(f, cp))
 			cli.Check(f.Close())
 			fmt.Printf("DEG written to %s\n", *dotOut)
 		}
+		tr.Release() // the DOT write was the last read; nil when streamed
 		fmt.Printf("%-18s IPC=%.4f  power=%.4f W  area=%.3f mm2  mispredict=%.2f%%  d$miss=%.2f%%\n",
 			p.Name, stats.IPC(), pw.PowerW, pw.AreaMM2,
 			100*stats.MispredictRate(),
@@ -200,11 +204,4 @@ func main() {
 		ElapsedNS: time.Since(start).Nanoseconds(),
 		Metrics:   rec.Registry().Snapshot(),
 	})
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

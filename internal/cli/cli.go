@@ -13,7 +13,6 @@ import (
 	"archexplorer/internal/dse"
 	"archexplorer/internal/fault"
 	"archexplorer/internal/obs"
-	"archexplorer/internal/par"
 	"archexplorer/internal/persist"
 )
 
@@ -171,10 +170,6 @@ type DEG struct {
 	// (-deg-stream): no full trace is materialized and peak memory is
 	// O(window + margin).
 	Stream bool
-	// Workers is the windowed analyzer's worker-pool size (-deg-workers):
-	// 0 derives it from the machine (GOMAXPROCS), 1 forces the sequential
-	// path. Reports are bit-identical at every worker count.
-	Workers int
 }
 
 // AddDEGFlags registers the windowed-analysis flags on fs.
@@ -182,18 +177,6 @@ func (d *DEG) AddDEGFlags(fs *flag.FlagSet) {
 	fs.IntVar(&d.Window, "deg-window", 0, "run bottleneck analysis in instruction windows of this size (pooled buffers, O(window) memory); 0 analyzes the whole trace")
 	fs.IntVar(&d.Overlap, "deg-overlap", 0, "context margin in instructions prepended to each -deg-window so cross-boundary edges are seen; 0 derives it from the evaluated config's ROB")
 	fs.BoolVar(&d.Stream, "deg-stream", false, "stream simulator chunks straight into the windowed analyzer (no materialized trace, O(window+margin) memory; reports identical to the buffered path)")
-	fs.IntVar(&d.Workers, "deg-workers", 0, "worker goroutines analyzing -deg-window windows in parallel (reports bit-identical at any count); 0 derives the count from GOMAXPROCS, 1 runs sequentially")
-}
-
-// ResolvedWorkers is the worker count a tool driving the deg package
-// directly (rather than through an Evaluator, which resolves its own)
-// should pass: the -deg-workers value, or the machine's compute width
-// when the flag was left at 0.
-func (d *DEG) ResolvedWorkers() int {
-	if d.Workers > 0 {
-		return d.Workers
-	}
-	return par.DefaultLimit()
 }
 
 // Apply installs the windowed-analysis knobs on the evaluator.
@@ -201,7 +184,6 @@ func (d *DEG) Apply(ev *dse.Evaluator) {
 	ev.DEGWindow = d.Window
 	ev.DEGOverlap = d.Overlap
 	ev.DEGStream = d.Stream
-	ev.DEGWorkers = d.Workers
 }
 
 // Resilience is the shared fault-tolerance flag set: the retry policy for

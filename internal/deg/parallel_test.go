@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
@@ -170,11 +168,12 @@ func TestOverlapCoversTraceMatchesWholeTrace(t *testing.T) {
 	}
 }
 
-// TestParallelStreamMemoryBound asserts the tentpole's degraded memory
-// guarantee: with Workers > 1 the analyzer holds at most
-// window + 2*overlap + chunk - 1 records in its sliding buffer plus
-// InflightCap in-flight window copies of window + 2*overlap records each —
-// and the bound stays independent of trace length.
+// TestParallelStreamMemoryBound asserts the parallel memory guarantee:
+// with Workers > 1 the analyzer holds at most
+// window + 2*overlap + chunk - 1 records in its sliding buffer plus one
+// in-flight window copy of window + 2*overlap records per worker — the
+// bound stays independent of trace length, and every window copy goes
+// back to the trace pool by Finish.
 func TestParallelStreamMemoryBound(t *testing.T) {
 	const window, chunk, workers = 500, 128, 4
 	peaks := make(map[int]int)
@@ -185,18 +184,16 @@ func TestParallelStreamMemoryBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pool := pipetrace.TracePoolStats()
 		sa, err := NewStreamAnalyzer(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sa.InflightCap(); got != 2*workers {
-			t.Fatalf("InflightCap = %d, want %d", got, 2*workers)
-		}
 		feedTrace(t, sa, tr, chunk)
-		bound := window + 2*overlap + chunk - 1 + sa.InflightCap()*(window+2*overlap)
+		bound := window + 2*overlap + chunk - 1 + workers*(window+2*overlap)
 		if peak := sa.PeakBufferedRecords(); peak > bound {
-			t.Fatalf("n=%d: peak %d records exceeds parallel bound %d (window=%d overlap=%d chunk=%d inflight=%d)",
-				n, peak, bound, window, overlap, chunk, sa.InflightCap())
+			t.Fatalf("n=%d: peak %d records exceeds parallel bound %d (window=%d overlap=%d chunk=%d workers=%d)",
+				n, peak, bound, window, overlap, chunk, workers)
 		}
 		if _, _, err := sa.Finish(tr.Cycles); err != nil {
 			t.Fatal(err)
@@ -207,6 +204,7 @@ func TestParallelStreamMemoryBound(t *testing.T) {
 		if live := sa.BufferedRecords(); live != 0 {
 			t.Fatalf("n=%d: %d records still counted live past Finish", n, live)
 		}
+		assertTracesReturned(t, pool)
 		peaks[n] = bound
 	}
 	if peaks[4000] != peaks[8000] {
@@ -214,16 +212,30 @@ func TestParallelStreamMemoryBound(t *testing.T) {
 	}
 }
 
+// assertTracesReturned fails unless every trace taken from the pool since
+// the snapshot before has been released.
+func assertTracesReturned(t *testing.T, before pipetrace.PoolStats) {
+	t.Helper()
+	after := pipetrace.TracePoolStats()
+	if live, was := after.Gets-after.Puts, before.Gets-before.Puts; live != was {
+		t.Fatalf("%d pooled traces live, %d before (window copies leaked)", live, was)
+	}
+}
+
 // TestParallelStreamCloseMidStream: aborting a parallel analyzer mid-flight
-// stops the pool, releases every chunk reference (its own and the
-// workers'), and recycles in-flight tasks; Close stays idempotent.
+// waits out its in-flight windows, releases every chunk, and returns every
+// window copy to the trace pool; Close stays idempotent.
 func TestParallelStreamCloseMidStream(t *testing.T) {
 	tr := traceFor(t, uarch.Baseline(), "401.bzip2", 3000)
+	pool := pipetrace.TracePoolStats()
 	sa, err := NewStreamAnalyzer(WindowOptions{Window: 200, Overlap: 64, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedTrace(t, sa, tr, 100)
+	if sa.BufferedRecords() <= len(sa.buf) {
+		t.Fatal("no window in flight before Close; the test exercises nothing")
+	}
 	sa.Close()
 	sa.Close()
 	if held := sa.RetainedChunks(); held != 0 {
@@ -232,41 +244,39 @@ func TestParallelStreamCloseMidStream(t *testing.T) {
 	if live := sa.BufferedRecords(); live != 0 {
 		t.Fatalf("%d records counted live past Close", live)
 	}
+	assertTracesReturned(t, pool)
 }
 
-// TestParallelQueueWaitHook: the streaming analyzer reports one queue-wait
-// sample per dispatched (non-short-circuited) window, from worker
-// goroutines, so the hook must tolerate concurrent calls — which is also
-// what this pins under -race.
-func TestParallelQueueWaitHook(t *testing.T) {
-	tr := traceFor(t, uarch.Baseline(), "458.sjeng", 4000)
-	var mu sync.Mutex
-	var waits []time.Duration
-	opts := WindowOptions{
-		Window:  500,
-		Workers: 4,
-		OnQueueWait: func(d time.Duration) {
-			mu.Lock()
-			waits = append(waits, d)
-			mu.Unlock()
-		},
-	}
-	wantRep, _, err := AnalyzeWindowed(tr, WindowOptions{Window: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRep, st, _ := streamReport(t, tr, opts, 256)
-	if !reflect.DeepEqual(gotRep, wantRep) {
-		t.Fatal("queue-wait hook changed the report")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(waits) != st.Windows {
-		t.Fatalf("%d queue-wait samples for %d windows", len(waits), st.Windows)
-	}
-	for _, d := range waits {
-		if d < 0 {
-			t.Fatalf("negative queue wait %v", d)
-		}
+// TestWindowRingFoldsInOrderToFirstError drives the ring directly with
+// two empty (failing) windows among valid ones: it must fold exactly the
+// windows before the lowest failure, in order, whatever finishes first —
+// the sequential loop's error and accumulator state — and close must
+// still wait out and recycle everything in flight.
+func TestWindowRingFoldsInOrderToFirstError(t *testing.T) {
+	tr := traceFor(t, uarch.Baseline(), "458.sjeng", 1000)
+	const window = 100
+	for _, workers := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("k%d", workers), func(t *testing.T) {
+			var wa windowAccum
+			ring := newWindowRing(Options{}, &wa, workers)
+			defer ring.close()
+			var err error
+			for i := 0; i < 8 && err == nil; i++ {
+				lo, hi := i*window, (i+1)*window
+				if i == 5 || i == 7 {
+					hi = lo // empty: buildInto fails
+				}
+				err = ring.push(tr, lo, hi, lo, hi)
+			}
+			if err == nil {
+				err = ring.drain()
+			}
+			if err == nil {
+				t.Fatal("failing windows reported no error")
+			}
+			if wa.st.Windows != 5 {
+				t.Fatalf("folded %d windows before the error, want 5", wa.st.Windows)
+			}
+		})
 	}
 }

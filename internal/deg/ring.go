@@ -1,0 +1,153 @@
+package deg
+
+import "archexplorer/internal/pipetrace"
+
+// windowRing is the parallel half of both windowed analyzers. It keeps at
+// most len(slots) windows in flight, each on its own goroutine with its
+// own pooled buffers, and folds their results into the accumulator in
+// window order on the caller's goroutine: window i runs in slot
+// i % len(slots), so starting a window in a full ring first waits for,
+// and folds, the oldest one. Folding stops at the first failed window, so
+// the error a caller sees is the lowest failed window's, the one the
+// sequential loop would have hit.
+//
+// The ring is driven from one goroutine; close must run before the traces
+// its windows read are released.
+type windowRing struct {
+	opts   Options
+	wa     *windowAccum
+	slots  []ringSlot
+	oldest int // window index of the oldest in-flight window
+	live   int // windows in flight
+	copied int // records held by in-flight window copies
+}
+
+// ringSlot is one in-flight window: the trace it reads (a view of the
+// caller's trace, or a pooled copy the slot owns), its bounds as in
+// analyzeWindowPure, and its result.
+type ringSlot struct {
+	b                 *buffers
+	tr                *pipetrace.Trace
+	own               bool // tr is the slot's copy, released when the window retires
+	base, end, lo, hi int
+	res               windowResult
+	err               error
+	done              chan struct{} // one send per window, when the pure phase ends
+}
+
+func newWindowRing(opts Options, wa *windowAccum, workers int) *windowRing {
+	r := &windowRing{opts: opts, wa: wa, slots: make([]ringSlot, workers)}
+	for i := range r.slots {
+		r.slots[i].done = make(chan struct{}, 1)
+	}
+	return r
+}
+
+// push runs records [base, end) of tr as a window owning [lo, hi). The
+// window reads tr until it retires.
+func (r *windowRing) push(tr *pipetrace.Trace, base, end, lo, hi int) error {
+	s, err := r.next()
+	if err != nil {
+		return err
+	}
+	s.tr, s.base, s.end, s.lo, s.hi = tr, base, end, lo, hi
+	r.start(s)
+	return nil
+}
+
+// pushCopy runs recs as a window owning [lo, hi), from a pooled trace the
+// slot owns: the records are copied and their annotation slices
+// re-interned into the copy's arena, so the window reads nothing of the
+// caller's once pushCopy returns.
+func (r *windowRing) pushCopy(recs []pipetrace.Record, lo, hi int) error {
+	s, err := r.next()
+	if err != nil {
+		return err
+	}
+	t := pipetrace.GetTrace(len(recs))
+	t.Records = append(t.Records, recs...)
+	for i := range t.Records {
+		rec := &t.Records[i]
+		rec.ResourceDeps = t.InternDeps(rec.ResourceDeps)
+		rec.DataProducers = t.InternProducers(rec.DataProducers)
+	}
+	s.tr, s.own = t, true
+	s.base, s.end, s.lo, s.hi = 0, len(recs), lo, hi
+	r.copied += len(recs)
+	r.start(s)
+	return nil
+}
+
+// next returns the slot the next window runs in, first retiring the
+// oldest window when every slot is busy.
+func (r *windowRing) next() (*ringSlot, error) {
+	if r.live == len(r.slots) {
+		if err := r.retire(true); err != nil {
+			return nil, err
+		}
+	}
+	s := &r.slots[(r.oldest+r.live)%len(r.slots)]
+	if s.b == nil {
+		s.b = bufPool.Get().(*buffers)
+	}
+	return s, nil
+}
+
+// start runs the slot's window on a goroutine of its own.
+func (r *windowRing) start(s *ringSlot) {
+	r.live++
+	s.res = windowResult{}
+	opts := r.opts
+	go func() {
+		s.err = analyzeWindowPure(s.tr, opts, s.base, s.end, s.lo, s.hi, s.b, &s.res)
+		s.done <- struct{}{}
+	}()
+}
+
+// retire waits for the oldest in-flight window, frees its slot and, with
+// fold set, folds its result or returns its error.
+func (r *windowRing) retire(fold bool) error {
+	s := &r.slots[r.oldest%len(r.slots)]
+	<-s.done
+	r.oldest++
+	r.live--
+	if s.own {
+		r.copied -= len(s.tr.Records)
+		s.tr.Release()
+		s.own = false
+	}
+	s.tr = nil
+	if !fold {
+		return nil
+	}
+	if s.err != nil {
+		return s.err
+	}
+	r.wa.fold(&s.res)
+	return nil
+}
+
+// drain retires every in-flight window in order, returning the first
+// error.
+func (r *windowRing) drain() error {
+	for r.live > 0 {
+		if err := r.retire(true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// close waits for every in-flight window without folding it and returns
+// the slots' buffers and copies to their pools. Idempotent.
+func (r *windowRing) close() {
+	for r.live > 0 {
+		r.retire(false)
+	}
+	for i := range r.slots {
+		if b := r.slots[i].b; b != nil {
+			bufPool.Put(b)
+			r.slots[i].b = nil
+		}
+	}
+}

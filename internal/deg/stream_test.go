@@ -159,10 +159,10 @@ func TestStreamPropertyRandom(t *testing.T) {
 
 // TestStreamMemoryBound asserts the tentpole's memory guarantee at every
 // worker count: the analyzer never holds more than
-// window + 2*overlap + chunk - 1 + InflightCap*(window + 2*overlap)
-// records (the inflight term is zero in sequential mode), the bound does
-// not grow with trace length, and every retained chunk is released by
-// Finish.
+// window + 2*overlap + chunk - 1 + copies*(window + 2*overlap) records,
+// where copies is the worker count in parallel mode and zero in
+// sequential mode, the bound does not grow with trace length, and every
+// retained chunk is released by Finish.
 func TestStreamMemoryBound(t *testing.T) {
 	const window, chunk = 500, 128
 	for _, workers := range []int{0, 1, 4} {
@@ -181,14 +181,17 @@ func TestStreamMemoryBound(t *testing.T) {
 				feedTrace(t, sa, tr, chunk)
 				// Trace-length-independent: every term is a function of the
 				// options alone.
-				bound := window + 2*overlap + chunk - 1 + sa.InflightCap()*(window+2*overlap)
+				copies := 0
+				if workers > 1 {
+					copies = workers
+				}
+				bound := window + 2*overlap + chunk - 1 + copies*(window+2*overlap)
 				if peak := sa.PeakBufferedRecords(); peak > bound {
-					t.Fatalf("peak buffered %d records exceeds bound %d (window=%d overlap=%d chunk=%d inflight=%d)",
-						peak, bound, window, overlap, chunk, sa.InflightCap())
+					t.Fatalf("peak buffered %d records exceeds bound %d (window=%d overlap=%d chunk=%d copies=%d)",
+						peak, bound, window, overlap, chunk, copies)
 				}
 				// The sliding buffer's chunk retention is worker-independent:
-				// tasks pin chunks with their own references, not by delaying
-				// the analyzer's eviction.
+				// in-flight windows read copies, never the chunks.
 				maxChunks := (window+2*overlap+chunk-1+chunk-1)/chunk + 1
 				if held := sa.RetainedChunks(); held > maxChunks {
 					t.Fatalf("retaining %d chunks, bound %d", held, maxChunks)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
@@ -74,21 +72,16 @@ type WindowOptions struct {
 	// behavior (DefaultOverlap, no validation) for callers without a
 	// config in hand.
 	ReorderWindow int
-	// Workers sets how many goroutines analyze windows concurrently.
-	// Values <= 1 keep the sequential path; higher values fan the pure
-	// per-window phase (graph build + DP) out across a pool, folding
-	// results back in window order so the Report and WindowStats are
-	// bit-identical to the sequential run at any worker count. The count
-	// is clamped to the number of windows. Callers that want machine
-	// scaling should resolve it themselves (e.g. runtime.GOMAXPROCS);
-	// the library default stays sequential.
+	// Workers sets how many windows are analyzed concurrently. Values
+	// <= 1 keep the sequential path; higher values run the pure
+	// per-window phase (graph build + DP) of up to Workers windows at
+	// once, each on its own goroutine, folding results back in window
+	// order so the Report and WindowStats are bit-identical to the
+	// sequential run at any worker count. AnalyzeWindowed clamps the
+	// count to the number of windows. Callers that want machine scaling
+	// resolve it themselves (e.g. runtime.GOMAXPROCS); the library
+	// default stays sequential.
 	Workers int
-	// OnQueueWait, when non-nil, observes how long each sealed window
-	// waited between becoming analyzable and a worker picking it up.
-	// Only the streaming analyzer reports it (in the buffered path every
-	// window is ready at once, so the wait measures nothing); hooks must
-	// be safe for concurrent calls when Workers > 1.
-	OnQueueWait func(time.Duration)
 }
 
 // workerCount resolves Workers against the number of windows: sequential
@@ -236,35 +229,16 @@ func AnalyzeWindowed(tr *pipetrace.Trace, opts WindowOptions) (*Report, *WindowS
 
 	var wa windowAccum
 	if workers := opts.workerCount(nWin); workers > 1 {
-		// Fan the pure phase out; fold in window order below. Each worker
-		// owns one pooled buffer set and claims windows by fetch-add, so the
-		// schedule is work-stealing-flat without a queue.
-		results := make([]windowResult, nWin)
-		errs := make([]error, nWin)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				b := bufPool.Get().(*buffers)
-				defer bufPool.Put(b)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= nWin {
-						return
-					}
-					base, end, lo, hi := bounds(i)
-					errs[i] = analyzeWindowPure(tr, opts.Options, base, end, lo, hi, b, &results[i])
-				}
-			}()
-		}
-		wg.Wait()
-		for i := range results {
-			if errs[i] != nil {
-				return nil, nil, errs[i]
+		ring := newWindowRing(opts.Options, &wa, workers)
+		defer ring.close()
+		for i := 0; i < nWin; i++ {
+			base, end, lo, hi := bounds(i)
+			if err := ring.push(tr, base, end, lo, hi); err != nil {
+				return nil, nil, err
 			}
-			wa.fold(&results[i])
+		}
+		if err := ring.drain(); err != nil {
+			return nil, nil, err
 		}
 	} else {
 		b := bufPool.Get().(*buffers)

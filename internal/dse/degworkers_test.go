@@ -4,19 +4,21 @@ import (
 	"bytes"
 	"reflect"
 	"regexp"
+	"runtime"
 	"testing"
 
 	"archexplorer/internal/obs"
 	"archexplorer/internal/uarch"
 )
 
-// evalWithWorkers runs one fully journaled evaluation at the given DEG
-// worker count and returns the evaluation plus the raw journal bytes.
+// evalWithWorkers runs one fully journaled evaluation at the given
+// GOMAXPROCS — the evaluator's DEG worker count — and returns the
+// evaluation plus the raw journal bytes.
 func evalWithWorkers(t *testing.T, workers int, streamed bool) (*Evaluation, []byte) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 2000)
 	ev.DEGWindow = 400
-	ev.DEGWorkers = workers
 	ev.DEGStream = streamed
 	rec := obs.New()
 	var buf bytes.Buffer
@@ -42,9 +44,10 @@ func scrubTimings(raw []byte) []byte {
 	return nsFields.ReplaceAll(raw, []byte(`"t":0`))
 }
 
-// TestEvaluatorDEGWorkersDeterminism pins the tentpole's end-to-end
-// guarantee at the evaluator level, for both the buffered and the streamed
-// DEG path: the worker count changes neither any deterministic evaluation
+// TestEvaluatorDEGWorkersDeterminism pins the parallel windowed
+// analysis's end-to-end guarantee at the evaluator level, for both the
+// buffered and the streamed DEG path: GOMAXPROCS 1 (sequential windows)
+// and 4 (a four-window ring) change neither any deterministic evaluation
 // field nor a single journal byte (once wall-clock timings and worker
 // slots, the only legitimately nondeterministic fields, are scrubbed).
 // Telemetry may gauge the worker count, but the journal event stream must

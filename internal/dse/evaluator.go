@@ -165,7 +165,10 @@ type Evaluator struct {
 	// window, bounding peak memory to O(window). 0, the default, keeps
 	// whole-trace analysis — byte-identical to previous behavior.
 	// DEGOverlap is the windows' context margin in instructions; 0 means
-	// deg.DefaultOverlap.
+	// deg.DefaultOverlap. Windows are analyzed par.DefaultLimit()
+	// (GOMAXPROCS) at a time, with bit-identical reports at any count;
+	// those workers are not drawn from the Parallelism slot pool, since
+	// the windowed phases are short and self-balancing.
 	DEGWindow  int
 	DEGOverlap int
 
@@ -179,18 +182,6 @@ type Evaluator struct {
 	// calipers runs need the materialized trace and keep the buffered path
 	// regardless.
 	DEGStream bool
-
-	// DEGWorkers sets the windowed analyzer's worker-pool size for both
-	// the buffered and streamed DEG paths. 0, the default, derives it from
-	// the machine (par.DefaultLimit, i.e. GOMAXPROCS); 1 forces the
-	// sequential path. Reports are bit-identical at every worker count —
-	// the fold order is pinned — so this knob trades only memory
-	// (bounded in-flight window copies, see deg.StreamAnalyzer) for
-	// wall-clock. Note the DEG workers are not drawn from the Parallelism
-	// slot pool: an evaluation fanning out across workloads AND windows can
-	// oversubscribe the machine by design, since the windowed phases are
-	// short and self-balancing.
-	DEGWorkers int
 
 	// Sims counts the simulation budget spent so far, in units of full
 	// (config, workload) simulations. It is mutated only while committing
@@ -567,7 +558,7 @@ func (ev *Evaluator) obsCommit(j *job, batchSpan int64) {
 	if e.DEGWindows > 0 {
 		rec.Gauge(obs.MetricDEGWindows).Set(float64(e.DEGWindows))
 		rec.Gauge(obs.MetricDEGPeakEdges).Set(float64(e.DEGPeakEdges))
-		rec.Gauge(obs.MetricDEGWorkers).Set(float64(ev.degWorkers()))
+		rec.Gauge(obs.MetricDEGWorkers).Set(float64(par.DefaultLimit()))
 	}
 	if !rec.JournalEnabled() {
 		return
@@ -921,7 +912,7 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 				rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{
 					Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
 					ReorderWindow: cfg.ROBEntries,
-					Workers:       ev.degWorkers(),
+					Workers:       par.DefaultLimit(),
 				})
 				if err != nil {
 					return degOutcome{}, err
@@ -944,29 +935,6 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 		r.degDrops = dout.drops
 	}
 	return r
-}
-
-// degWorkers resolves the DEG analysis worker count: the configured
-// DEGWorkers, or the machine's compute width (par.DefaultLimit, i.e.
-// GOMAXPROCS) when unset. A resolved count of 1 is exactly the historical
-// sequential path.
-func (ev *Evaluator) degWorkers() int {
-	if ev.DEGWorkers > 0 {
-		return ev.DEGWorkers
-	}
-	return par.DefaultLimit()
-}
-
-// queueWaitHook returns the streamed analyzer's per-window queue-wait
-// observer, feeding the MetricDEGQueueWait histogram; nil without
-// telemetry, so the uninstrumented path never pays for time.Now. The
-// histogram is concurrency-safe — workers call the hook directly.
-func (ev *Evaluator) queueWaitHook() func(time.Duration) {
-	if ev.Obs == nil {
-		return nil
-	}
-	h := ev.Obs.Histogram(obs.MetricDEGQueueWait)
-	return func(d time.Duration) { h.Observe(d.Seconds()) }
 }
 
 // streamDepth is the bounded channel depth between the simulating producer
@@ -1031,8 +999,7 @@ func (ev *Evaluator) runStreamed(cfg uarch.Config, wl workload.Profile, stream [
 	sa, err := deg.NewStreamAnalyzer(deg.WindowOptions{
 		Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
 		ReorderWindow: cfg.ROBEntries,
-		Workers:       ev.degWorkers(),
-		OnQueueWait:   ev.queueWaitHook(),
+		Workers:       par.DefaultLimit(),
 	})
 	if err != nil {
 		return streamOutcome{}, err

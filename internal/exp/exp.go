@@ -261,6 +261,7 @@ func simulate(cfg uarch.Config, wl workload.Profile, n int) (*pipetrace.Trace, *
 	if err != nil {
 		return nil, nil, err
 	}
+	defer core.Release()
 	return core.Run(stream)
 }
 

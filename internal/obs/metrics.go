@@ -57,11 +57,6 @@ const (
 	MetricDEGPeakEdges = "archx_deg_peak_edges"          // largest single-window edge count (gauge)
 	MetricDEGDrops     = "archx_deg_dropped_edges_total" // defensively dropped DEG edges (corruption indicator)
 	MetricDEGWorkers   = "archx_deg_workers"             // resolved DEG analysis worker count (gauge)
-	// MetricDEGQueueWait is the histogram of how long each sealed window
-	// waited between dispatch and a worker picking it up: near-zero means
-	// the pool keeps up with the simulator; growing waits mean analysis is
-	// the bottleneck even at the configured worker count.
-	MetricDEGQueueWait = "archx_deg_queue_wait_seconds"
 	// Runtime self-profile gauges, sampled by the recorder's runtime
 	// sampler (started by the live dashboard, or explicitly via
 	// Recorder.StartRuntimeSampler) so a stalled campaign can be triaged

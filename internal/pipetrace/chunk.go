@@ -1,9 +1,6 @@
 package pipetrace
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Chunk is one fixed-size batch of committed-instruction records in the
 // streaming sim→DEG pipeline. The simulator fills a chunk — records plus
@@ -15,19 +12,14 @@ import (
 //   - The producer (simulator) owns a chunk from GetChunk until its sink
 //     callback returns; it must not touch the chunk afterwards.
 //   - The consumer (stream analyzer) owns it from the sink call until it
-//     drops its reference with Release — which it may only do once no
-//     retained Record (or annotation subslice) it still reads aliases the
-//     chunk.
-//   - Chunks are reference-counted like pooled Traces: GetChunk hands out
-//     one reference, Retain takes extra ones (a parallel analysis worker
-//     pins the chunks backing the window it reads), and the storage
-//     recycles when the last reference drops. Only then may a future
-//     GetChunk alias it, so a retained window's records safely outlive the
-//     sequential release point.
-//   - The final Release recycles the chunk's storage through a pool shared
-//     with future chunks, so a late read after it observes another
-//     simulation's records; the analyzer therefore holds a reference on
-//     every chunk whose records overlap a still-unanalyzed window.
+//     Releases it — which it may only do once no retained Record (or
+//     annotation subslice) it still reads aliases the chunk. A consumer
+//     that needs records past that point copies them out, re-interning
+//     their annotations into storage of its own.
+//   - Release recycles the chunk's storage through a pool shared with
+//     future chunks, so a late read after it observes another
+//     simulation's records; the analyzer therefore holds every chunk
+//     whose records overlap a still-unanalyzed window.
 type Chunk struct {
 	// Records hold globally sequenced committed instructions: Seq is the
 	// commit index in the whole run, not the chunk.
@@ -37,53 +29,39 @@ type Chunk struct {
 	// arena backs a batch run's records.
 	Arena
 
-	refs int32
+	released bool
 }
 
 var chunkPool sync.Pool
 
 // GetChunk returns an empty chunk whose record storage can hold at least
 // capacity records without growing, reusing a released chunk when one is
-// available. The chunk starts with one reference — the caller's ownership.
+// available. The caller owns the chunk.
 func GetChunk(capacity int) *Chunk {
 	if v := chunkPool.Get(); v != nil {
 		c := v.(*Chunk)
 		if cap(c.Records) < capacity {
 			c.Records = make([]Record, 0, capacity)
 		}
-		atomic.StoreInt32(&c.refs, 1)
+		c.released = false
 		return c
 	}
-	return &Chunk{Records: make([]Record, 0, capacity), refs: 1}
+	return &Chunk{Records: make([]Record, 0, capacity)}
 }
 
-// Retain takes an additional reference on the chunk, keeping its storage
-// out of the pool until a matching Release. It must be called while the
-// caller already holds a live reference (taking a reference on a chunk
-// whose last Release already ran is a use-after-free). Nil-safe.
-func (c *Chunk) Retain() {
-	if c == nil {
-		return
-	}
-	atomic.AddInt32(&c.refs, 1)
-}
-
-// Release drops one reference; the last Release resets the chunk and
-// returns its storage to the pool. The dropping caller must not touch the
-// chunk — or any Record or annotation slice obtained from it — afterwards.
-// Releasing beyond the last reference panics: the refcount contract guards
-// against the pool handing one chunk to two concurrent simulations, so a
-// violation must be loud, not a latent aliasing bug. Nil-safe.
+// Release resets the chunk and returns its storage to the pool. The caller must not touch the chunk — or any
+// Record or annotation slice obtained from it — afterwards. Releasing a
+// chunk twice panics: the contract guards against the pool handing one
+// chunk to two concurrent simulations, so a violation must be loud, not a
+// latent aliasing bug. Nil-safe.
 func (c *Chunk) Release() {
 	if c == nil {
 		return
 	}
-	switch refs := atomic.AddInt32(&c.refs, -1); {
-	case refs > 0:
-		return
-	case refs < 0:
-		panic("pipetrace: Chunk released more times than retained")
+	if c.released {
+		panic("pipetrace: Chunk released twice")
 	}
+	c.released = true
 	c.Records = c.Records[:0]
 	c.Arena.reset()
 	chunkPool.Put(c)

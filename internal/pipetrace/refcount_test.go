@@ -94,3 +94,17 @@ func TestReleaseBeyondZeroPanics(t *testing.T) {
 	}()
 	tr.Release() // stale extra release: must panic, not double-Put
 }
+
+// TestChunkReleaseTwicePanics: a chunk has one owner, and a second Release
+// would pool it twice, so two later GetChunk calls could hand the same
+// storage to two simulations.
+func TestChunkReleaseTwicePanics(t *testing.T) {
+	c := GetChunk(4)
+	c.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release did not panic")
+		}
+	}()
+	c.Release()
+}
