@@ -59,13 +59,16 @@ cover:
 	check conformance $(COVER_MIN_CONFORMANCE)
 
 # A short randomized pass over the campaign-file reader, the engine
-# conformance check, and the capacity-pool/heap differential (the
-# calendar-queue pool must pop bit-identically to container/heap), on top
-# of the checked-in seed corpora that `make test` already replays.
+# conformance check, the capacity-pool/heap differential (the
+# calendar-queue pool must pop bit-identically to container/heap), and the
+# DEG's anchor-order DP against a comparison-sorted reference DP over
+# perturbed traces, on top of the checked-in seed corpora that `make test`
+# already replays.
 fuzz-seeds:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/persist/
 	$(GO) test -fuzz=FuzzConformance -fuzztime=10s ./internal/conformance/
 	$(GO) test -fuzz=FuzzCapPoolParity -fuzztime=10s ./internal/ooo/
+	$(GO) test -fuzz=FuzzLongestPathOrder -fuzztime=10s ./internal/deg/
 
 # One regeneration per experiment plus the evaluator fan-out comparison.
 bench:
@@ -75,8 +78,9 @@ bench:
 # AnalyzeWindowed (pooled buffers) on the 20k-instruction trace, plus
 # BenchmarkDEGAnalyzeProbe, the DEG work of one explore probe (12 SPEC06
 # workloads x 500 instructions, whole-trace). BENCH_deg.json records the
-# numbers before and after the sort-free, map-free core; bench-all gates
-# them.
+# numbers before and after the sort-free, map-free core, and the parent and
+# change medians of the anchor-ordered DP (anchor_order), which bench-all
+# gates.
 bench-deg:
 	$(GO) test -bench='BenchmarkDEGAnalyze(Windowed|Probe)?$$' -benchmem -run XXX -count 3 .
 
@@ -157,9 +161,9 @@ bench-all:
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:after.analyze.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:after.windowed.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:after.probe.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:anchor_order.change.analyze.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:anchor_order.change.windowed.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:anchor_order.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec'
 	$(MAKE) bench-spans
@@ -177,9 +181,9 @@ bench-all-smoke:
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:after.analyze.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:after.windowed.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:after.probe.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:anchor_order.change.analyze.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:anchor_order.change.windowed.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:anchor_order.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStreamPar=1.5*bench:BenchmarkPipelineStream' \

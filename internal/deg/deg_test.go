@@ -2,6 +2,7 @@ package deg
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -232,6 +233,17 @@ func TestWriteDOT(t *testing.T) {
 			t.Fatalf("DOT output missing %q", want)
 		}
 	}
+	// Exactly the path's edges are red, not their parallel twins.
+	if red := strings.Count(out, "color=red"); red != len(cp.Edges) {
+		t.Fatalf("%d red edges, want the critical path's %d", red, len(cp.Edges))
+	}
+	// Every write's error surfaces, even when later writes succeed.
+	for fail := 1; fail <= 4; fail++ {
+		w := &flakyWriter{fail: fail}
+		if err := g.WriteDOT(w, cp); !errors.Is(err, errFlaky) {
+			t.Fatalf("write %d failed but WriteDOT returned %v", fail, err)
+		}
+	}
 	// Oversized traces are rejected.
 	big := traceFor(t, uarch.Baseline(), "456.hmmer", 1000)
 	bg, err := Build(big, Options{})
@@ -241,6 +253,18 @@ func TestWriteDOT(t *testing.T) {
 	if err := bg.WriteDOT(&buf, nil); err == nil {
 		t.Fatal("expected size rejection")
 	}
+}
+
+var errFlaky = errors.New("flaky writer")
+
+// flakyWriter fails its fail-th write only.
+type flakyWriter struct{ n, fail int }
+
+func (w *flakyWriter) Write(p []byte) (int, error) {
+	if w.n++; w.n == w.fail {
+		return 0, errFlaky
+	}
+	return len(p), nil
 }
 
 func TestEmptyTraceRejected(t *testing.T) {

@@ -10,24 +10,31 @@ import (
 // WriteDOT renders the graph in Graphviz DOT format, optionally
 // highlighting a critical path in red (the paper's Figure 7/9 style).
 // Intended for small traces; graphs beyond a few hundred instructions are
-// unreadable and are rejected.
+// unreadable and are rejected. Path edges are matched by value, once per
+// occurrence on the path, so a parallel edge between the same two vertices
+// stays in its own colour.
 func (g *Graph) WriteDOT(w io.Writer, cp *CriticalPath) error {
 	const maxInsts = 512
 	if n := len(g.Trace.Records); n > maxInsts {
 		return fmt.Errorf("deg: refusing to render %d instructions as DOT (max %d)", n, maxInsts)
 	}
-	onPath := map[[2]VertexID]bool{}
+	onPath := map[Edge]int{}
 	if cp != nil {
 		for _, e := range cp.Edges {
-			onPath[[2]VertexID{e.From, e.To}] = true
+			onPath[e]++
 		}
 	}
 
-	if _, err := fmt.Fprintln(w, "digraph deg {"); err != nil {
-		return err
+	// printf writes until the first error, which WriteDOT returns.
+	var err error
+	printf := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, args...)
+		}
 	}
-	fmt.Fprintln(w, "  rankdir=LR;")
-	fmt.Fprintln(w, "  node [shape=plaintext, fontsize=10];")
+	printf("digraph deg {\n")
+	printf("  rankdir=LR;\n")
+	printf("  node [shape=plaintext, fontsize=10];\n")
 
 	// Vertices grouped per instruction.
 	emitted := map[VertexID]bool{}
@@ -38,7 +45,7 @@ func (g *Graph) WriteDOT(w io.Writer, cp *CriticalPath) error {
 		for _, v := range [2]VertexID{e.From, e.To} {
 			if !emitted[v] {
 				emitted[v] = true
-				fmt.Fprintf(w, "  %s;\n", name(v))
+				printf("  %s;\n", name(v))
 			}
 		}
 	}
@@ -57,13 +64,12 @@ func (g *Graph) WriteDOT(w io.Writer, cp *CriticalPath) error {
 		if e.Res != uarch.ResNone {
 			attrs += fmt.Sprintf(", tooltip=\"%s\"", e.Res)
 		}
-		if onPath[[2]VertexID{e.From, e.To}] {
+		if onPath[e] > 0 {
+			onPath[e]--
 			attrs += ", color=red, penwidth=2"
 		}
-		if _, err := fmt.Fprintf(w, "  %s -> %s [%s];\n", name(e.From), name(e.To), attrs); err != nil {
-			return err
-		}
+		printf("  %s -> %s [%s];\n", name(e.From), name(e.To), attrs)
 	}
-	_, err := fmt.Fprintln(w, "}")
+	printf("}\n")
 	return err
 }

@@ -108,9 +108,10 @@ type Graph struct {
 	// graphs have base 0.
 	base int
 
-	// b holds the vertex list, the in-edge index and the DP tables: fresh
-	// buffers the graph owns after Build, pooled ones that a windowed
-	// analysis reuses for its next window. ks orders the vertices.
+	// b holds the marks, the sorted anchors, the in-edge records and the DP
+	// tables: fresh buffers the graph owns after Build, pooled ones that a
+	// windowed analysis reuses for its next window. ks keys the anchors,
+	// the order set of the DP (DESIGN.md §19).
 	b  *buffers
 	ks keyspace
 
@@ -143,16 +144,19 @@ func (g *Graph) time(v VertexID) int64 {
 	return g.Trace.Records[g.base+v.Seq()].Stamp[v.Stage()]
 }
 
-// Options tunes graph construction.
-type Options struct {
-	// MaxVirtualScan bounds the candidate scan for virtual-edge rules.
-	// Zero means the default (64).
-	MaxVirtualScan int
-}
+// Options is the options argument of Build, Analyze and the windowed
+// analyzers. It has no fields. It stays only because those signatures take
+// it and callers outside this module (the archbench replay in bench/) pass
+// Options{}.
+type Options struct{}
+
+// maxVirtualScan bounds Rule 2's candidate scan: the targets it compares
+// start at Rule 1's and number at most this many.
+const maxVirtualScan = 64
 
 // Bits of buffers.mark, per local vertex.
 const (
-	markListed uint8 = 1 << iota // in the vertex list
+	markListed uint8 = 1 << iota // an edge endpoint, counted in NumVertices
 	markStart                    // starts a skewed edge: a virtual-edge target
 	markEnd                      // ends a skewed edge
 )
@@ -161,7 +165,7 @@ const (
 // the graph owns.
 func Build(tr *pipetrace.Trace, opts Options) (*Graph, error) {
 	g := &Graph{}
-	if err := buildInto(g, tr, opts, 0, len(tr.Records), new(buffers)); err != nil {
+	if err := buildInto(g, tr, 0, len(tr.Records), new(buffers)); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -180,13 +184,10 @@ type builder struct {
 // graph is valid until b's next build. Dependence annotations reaching back
 // before base are clipped and counted (whole-trace builds pass base 0 and
 // never clip).
-func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *buffers) error {
+func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 	nRecs := end - base
 	if nRecs <= 0 {
 		return fmt.Errorf("deg: empty trace")
-	}
-	if opts.MaxVirtualScan <= 0 {
-		opts.MaxVirtualScan = 64
 	}
 	if nRecs > (math.MaxInt32-pipetrace.NumStages+1)/pipetrace.NumStages {
 		// VertexID is an int32 of seq*NumStages+stage; IDs are local to the
@@ -277,29 +278,38 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 		}
 	}
 
+	// The order set: the skewed-edge anchors, which every edge other than
+	// a pipeline edge runs between. One radix sort orders it, by the
+	// (time, seq, stage) keys every edge runs forward in; the DP walks each
+	// remaining vertex along its instruction's chain (DESIGN.md §19).
+	g.ks = newKeyspace(nRecs, b.anchors)
+	keys := b.sortKeys(&g.ks, b.anchors)
+
 	// Induced DEG: virtual edges. Candidate targets are skewed-edge start
 	// vertices; every anchor connects to (Rule 1) the target whose time is
 	// closest after its own, and (Rule 2) the target whose instruction
 	// sequence is closest after its own. Every target is ordered strictly
 	// after its anchor, so no virtual edge is a self-loop or runs backward.
-	g.ks = newKeyspace(nRecs, b.verts)
-	tkeys := b.sortKeys(&g.ks, b.targets)
+	// The parent table holds each anchor's Rule-1 target until the DP
+	// overwrites it.
+	b.parent = resize(b.parent, len(b.mark))
+	b.virtualTargets(&g.ks, keys, b.parent)
 	for _, a := range b.anchors {
-		r1, r2 := g.ks.virtualTargets(tkeys, g.ks.key(a), opts.MaxVirtualScan)
-		if r1 == len(tkeys) {
+		from := vertexOf(a.code)
+		r1 := int(b.parent[from])
+		if r1 == len(b.tkeys) {
 			continue
 		}
-		from := vertexOf(a.code)
-		bd.virtual(from, a.t, tkeys[r1])
-		if r2 != r1 {
-			bd.virtual(from, a.t, tkeys[r2])
+		bd.virtual(from, a.t, b.tkeys[r1])
+		if r2 := rule2(b.tseq, r1, int32(a.code>>stageBits), maxVirtualScan); r2 != r1 {
+			bd.virtual(from, a.t, b.tkeys[r2])
 		}
 	}
 
-	// Index incoming edges as CSR, filled in edge-index order (the DP's
-	// lowest-index parent tie-break reads them in that order), and tally
-	// statistics. Counting into off[v+2] and filling through off[v+1]
-	// leaves v's in-edges at inIdx[off[v]:off[v+1]].
+	// Index incoming edges as CSR records, filled in edge-index order (the
+	// DP's lowest-index parent tie-break reads them in that order), and
+	// tally statistics. Counting into off[v+2] and filling through off[v+1]
+	// leaves v's in-edges at in[off[v]:off[v+1]].
 	off := b.inOff
 	for i := range g.Edges {
 		off[g.Edges[i].To+2]++
@@ -308,13 +318,12 @@ func buildInto(g *Graph, tr *pipetrace.Trace, opts Options, base, end int, b *bu
 	for v := 2; v < len(off); v++ {
 		off[v] += off[v-1]
 	}
-	b.inIdx = resize(b.inIdx, len(g.Edges))
+	b.in = resize(b.in, len(g.Edges))
 	for i := range g.Edges {
-		to := g.Edges[i].To
-		b.inIdx[off[to+1]] = int32(i)
-		off[to+1]++
+		e := &g.Edges[i]
+		b.in[off[e.To+1]] = inEdge{from: e.From, edge: int32(i), cost: e.Cost}
+		off[e.To+1]++
 	}
-	g.NumVertices = len(b.verts)
 	b.edges = g.Edges // hand back grown capacity for the next build
 	return nil
 }
@@ -339,19 +348,19 @@ func (bd *builder) edge(fs int, fst pipetrace.Stage, ts int, tst pipetrace.Stage
 		cost = delay
 	}
 	bd.g.Edges = append(bd.g.Edges, Edge{
-		From: bd.list(fs, fst, df), To: bd.list(ts, tst, dt),
+		From: bd.list(fs, fst), To: bd.list(ts, tst),
 		Kind: kind, Res: res, Delay: delay, Cost: cost,
 	})
 	return true
 }
 
-// list returns local vertex (seq, st), appending it with its stamp t to the
-// vertex list on first touch.
-func (bd *builder) list(seq int, st pipetrace.Stage, t int64) VertexID {
+// list returns local vertex (seq, st), marking it listed and counting it on
+// first touch.
+func (bd *builder) list(seq int, st pipetrace.Stage) VertexID {
 	v := Vertex(seq, st)
 	if bd.b.mark[v]&markListed == 0 {
 		bd.b.mark[v] |= markListed
-		bd.b.verts = append(bd.b.verts, stamped{vcode(seq, st), t})
+		bd.g.NumVertices++
 	}
 	return v
 }
@@ -380,12 +389,8 @@ func (bd *builder) anchor(seq int, st pipetrace.Stage, role uint8) {
 	}
 	bd.b.mark[v] = m | role
 	bd.g.SkewedAnchors++
-	a := stamped{vcode(seq, st), bd.recs[seq].Stamp[st]}
 	if m&(markStart|markEnd) == 0 {
-		bd.b.anchors = append(bd.b.anchors, a)
-	}
-	if role == markStart {
-		bd.b.targets = append(bd.b.targets, a)
+		bd.b.anchors = append(bd.b.anchors, stamped{vcode(seq, st), bd.recs[seq].Stamp[st]})
 	}
 }
 

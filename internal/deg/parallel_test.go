@@ -258,7 +258,7 @@ func TestWindowRingFoldsInOrderToFirstError(t *testing.T) {
 	for _, workers := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("k%d", workers), func(t *testing.T) {
 			var wa windowAccum
-			ring := newWindowRing(Options{}, &wa, workers)
+			ring := newWindowRing(&wa, workers)
 			defer ring.close()
 			var err error
 			for i := 0; i < 8 && err == nil; i++ {

@@ -2,6 +2,7 @@ package deg
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -45,12 +46,12 @@ type stamped struct {
 	t    int64
 }
 
-// keyspace packs a graph's vertices into order keys: uint64s whose numeric
-// order is the (time, seq, stage) order every edge runs forward in, which
-// makes it a topological order. The time field sits above the vertex code
-// and holds the stamp's offset from the graph's earliest stamp — or, when
-// the graph spans 2³² cycles or more, the stamp's rank among its distinct
-// stamps, which keeps keys within 64 bits and leaves the order unchanged.
+// keyspace packs a graph's anchors, the DP's order set, into order keys:
+// uint64s whose numeric order is the (time, seq, stage) order every edge
+// runs forward in. The time field sits above the vertex code and holds the
+// stamp's offset from the earliest anchor stamp — or, when they span 2³²
+// cycles or more, the stamp's rank among its distinct stamps, which keeps
+// keys within 64 bits and leaves the order unchanged.
 // Distinct vertices have distinct keys, so every correct sort of them
 // yields the same sequence.
 type keyspace struct {
@@ -60,8 +61,8 @@ type keyspace struct {
 	max   uint64  // upper bound of every key
 }
 
-// newKeyspace sizes the key layout for a graph over nRecs instructions with
-// the listed vertices vs.
+// newKeyspace sizes the key layout for a graph over nRecs instructions
+// with the anchors vs.
 func newKeyspace(nRecs int, vs []stamped) keyspace {
 	k := keyspace{shift: uint(bits.Len(uint(nRecs-1))) + stageBits}
 	var span uint64
@@ -105,32 +106,42 @@ func (k *keyspace) time(key uint64) int64 {
 	return k.tmin + int64(key>>k.shift)
 }
 
-// virtualTargets picks one anchor's virtual-edge targets from the sorted
-// target keys tkeys, given the anchor's own order key ka. Rule 1's target,
-// r1, is the first one ordered after the anchor (len(tkeys) if none is).
-// Rule 2's, r2, is the one closest to the anchor in instruction sequence
-// among the scan targets from r1 on, the earliest on ties.
-func (k *keyspace) virtualTargets(tkeys []uint64, ka uint64, scan int) (r1, r2 int) {
-	lo, hi := 0, len(tkeys)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); tkeys[m] <= ka {
-			lo = m + 1
-		} else {
-			hi = m
+// virtualTargets filters the sorted anchor keys down to the virtual-edge
+// targets, the anchors starting a skewed edge, into tkeys, with their
+// sequence numbers in tseq for Rule 2. It records at every anchor v Rule
+// 1's target, rule1[v]: the index of the first target ordered after v
+// (len(tkeys) if none is), which is the count of targets ordered up to v
+// itself — so Rule 1 needs no search.
+func (b *buffers) virtualTargets(k *keyspace, keys []uint64, rule1 []int32) {
+	b.tkeys, b.tseq = resize(b.tkeys, len(keys))[:0], resize(b.tseq, len(keys))[:0]
+	for _, key := range keys {
+		c := k.code(key)
+		v := vertexOf(c)
+		if b.mark[v]&markStart != 0 {
+			b.tkeys = append(b.tkeys, key)
+			b.tseq = append(b.tseq, int32(c>>stageBits))
 		}
+		rule1[v] = int32(len(b.tkeys))
 	}
-	aseq := k.code(ka) >> stageBits
-	r2, best := lo, ^uint64(0)
-	for i := lo; i < min(lo+scan, len(tkeys)); i++ {
-		d := k.code(tkeys[i])>>stageBits - aseq
-		if int64(d) < 0 {
-			d = -d
-		}
+}
+
+// rule2 picks Rule 2's target for an anchor of instruction aseq whose Rule-1
+// target is r1: among the scan targets from r1 on, the one closest to the
+// anchor in instruction sequence, the earliest on ties — so the scan stops
+// at the first distance of zero.
+func rule2(tseq []int32, r1 int, aseq int32, scan int) int {
+	r2, best := r1, int32(math.MaxInt32)
+	for i, s := range tseq[r1:min(r1+scan, len(tseq))] {
+		d := s - aseq
+		d = (d ^ d>>31) - d>>31 // |d|, without a branch
 		if d < best {
-			r2, best = i, d
+			r2, best = r1+i, d
+		}
+		if best == 0 {
+			break
 		}
 	}
-	return lo, r2
+	return r2
 }
 
 // sortKeys fills the buffers' key slice with the order keys of vs,
@@ -176,37 +187,88 @@ func radixSort(keys, scratch []uint64, maxKey uint64) {
 }
 
 // longestPath is Algorithm 1's dynamic program: it visits the vertices in
-// topological order, fills the buffers' d/parent tables, and returns the
-// super-sink — the first vertex in that order with the maximum path cost —
-// and that cost. Vertices without predecessors start at cost zero (line 8
-// of the paper's pseudocode acts as a virtual super-source), and a vertex's
-// parent is its lowest-index in-edge achieving the maximum. The d/parent
-// tables need no reinitialisation: every listed vertex's entry is written
-// before any read.
+// a topological order, fills the buffers' d/parent tables, and returns the
+// super-sink and its path cost. Vertices without predecessors start at cost
+// zero (line 8 of the paper's pseudocode acts as a virtual super-source),
+// and a vertex's parent is its lowest-index in-edge achieving the maximum.
+// The d/parent tables need no reinitialisation: every listed vertex's last
+// entry is computed after its in-edge tails' last entries.
+//
+// The order visits the anchors in key order and walks every other listed
+// vertex along its instruction's chain: just before an anchor of its
+// instruction at a higher stage, or after the last anchor of all. Such a
+// vertex has one in-edge, the pipeline edge from its instruction's previous
+// present stage. A backward stamp can send an instruction's anchors out of
+// the sort in a different stage order; the cursor then moves back, and a
+// chain walked before the anchor below it is walked again after it
+// (DESIGN.md §19). The super-sink is the first vertex in (stamp, VertexID)
+// order with the maximum cost: the first anchor in key order reaching a
+// positive maximum, or else the earliest listed vertex.
 func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
 	if len(g.Edges) == 0 {
 		return 0, 0, fmt.Errorf("deg: graph has no edges")
 	}
 	b := g.b
-	b.d, b.parent = resize(b.d, len(b.mark)), resize(b.parent, len(b.mark))
-	d, parent := b.d, b.parent
-	cost = -1
-	for _, k := range b.sortKeys(&g.ks, b.verts) {
-		v := vertexOf(g.ks.code(k))
-		var dv int64
-		pe := int32(-1) // incoming edge index, -1 none
-		for _, ei := range b.inIdx[b.inOff[v]:b.inOff[v+1]] {
-			e := &g.Edges[ei]
-			if cand := d[e.From] + e.Cost; cand > dv || (cand == dv && pe < 0) {
-				dv, pe = cand, ei
+	b.d = resize(b.d, len(b.mark)) // the build sized parent
+	b.next = resize(b.next, len(b.mark)/pipetrace.NumStages)
+	clear(b.next)
+	mark, next := b.mark, b.next
+	sink = -1
+	for _, k := range b.keys {
+		c := g.ks.code(k)
+		seq, st := int(c>>stageBits), uint8(c&(1<<stageBits-1))
+		v0 := VertexID(seq * pipetrace.NumStages)
+		for s := next[seq]; s < st; s++ {
+			if mark[v0+VertexID(s)] == markListed { // listed, not an anchor
+				b.relax(v0 + VertexID(s))
 			}
 		}
-		d[v], parent[v] = dv, pe
-		if dv > cost {
-			sink, cost = v, dv
+		next[seq] = st + 1
+		if dv := b.relax(v0 + VertexID(st)); dv > cost {
+			sink, cost = v0+VertexID(st), dv
 		}
 	}
+	for seq, s := range next {
+		v0 := VertexID(seq * pipetrace.NumStages)
+		for ; int(s) < pipetrace.NumStages; s++ {
+			if mark[v0+VertexID(s)] == markListed { // listed, not an anchor
+				b.relax(v0 + VertexID(s))
+			}
+		}
+	}
+	if sink < 0 {
+		sink = g.earliest()
+	}
 	return sink, cost, nil
+}
+
+// relax sets vertex v's path cost and parent from its in-edges, whose tails
+// the DP has already visited, and returns the cost.
+func (b *buffers) relax(v VertexID) int64 {
+	var dv int64
+	pe := int32(-1) // incoming edge index, -1 none
+	for _, r := range b.in[b.inOff[v]:b.inOff[v+1]] {
+		if cand := b.d[r.from] + r.cost; cand > dv || (cand == dv && pe < 0) {
+			dv, pe = cand, r.edge
+		}
+	}
+	b.d[v], b.parent[v] = dv, pe
+	return dv
+}
+
+// earliest returns the listed vertex first in (stamp, VertexID) order: the
+// super-sink of a graph in which no path has a positive cost.
+func (g *Graph) earliest() VertexID {
+	best, bt := VertexID(-1), int64(0)
+	for v, m := range g.b.mark {
+		if m == 0 {
+			continue
+		}
+		if t := g.time(VertexID(v)); best < 0 || t < bt {
+			best, bt = VertexID(v), t
+		}
+	}
+	return best
 }
 
 // Construct runs Algorithm 1 (dynamic-programming longest path in

@@ -159,16 +159,17 @@ func TestOrderKeysMatchRefSort(t *testing.T) {
 }
 
 // TestVirtualTargetsMatchBruteForce checks the Rule-1/Rule-2 target choice
-// — a binary search over sorted order keys plus a bounded scan — against a
-// direct scan of every target on random anchor sets: Rule 1 picks the
-// first target after the anchor in (time, VertexID) order, Rule 2 the one
-// closest in instruction sequence among the next scan targets, the
+// — a count of targets along the sorted order set plus a bounded scan —
+// against a direct scan of every target on random anchor sets: Rule 1
+// picks the first target after the anchor in (time, VertexID) order, Rule 2
+// the one closest in instruction sequence among the next scan targets, the
 // earliest on ties.
 func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 	rng := xorshift(7)
 	for iter := 0; iter < 300; iter++ {
 		const nRecs = 64
 		span := []uint64{4, 100, 1 << 40}[iter%3]
+		b := buffers{mark: make([]uint8, nRecs*pipetrace.NumStages)}
 		var vs, targets []stamped
 		seen := make(map[uint64]bool)
 		for n := 1 + int(rng.next()%200); len(vs) < n; {
@@ -181,12 +182,16 @@ func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 			vs = append(vs, v)
 			if rng.next()%2 == 0 {
 				targets = append(targets, v)
+				b.mark[vertexOf(c)] = markStart
 			}
 		}
 		scan := 1 + int(rng.next()%8)
 		ks := newKeyspace(nRecs, vs)
-		var b buffers
-		tkeys := b.sortKeys(&ks, targets)
+		rule1 := make([]int32, len(b.mark))
+		b.virtualTargets(&ks, b.sortKeys(&ks, vs), rule1)
+		if len(b.tkeys) != len(targets) {
+			t.Fatalf("iter %d: %d targets, want %d", iter, len(b.tkeys), len(targets))
+		}
 
 		before := func(a, b stamped) bool {
 			return a.t < b.t || (a.t == b.t && vertexOf(a.code) < vertexOf(b.code))
@@ -199,9 +204,9 @@ func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 				}
 			}
 			sort.Slice(after, func(i, j int) bool { return before(after[i], after[j]) })
-			r1, r2 := ks.virtualTargets(tkeys, ks.key(a), scan)
+			r1 := int(rule1[vertexOf(a.code)])
 			if len(after) == 0 {
-				if r1 != len(tkeys) {
+				if r1 != len(b.tkeys) {
 					t.Fatalf("iter %d: anchor %+v has no later target, got r1=%d", iter, a, r1)
 				}
 				continue
@@ -216,10 +221,11 @@ func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 					want2 = c
 				}
 			}
-			if r1 == len(tkeys) {
+			if r1 == len(b.tkeys) {
 				t.Fatalf("iter %d: anchor %+v: no Rule-1 target, want %+v", iter, a, after[0])
 			}
-			got1, got2 := ks.code(tkeys[r1]), ks.code(tkeys[r2])
+			r2 := rule2(b.tseq, r1, int32(a.code>>stageBits), scan)
+			got1, got2 := ks.code(b.tkeys[r1]), ks.code(b.tkeys[r2])
 			if got1 != after[0].code || got2 != want2.code {
 				t.Fatalf("iter %d (scan %d): anchor %+v: targets %d/%d, want %d/%d", iter, scan, a,
 					vertexOf(got1), vertexOf(got2), vertexOf(after[0].code), vertexOf(want2.code))

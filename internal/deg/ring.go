@@ -14,7 +14,6 @@ import "archexplorer/internal/pipetrace"
 // The ring is driven from one goroutine; close must run before the traces
 // its windows read are released.
 type windowRing struct {
-	opts   Options
 	wa     *windowAccum
 	slots  []ringSlot
 	oldest int // window index of the oldest in-flight window
@@ -35,8 +34,8 @@ type ringSlot struct {
 	done              chan struct{} // one send per window, when the pure phase ends
 }
 
-func newWindowRing(opts Options, wa *windowAccum, workers int) *windowRing {
-	r := &windowRing{opts: opts, wa: wa, slots: make([]ringSlot, workers)}
+func newWindowRing(wa *windowAccum, workers int) *windowRing {
+	r := &windowRing{wa: wa, slots: make([]ringSlot, workers)}
 	for i := range r.slots {
 		r.slots[i].done = make(chan struct{}, 1)
 	}
@@ -97,9 +96,8 @@ func (r *windowRing) next() (*ringSlot, error) {
 func (r *windowRing) start(s *ringSlot) {
 	r.live++
 	s.res = windowResult{}
-	opts := r.opts
 	go func() {
-		s.err = analyzeWindowPure(s.tr, opts, s.base, s.end, s.lo, s.hi, s.b, &s.res)
+		s.err = analyzeWindowPure(s.tr, s.base, s.end, s.lo, s.hi, s.b, &s.res)
 		s.done <- struct{}{}
 	}()
 }

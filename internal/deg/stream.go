@@ -90,7 +90,7 @@ func NewStreamAnalyzer(opts WindowOptions) (*StreamAnalyzer, error) {
 		b:       bufPool.Get().(*buffers),
 	}
 	if opts.Workers > 1 {
-		s.ring = newWindowRing(opts.Options, &s.wa, opts.Workers)
+		s.ring = newWindowRing(&s.wa, opts.Workers)
 	}
 	return s, nil
 }
@@ -170,7 +170,7 @@ func (s *StreamAnalyzer) drain(final bool) error {
 			s.notePeak()
 		} else {
 			s.view.Records = s.buf
-			err = s.wa.analyzeWindow(&s.view, s.opts.Options,
+			err = s.wa.analyzeWindow(&s.view,
 				base-s.lowest, end-s.lowest, lo-s.lowest, hi-s.lowest, s.b)
 			s.view.Records = nil
 		}
@@ -229,7 +229,7 @@ func (s *StreamAnalyzer) Finish(cycles int64) (*Report, *WindowStats, error) {
 		// (sealing needs Window+overlap buffered records), so the buffer
 		// still holds the entire trace.
 		s.view.Records = s.buf
-		err = s.wa.analyzeWindow(&s.view, s.opts.Options, 0, s.seen, 0, s.seen, s.b)
+		err = s.wa.analyzeWindow(&s.view, 0, s.seen, 0, s.seen, s.b)
 		s.view.Records = nil
 	} else if err = s.drain(true); err == nil && s.ring != nil {
 		err = s.ring.drain()

@@ -134,40 +134,51 @@ func (s *WindowStats) Dropped() int { return s.DroppedNoStamp + s.DroppedBackwar
 // DP: every slice either would otherwise allocate. Build gives each graph
 // fresh buffers; windowed analyses reuse pooled ones window after window,
 // so they grow to the largest window seen. The mark array and the in-edge
-// offsets are cleared per build; the d/parent tables carry stale values by
-// design (longestPath writes every listed vertex's entry before reading
-// it).
+// offsets are cleared per build, the chain cursors per DP; the d/parent
+// tables carry stale values by design (longestPath computes every listed
+// vertex's last entry after its in-edge tails' last entries).
 type buffers struct {
 	// Graph build.
 	edges   []Edge
 	mark    []uint8   // per local VertexID: markListed|markStart|markEnd
-	verts   []stamped // the vertex list, in first-touch order
-	anchors []stamped // distinct skewed-edge endpoints, first-occurrence order
-	targets []stamped // distinct skewed-edge start vertices
-	inOff   []int32   // per VertexID: in-edges at inIdx[inOff[v]:inOff[v+1]]
-	inIdx   []int32   // edge indices grouped by head, in edge order
+	anchors []stamped // the order set: distinct skewed-edge endpoints, first-occurrence order
+	inOff   []int32   // per VertexID: in-edges at in[inOff[v]:inOff[v+1]]
+	in      []inEdge  // in-edge records grouped by head, in edge order
 
-	// Sorting (virtual-edge targets, then the topological order) and the
-	// critical-path DP.
+	// The anchors' keys, sorted by the build and read by the DP, their
+	// virtual-edge targets (the vertices starting a skewed edge) with their
+	// sequence numbers, then the critical-path DP and its per-instruction
+	// chain cursors.
 	keys, scratch []uint64
+	tkeys         []uint64
+	tseq          []int32
+	next          []uint8
 	d             []int64
 	parent        []int32
 }
 
+// inEdge is one in-edge of a vertex: its tail, its index in Graph.Edges,
+// and its DP cost, copied so that the DP reads one contiguous record.
+type inEdge struct {
+	from VertexID
+	edge int32
+	cost int64
+}
+
 var bufPool = sync.Pool{New: func() any { return new(buffers) }}
 
-// reset readies the buffers for a build over total vertex slots. The
-// vertex list gets room for every slot and the edge list for 12.5 edges
-// per instruction (the bundled workloads average 11.5), so a fresh build
-// allocates each about once instead of growing by repeated copies.
+// reset readies the buffers for a build over total vertex slots. The edge
+// list gets room for 12.5 edges per instruction (the bundled workloads
+// average 11.5) and the anchor list for 1.5 (they list 1.1–1.3), so a
+// fresh build allocates each about once instead of growing it by repeated
+// copies.
 func (b *buffers) reset(total int) {
 	b.mark = resize(b.mark, total)
 	clear(b.mark)
 	b.inOff = resize(b.inOff, total+2)
 	clear(b.inOff)
 	b.edges = slices.Grow(b.edges[:0], total+total/4)
-	b.verts = slices.Grow(b.verts[:0], total)
-	b.anchors, b.targets = b.anchors[:0], b.targets[:0]
+	b.anchors = slices.Grow(b.anchors[:0], total*3/20)
 }
 
 // resize returns s resized to n elements, reallocating only when its
@@ -229,7 +240,7 @@ func AnalyzeWindowed(tr *pipetrace.Trace, opts WindowOptions) (*Report, *WindowS
 
 	var wa windowAccum
 	if workers := opts.workerCount(nWin); workers > 1 {
-		ring := newWindowRing(opts.Options, &wa, workers)
+		ring := newWindowRing(&wa, workers)
 		defer ring.close()
 		for i := 0; i < nWin; i++ {
 			base, end, lo, hi := bounds(i)
@@ -245,7 +256,7 @@ func AnalyzeWindowed(tr *pipetrace.Trace, opts WindowOptions) (*Report, *WindowS
 		defer bufPool.Put(b)
 		for i := 0; i < nWin; i++ {
 			base, end, lo, hi := bounds(i)
-			if err := wa.analyzeWindow(tr, opts.Options, base, end, lo, hi, b); err != nil {
+			if err := wa.analyzeWindow(tr, base, end, lo, hi, b); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -287,9 +298,9 @@ type windowResult struct {
 // [lo, hi) — the window proper, excluding the context margins. It reads
 // the trace and writes only b and res, so distinct windows run
 // concurrently given distinct buffers and results.
-func analyzeWindowPure(tr *pipetrace.Trace, opts Options, base, end, lo, hi int, b *buffers, res *windowResult) error {
+func analyzeWindowPure(tr *pipetrace.Trace, base, end, lo, hi int, b *buffers, res *windowResult) error {
 	var g Graph
-	if err := buildInto(&g, tr, opts, base, end, b); err != nil {
+	if err := buildInto(&g, tr, base, end, b); err != nil {
 		return err
 	}
 	res.edges = g.NumEdges()
@@ -338,9 +349,9 @@ func (wa *windowAccum) fold(res *windowResult) {
 }
 
 // analyzeWindow is the sequential fusion of the pure phase and the fold.
-func (wa *windowAccum) analyzeWindow(tr *pipetrace.Trace, opts Options, base, end, lo, hi int, b *buffers) error {
+func (wa *windowAccum) analyzeWindow(tr *pipetrace.Trace, base, end, lo, hi int, b *buffers) error {
 	var res windowResult
-	if err := analyzeWindowPure(tr, opts, base, end, lo, hi, b, &res); err != nil {
+	if err := analyzeWindowPure(tr, base, end, lo, hi, b, &res); err != nil {
 		return err
 	}
 	wa.fold(&res)
