@@ -37,11 +37,14 @@ test:
 # cores cross goroutines through a sync.Pool, and one pass of a race test
 # only sees the interleavings that pass happened to run. The third repeats
 # the parallel windowed-DEG tests for the same reason: every window of a
-# parallel analysis crosses goroutines through the window ring.
+# parallel analysis crosses goroutines through the window ring. The fourth
+# repeats the stage-timeout tests: a timed-out attempt must be cancelled
+# and gone, with its storage released, whenever its deadline lands.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestRecycledCoresConcurrent$$' ./internal/ooo/
 	$(GO) test -race -count=5 -run 'TestParallel' ./internal/deg/
+	$(GO) test -race -count=10 -run 'TestStageTimeout|TestNoTraceLeakWithStageTimeouts|TestCancelStalledDEGStage|TestCancelTimedOutStream' ./internal/dse/
 
 cover:
 	@set -e; \

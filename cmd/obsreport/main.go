@@ -167,7 +167,12 @@ func printStages(w io.Writer, spans []*obs.EvalSpan) {
 		power += time.Duration(s.PowerNS)
 		deg += time.Duration(s.DEGNS)
 		degStream += time.Duration(s.DEGStreamNS)
-		insts += s.SimInsts
+		// Streamed evaluations carry their instructions with no sim time
+		// (it is in DEGStreamNS), so only timed sim stages count toward
+		// simulator throughput.
+		if s.SimNS > 0 {
+			insts += s.SimInsts
+		}
 		if s.Probe {
 			probes++
 		} else {

@@ -5,7 +5,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"archexplorer/internal/obs"
 )
@@ -102,5 +104,21 @@ func TestReportWithoutRecoveryEvents(t *testing.T) {
 	report(&buf, events, 2, 0)
 	if bytes.Contains(buf.Bytes(), []byte("recovery timeline")) {
 		t.Fatalf("clean run grew a recovery section:\n%s", buf.String())
+	}
+}
+
+// TestSimThroughputSkipsStreamedSpans: a streamed evaluation journals its
+// instructions with no sim time (its time is in deg_stream_ns), so the
+// simulator throughput line counts only the spans that timed a sim stage.
+func TestSimThroughputSkipsStreamedSpans(t *testing.T) {
+	spans := []*obs.EvalSpan{
+		{Span: 1, Probe: true, SimInsts: 1500, SimNS: int64(time.Millisecond)},
+		{Span: 2, SimInsts: 360, DEGStreamNS: int64(2 * time.Millisecond)},
+	}
+	var buf bytes.Buffer
+	printStages(&buf, spans)
+	want := "simulator throughput: 1500 insts in 1ms (1500000 insts/s)"
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("report lacks %q:\n%s", want, buf.String())
 	}
 }

@@ -202,7 +202,7 @@ func (r *Resilience) AddResilienceFlags(fs *flag.FlagSet) {
 	fs.IntVar(&r.Retries, "retries", fault.DefaultRetry.Max, "retries per evaluation stage for transient failures; 0 disables retrying")
 	fs.DurationVar(&r.RetryBase, "retry-base", fault.DefaultRetry.Base, "first retry backoff (doubles per attempt)")
 	fs.DurationVar(&r.RetryCap, "retry-cap", fault.DefaultRetry.Cap, "upper bound on the retry backoff")
-	fs.DurationVar(&r.StageTimeout, "stage-timeout", 0, "abandon and retry an evaluation stage after this long; 0 disables")
+	fs.DurationVar(&r.StageTimeout, "stage-timeout", 0, "cancel an evaluation stage attempt at its next cancellation point after this long, and retry it; 0 disables")
 	fs.BoolVar(&r.SkipFailures, "skip-failures", false, "degrade permanently failed evaluations to journaled skips instead of aborting")
 }
 

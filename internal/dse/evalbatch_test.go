@@ -112,7 +112,7 @@ func TestBatchPathsParallelParity(t *testing.T) {
 			if !reflect.DeepEqual(stages, want) {
 				t.Fatalf("journaled stage spans %v, want %v", stages, tc.stages)
 			}
-			waitPoolDrained(t, base)
+			checkPoolBalanced(t, base)
 		})
 	}
 }
@@ -175,7 +175,7 @@ func TestBatchSimFaults(t *testing.T) {
 			ev.SkipFailures = true
 			evals, err := ev.EvaluateBatch(pts, true)
 			tc.check(t, ev, evals, err)
-			waitPoolDrained(t, base)
+			checkPoolBalanced(t, base)
 		})
 	}
 }

@@ -6,6 +6,7 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -221,8 +222,11 @@ type Evaluator struct {
 	// a transient failure then surfaces like a permanent one.
 	Retry fault.Retry
 
-	// StageTimeout bounds each stage attempt; an attempt that exceeds it is
-	// abandoned and retried as a transient failure. 0 disables the bound.
+	// StageTimeout bounds each stage attempt: the attempt is cancelled at
+	// its next cancellation point (an injected stall, a streamed chunk) and
+	// retried as a transient failure. Buffered sim and DEG stages have no
+	// such point; they run to completion and keep their result. 0 disables
+	// the bound.
 	StageTimeout time.Duration
 
 	// SkipFailures degrades a permanently failed evaluation to a journaled
@@ -736,7 +740,7 @@ func (ev *Evaluator) compute(j *job, probe bool, leaf func(func())) {
 }
 
 // simOutcome bundles the simulate stage's products so the stage closure can
-// return them as one fresh value (see runStage's self-containment rule).
+// return them as one value.
 type simOutcome struct {
 	tr    *pipetrace.Trace
 	stats *ooo.Stats
@@ -756,9 +760,7 @@ type degOutcome struct {
 // simWorkload runs one (config, workload) simulation end to end: trace,
 // cycle-level core, power model, and (optionally) bottleneck analysis. Each
 // stage runs under the evaluator's resilience policy — fault injection,
-// timeout bounding, transient retries — via runStage; the stage closures
-// only read their inputs and return fresh values, so an abandoned (timed
-// out) attempt cannot race a retry.
+// timeout bounding, transient retries — via runStage, on this goroutine.
 func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen int, withDEG, probe bool) (r wlResult) {
 	// Streamed evaluations fuse simulation and analysis; probes need the
 	// materialized trace for warm-window IPC and calipers runs need it for
@@ -813,7 +815,7 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 
 	endStage := sp.begin("trace")
 	t0 := time.Now()
-	stream, err := runStage(sr, fault.SiteTrace, func() ([]isa.Inst, error) {
+	stream, err := runStage(sr, fault.SiteTrace, func(context.Context) ([]isa.Inst, error) {
 		return workload.CachedTrace(wl, traceLen)
 	})
 	r.times.Trace = time.Since(t0)
@@ -829,36 +831,32 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 
 	endStage = sp.begin("sim")
 	t0 = time.Now()
-	sim, err := runStageGuarded(sr, fault.SiteSim, nil,
-		// A timed-out attempt's late trace has no receiver; recycle it.
-		func(o simOutcome) { o.tr.Release() },
-		func() (simOutcome, error) {
-			core, err := ooo.New(cfg)
-			if err != nil {
-				return simOutcome{}, err
-			}
-			// The attempt owns its core, even when a timeout abandons it;
-			// the trace and Stats it returns do not share the core's storage.
-			defer core.Release()
-			// Probe-lite: without bottleneck analysis downstream, nothing reads
-			// the DEG annotations, so skip recording them. Stamps and Stats are
-			// bit-identical either way (pinned by ooo's parity tests).
-			var tr *pipetrace.Trace
-			var stats *ooo.Stats
-			if withDEG {
-				tr, stats, err = core.Run(stream)
-			} else {
-				tr, stats, err = core.RunLite(stream)
-			}
-			if err != nil {
-				return simOutcome{}, fmt.Errorf("dse: %s on %s: %w", wl.Name, cfg, err)
-			}
-			if len(tr.Records) == 0 {
-				tr.Release()
-				return simOutcome{}, fmt.Errorf("dse: %s on %s: simulation committed no instructions", wl.Name, cfg)
-			}
-			return simOutcome{tr: tr, stats: stats}, nil
-		})
+	sim, err := runStage(sr, fault.SiteSim, func(context.Context) (simOutcome, error) {
+		core, err := ooo.New(cfg)
+		if err != nil {
+			return simOutcome{}, err
+		}
+		// The trace and Stats the run returns do not share the core's storage.
+		defer core.Release()
+		// Probe-lite: without bottleneck analysis downstream, nothing reads
+		// the DEG annotations, so skip recording them. Stamps and Stats are
+		// bit-identical either way (pinned by ooo's parity tests).
+		var tr *pipetrace.Trace
+		var stats *ooo.Stats
+		if withDEG {
+			tr, stats, err = core.Run(stream)
+		} else {
+			tr, stats, err = core.RunLite(stream)
+		}
+		if err != nil {
+			return simOutcome{}, fmt.Errorf("dse: %s on %s: %w", wl.Name, cfg, err)
+		}
+		if len(tr.Records) == 0 {
+			tr.Release()
+			return simOutcome{}, fmt.Errorf("dse: %s on %s: simulation committed no instructions", wl.Name, cfg)
+		}
+		return simOutcome{tr: tr, stats: stats}, nil
+	})
 	r.times.Sim = time.Since(t0)
 	endStage(r.times.Sim)
 	if err != nil {
@@ -869,15 +867,13 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 	r.simInsts = int64(len(tr.Records))
 	// The trace is consumed entirely within this call (warm-window IPC and
 	// the DEG report aggregate; neither escapes holding record references),
-	// so its buffers recycle through the trace pool when this reference —
-	// the owner's — drops. Abandoned timed-out DEG attempts hold their own
-	// references (the stage's acquire hook), so this Release is always safe
-	// and no evaluation leaks its trace.
+	// and every stage attempt that reads it has returned by then, so its
+	// buffers recycle through the trace pool when this call returns.
 	defer tr.Release()
 
 	endStage = sp.begin("power")
 	t0 = time.Now()
-	pw, err := runStage(sr, fault.SitePower, func() (mcpat.Result, error) {
+	pw, err := runStage(sr, fault.SitePower, func(context.Context) (mcpat.Result, error) {
 		return mcpat.Evaluate(cfg, stats)
 	})
 	r.times.Power = time.Since(t0)
@@ -898,31 +894,25 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 	if withDEG {
 		endStage = sp.begin("deg")
 		t0 = time.Now()
-		dout, err := runStageGuarded(sr, fault.SiteDEG,
-			// Each attempt reads tr and may outlive this function when a
-			// timeout abandons it, so it pins the trace with its own
-			// reference, taken before the attempt starts.
-			func() func() { tr.Retain(); return tr.Release },
-			nil,
-			func() (degOutcome, error) {
-				if ev.UseCalipers {
-					rep, err := calipersReport(tr, cfg)
-					return degOutcome{rep: rep}, err
-				}
-				rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{
-					Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
-					ReorderWindow: cfg.ROBEntries,
-					Workers:       par.DefaultLimit(),
-				})
-				if err != nil {
-					return degOutcome{}, err
-				}
-				out := degOutcome{rep: rep, drops: int64(ws.Dropped())}
-				if ev.DEGWindow > 0 {
-					out.windows, out.peakEdges = ws.Windows, ws.PeakEdges
-				}
-				return out, nil
+		dout, err := runStage(sr, fault.SiteDEG, func(context.Context) (degOutcome, error) {
+			if ev.UseCalipers {
+				rep, err := calipersReport(tr, cfg)
+				return degOutcome{rep: rep}, err
+			}
+			rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{
+				Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
+				ReorderWindow: cfg.ROBEntries,
+				Workers:       par.DefaultLimit(),
 			})
+			if err != nil {
+				return degOutcome{}, err
+			}
+			out := degOutcome{rep: rep, drops: int64(ws.Dropped())}
+			if ev.DEGWindow > 0 {
+				out.windows, out.peakEdges = ws.Windows, ws.PeakEdges
+			}
+			return out, nil
+		})
 		r.times.DEG = time.Since(t0)
 		endStage(r.times.DEG)
 		if err != nil {
@@ -957,8 +947,8 @@ type streamOutcome struct {
 func (ev *Evaluator) simWorkloadStreamed(r wlResult, sp *stageSpans, sr *stageRunner, cfg uarch.Config, wl workload.Profile, stream []isa.Inst) wlResult {
 	endStage := sp.begin("deg_stream")
 	t0 := time.Now()
-	so, err := runStage(sr, fault.SiteDEGStream, func() (streamOutcome, error) {
-		return ev.runStreamed(cfg, wl, stream)
+	so, err := runStage(sr, fault.SiteDEGStream, func(ctx context.Context) (streamOutcome, error) {
+		return ev.runStreamed(ctx, cfg, wl, stream)
 	})
 	r.times.DEGStream = time.Since(t0)
 	endStage(r.times.DEGStream)
@@ -974,7 +964,7 @@ func (ev *Evaluator) simWorkloadStreamed(r wlResult, sp *stageSpans, sr *stageRu
 
 	endStage = sp.begin("power")
 	t0 = time.Now()
-	pw, err := runStage(sr, fault.SitePower, func() (mcpat.Result, error) {
+	pw, err := runStage(sr, fault.SitePower, func(context.Context) (mcpat.Result, error) {
 		return mcpat.Evaluate(cfg, so.stats)
 	})
 	r.times.Power = time.Since(t0)
@@ -994,8 +984,9 @@ func (ev *Evaluator) simWorkloadStreamed(r wlResult, sp *stageSpans, sr *stageRu
 // feeds them to the stream analyzer, which analyzes each window the moment
 // its forward margin is buffered and evicts records no later window can
 // reach. An analyzer error aborts the simulation at the next chunk instead
-// of draining the whole workload into a dead consumer.
-func (ev *Evaluator) runStreamed(cfg uarch.Config, wl workload.Profile, stream []isa.Inst) (streamOutcome, error) {
+// of draining the whole workload into a dead consumer, and so does ctx
+// ending (the stage timeout).
+func (ev *Evaluator) runStreamed(ctx context.Context, cfg uarch.Config, wl workload.Profile, stream []isa.Inst) (streamOutcome, error) {
 	sa, err := deg.NewStreamAnalyzer(deg.WindowOptions{
 		Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
 		ReorderWindow: cfg.ROBEntries,
@@ -1024,6 +1015,10 @@ func (ev *Evaluator) runStreamed(cfg uarch.Config, wl workload.Profile, stream [
 		}
 	}()
 	stats, simErr := core.RunStream(stream, ooo.DefaultChunkSize, func(c *pipetrace.Chunk) error {
+		if err := ctx.Err(); err != nil {
+			c.Release()
+			return err
+		}
 		select {
 		case ch <- c:
 			return nil

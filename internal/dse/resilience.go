@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -36,32 +37,14 @@ type stageRunner struct {
 }
 
 // runStage executes one pipeline stage with fault injection, timeout, and
-// transient-failure retries. fn must be self-contained: a timed-out
-// attempt's goroutine is abandoned and may still be running, so fn only
-// reads its inputs and returns fresh values (it never writes captured
-// state).
-func runStage[T any](sr *stageRunner, site string, fn func() (T, error)) (T, error) {
-	return runStageGuarded(sr, site, nil, nil, fn)
-}
-
-// runStageGuarded is runStage for stages whose attempts touch refcounted
-// state the caller releases after the stage returns, or produce values that
-// own pooled storage.
-//
-// acquire (optional) takes a reference on the stage's shared input — it
-// runs on the calling goroutine before each attempt can be abandoned, while
-// the caller's own reference is still live — and the returned release runs
-// when the attempt finishes, even if a timeout abandoned it long before.
-// Without it, the caller's deferred Release would recycle the input under a
-// still-running abandoned attempt.
-//
-// discard (optional) disposes of a successful attempt's value when nobody
-// will receive it — the attempt timed out and its late result would
-// otherwise strand whatever pooled storage it owns.
-func runStageGuarded[T any](sr *stageRunner, site string, acquire func() func(), discard func(T), fn func() (T, error)) (T, error) {
+// transient-failure retries. Each attempt runs fn on the calling goroutine
+// under a context that ends at the stage timeout; fn stops at its next
+// cancellation point, so no attempt outlives runStage and whatever pooled
+// storage it holds comes back on its normal return path.
+func runStage[T any](sr *stageRunner, site string, fn func(context.Context) (T, error)) (T, error) {
 	var zero T
 	for attempt := 1; ; attempt++ {
-		v, err := attemptStage(sr, site, acquire, discard, fn)
+		v, err := attemptStage(sr, site, fn)
 		if err == nil {
 			return v, nil
 		}
@@ -88,63 +71,28 @@ func runStageGuarded[T any](sr *stageRunner, site string, acquire func() func(),
 }
 
 // attemptStage runs one attempt: the injected fault (if scheduled) fires
-// first, standing in for the stage crashing; otherwise fn runs, bounded by
-// the evaluator's stage timeout. A timed-out attempt returns a transient
-// TimeoutError and abandons the attempt goroutine to finish in the
-// background — its result is discarded via the buffered channel.
-func attemptStage[T any](sr *stageRunner, site string, acquire func() func(), discard func(T), fn func() (T, error)) (T, error) {
-	work := func() (T, error) {
-		if err := sr.ev.Faults.Hit(site); err != nil {
-			var zero T
-			return zero, err
-		}
-		return fn()
+// first, standing in for the stage crashing; otherwise fn runs. Both see a
+// context that ends at the evaluator's stage timeout (none when it is 0).
+// An attempt that stops because the deadline passed returns a transient
+// TimeoutError; one that finishes after it, with no cancellation point on
+// its way, keeps its result.
+func attemptStage[T any](sr *stageRunner, site string, fn func(context.Context) (T, error)) (T, error) {
+	ctx := context.Background()
+	if timeout := sr.ev.StageTimeout; timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	timeout := sr.ev.StageTimeout
-	if timeout <= 0 {
-		// Inline attempt: nothing is abandoned, so the caller's own
-		// references cover the whole run and a guard would be redundant —
-		// but acquiring keeps the refcount discipline identical in both
-		// modes, so lifecycle tests exercise the same paths.
-		if acquire != nil {
-			defer acquire()()
-		}
-		return work()
+	err := sr.ev.Faults.Hit(ctx, site)
+	var v T
+	if err == nil {
+		v, err = fn(ctx)
 	}
-	type result struct {
-		v   T
-		err error
-	}
-	var release func()
-	if acquire != nil {
-		release = acquire()
-	}
-	done := make(chan result, 1)
-	go func() {
-		if release != nil {
-			defer release()
-		}
-		v, err := work()
-		done <- result{v, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r.v, r.err
-	case <-timer.C:
+	if errors.Is(err, context.DeadlineExceeded) {
+		// The streamed stage wraps its error, hence errors.Is.
 		sr.ev.Obs.Counter(obs.MetricTimeouts).Inc()
-		if discard != nil {
-			// The abandoned attempt may still complete; drain its late
-			// result so any pooled storage it owns is returned rather than
-			// stranded.
-			go func() {
-				if r := <-done; r.err == nil {
-					discard(r.v)
-				}
-			}()
-		}
 		var zero T
-		return zero, &fault.TimeoutError{Site: site, After: timeout}
+		return zero, &fault.TimeoutError{Site: site, After: sr.ev.StageTimeout}
 	}
+	return v, err
 }

@@ -2,7 +2,9 @@ package dse
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"archexplorer/internal/obs"
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
+	"archexplorer/internal/workload"
 )
 
 // TestEvaluatorStreamedParity pins the tentpole at the evaluator level: a
@@ -198,27 +201,52 @@ func tracePoolLive() int64 {
 	return st.Gets - st.Puts
 }
 
-// waitPoolDrained polls until every pool-owned trace above base is released
-// — abandoned timed-out attempts release asynchronously — or fails the test.
-func waitPoolDrained(t *testing.T, base int64) {
+// checkPoolBalanced fails the test unless every pool-owned trace taken
+// since base has been released. Releases are synchronous — no stage attempt
+// outlives the call that ran it — so the check needs no wait.
+func checkPoolBalanced(t *testing.T, base int64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		// Stragglers from earlier tests can release below the baseline;
-		// only a positive residue is a leak.
-		leaked := tracePoolLive() - base
-		if leaked <= 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d traces leaked (never released back to the pool)", leaked)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if leaked := tracePoolLive() - base; leaked != 0 {
+		t.Fatalf("%d traces live after the call returned (want 0)", leaked)
 	}
 }
 
-// TestNoTraceLeakWithStageTimeouts is the satellite-1 regression test: with
-// stage timeouts enabled, every evaluation still releases its trace.
+// checkGoroutines fails the test unless the goroutine count is back at
+// base. A goroutine that has already signalled its waiter (wg.Done, a
+// closed channel) may still be on its way out, so this allows 50 ms for
+// such exits: far below the hundreds of milliseconds an attempt left
+// running past its timeout would stay alive.
+func checkGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after the call returned (want %d)", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stalledDEGEvaluator is a sequential evaluator whose first DEG attempt
+// stalls 1 s under a 250 ms stage timeout. The timeout bounds every stage
+// attempt, including the retry, so it leaves the real work (well under
+// 50 ms each, unloaded) headroom for a loaded -race run while staying far
+// below the injected stall.
+func stalledDEGEvaluator() *Evaluator {
+	ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
+	ev.Parallelism = 1
+	ev.StageTimeout = 250 * time.Millisecond
+	ev.Retry = noSleepRetry
+	ev.Faults = fault.MustPlan(fault.Injection{
+		Site: fault.SiteDEG, Nth: 1, Count: 1, Class: fault.Transient,
+		Delay: time.Second,
+	})
+	ev.Obs = obs.New()
+	return ev
+}
+
+// TestNoTraceLeakWithStageTimeouts: with stage timeouts enabled, every
+// evaluation has released its trace by the time Evaluate returns.
 // Previously the evaluator skipped tr.Release() whenever StageTimeout != 0 —
 // every (config, workload) run leaked its records and arenas for the life
 // of the campaign.
@@ -233,76 +261,89 @@ func TestNoTraceLeakWithStageTimeouts(t *testing.T) {
 	if _, err := ev.Evaluate(ev.Space.Nearest(uarch.Baseline()), true); err != nil {
 		t.Fatal(err)
 	}
-	waitPoolDrained(t, base)
+	checkPoolBalanced(t, base)
 
-	// A DEG attempt that times out (injected stall) and is abandoned: the
-	// abandoned reader holds its own reference, the retry succeeds, and
-	// once the straggler finishes the pool is balanced again. The timeout
-	// bounds every stage attempt, including the retry, so it leaves the
-	// real work (well under 50 ms each, unloaded) headroom for a loaded
-	// -race run while staying far below the injected stall.
-	plan := fault.MustPlan(fault.Injection{
-		Site: fault.SiteDEG, Nth: 1, Count: 1, Class: fault.Transient,
-		Delay: time.Second,
-	})
-	ev2 := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
-	ev2.Parallelism = 1
-	ev2.StageTimeout = 250 * time.Millisecond
-	ev2.Retry = noSleepRetry
-	ev2.Faults = plan
-	ev2.Obs = obs.New()
+	// A DEG attempt that times out (injected stall) is cancelled mid-stall
+	// and the retry succeeds; the stall ends with the attempt, so nothing
+	// still reads the trace when Evaluate returns and the pool is balanced
+	// at once.
+	ev2 := stalledDEGEvaluator()
 	e, err := ev2.Evaluate(ev2.Space.Nearest(uarch.Baseline()), true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPoolBalanced(t, base)
 	if e.Report == nil {
 		t.Fatal("retried evaluation lost its report")
 	}
 	if got := ev2.Obs.Counter(obs.MetricTimeouts).Value(); got == 0 {
 		t.Fatal("injected stall did not trip the stage timeout")
 	}
-	waitPoolDrained(t, base)
 }
 
-// TestGuardedStageDiscardsLateResult exercises the abandoned-attempt drain
-// directly: a stage that times out but eventually succeeds hands its pooled
-// result to the discard hook instead of stranding it.
-func TestGuardedStageDiscardsLateResult(t *testing.T) {
-	base := tracePoolLive()
-	ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1000)
-	ev.StageTimeout = 20 * time.Millisecond
-	sr := &stageRunner{ev: ev, workload: "synthetic"}
-
-	_, err := runStageGuarded(sr, fault.SiteSim, nil,
-		func(tr *pipetrace.Trace) { tr.Release() },
-		func() (*pipetrace.Trace, error) {
-			tr := pipetrace.GetTrace(16)
-			time.Sleep(100 * time.Millisecond) // outlive the timeout
-			return tr, nil
-		})
-	if _, ok := err.(*fault.TimeoutError); !ok {
-		t.Fatalf("err = %v, want timeout", err)
+// TestCancelStalledDEGStage: a DEG attempt stalled past the stage timeout
+// is cancelled, not abandoned — the evaluation succeeds on the retry,
+// journals exactly one timeout retry, and leaves no goroutine behind and
+// no trace unreleased when Evaluate returns.
+func TestCancelStalledDEGStage(t *testing.T) {
+	ev := stalledDEGEvaluator()
+	var buf bytes.Buffer
+	ev.Obs.SetJournalWriter(&buf)
+	pt := ev.Space.Nearest(uarch.Baseline())
+	goroutines, traces := runtime.NumGoroutine(), tracePoolLive()
+	if _, err := ev.Evaluate(pt, true); err != nil {
+		t.Fatal(err)
 	}
-	waitPoolDrained(t, base)
-}
+	checkGoroutines(t, goroutines)
+	checkPoolBalanced(t, traces)
 
-// TestGuardedStageAcquireRelease: the acquire hook pins shared state for
-// exactly the attempt's lifetime, on both the inline and the timed path.
-func TestGuardedStageAcquireRelease(t *testing.T) {
-	base := tracePoolLive()
-	for _, timeout := range []time.Duration{0, time.Minute} {
-		ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1000)
-		ev.StageTimeout = timeout
-		sr := &stageRunner{ev: ev, workload: "synthetic"}
-		tr := pipetrace.GetTrace(16)
-		v, err := runStageGuarded(sr, fault.SiteDEG,
-			func() func() { tr.Retain(); return tr.Release },
-			nil,
-			func() (int, error) { return 7, nil })
-		if err != nil || v != 7 {
-			t.Fatalf("timeout %v: got (%d, %v)", timeout, v, err)
+	if err := ev.Obs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeouts := 0
+	for _, e := range events {
+		if f, ok := e.(*obs.FaultEvent); ok && f.Action == "retry" && f.Class == "timeout" {
+			if f.Site != fault.SiteDEG {
+				t.Fatalf("timeout retry at %q, want %q", f.Site, fault.SiteDEG)
+			}
+			timeouts++
 		}
-		tr.Release() // the owner's reference; the attempt's is already gone
-		waitPoolDrained(t, base)
 	}
+	if timeouts != 1 {
+		t.Fatalf("journaled %d timeout retries, want 1", timeouts)
+	}
+}
+
+// TestCancelTimedOutStream: a streamed evaluation that runs past its stage
+// timeout stops at the next chunk and fails with a TimeoutError; the
+// simulator, the chunk consumer and the window ring are all gone, and
+// every window trace is back in the pool, by the time Evaluate returns.
+func TestCancelTimedOutStream(t *testing.T) {
+	const n = 200000
+	suite := workload.Suite17()[:1]
+	// A warm trace cache puts the whole 10 ms in the deg_stream stage.
+	if _, err := workload.CachedTrace(suite[0], n); err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(uarch.StandardSpace(), suite, n)
+	ev.Parallelism = 1
+	ev.DEGWindow = 2000
+	ev.DEGStream = true
+	ev.StageTimeout = 10 * time.Millisecond
+	pt := ev.Space.Nearest(uarch.Baseline())
+	goroutines, traces := runtime.NumGoroutine(), tracePoolLive()
+	_, err := ev.Evaluate(pt, true)
+	var te *fault.TimeoutError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want a *fault.TimeoutError", err)
+	}
+	if te.Site != fault.SiteDEGStream {
+		t.Fatalf("timeout at %q, want %q", te.Site, fault.SiteDEGStream)
+	}
+	checkGoroutines(t, goroutines)
+	checkPoolBalanced(t, traces)
 }

@@ -19,6 +19,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -116,8 +117,8 @@ func (e *Error) Error() string {
 }
 
 // TimeoutError is a stage attempt that exceeded the evaluator's stage
-// timeout. Timeouts are transient by definition: the attempt is abandoned
-// and retried.
+// timeout. Timeouts are transient by definition: the attempt is cancelled
+// at its next cancellation point and retried.
 type TimeoutError struct {
 	Site  string
 	After time.Duration
@@ -210,8 +211,10 @@ func MustPlan(inj ...Injection) *Plan {
 
 // Hit records one arrival at a site and returns the scheduled failure, if
 // any. Matching injections first serve their Delay (the hung-stage stall),
-// then fail. Safe for concurrent use; nil-safe.
-func (p *Plan) Hit(site string) error {
+// then fail; a ctx that ends first cuts the stall short and Hit returns
+// ctx.Err() instead. The hit counts either way, so schedules stay
+// deterministic. Safe for concurrent use; nil-safe.
+func (p *Plan) Hit(ctx context.Context, site string) error {
 	if p == nil {
 		return nil
 	}
@@ -230,7 +233,13 @@ func (p *Plan) Hit(site string) error {
 		return nil
 	}
 	if fired.Delay > 0 {
-		time.Sleep(fired.Delay)
+		stall := time.NewTimer(fired.Delay)
+		defer stall.Stop()
+		select {
+		case <-stall.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	return &Error{Site: site, Hit: hit, Class: fired.Class}
 }

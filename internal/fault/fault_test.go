@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -58,7 +59,7 @@ func TestPlanSchedule(t *testing.T) {
 	)
 	// sim fails exactly on its 3rd hit.
 	for i := 1; i <= 5; i++ {
-		err := p.Hit(SiteSim)
+		err := p.Hit(context.Background(), SiteSim)
 		if (i == 3) != (err != nil) {
 			t.Fatalf("sim hit %d: err=%v", i, err)
 		}
@@ -75,7 +76,7 @@ func TestPlanSchedule(t *testing.T) {
 	// power fails on hits 2 and 3 (Count 2).
 	var powerErrs int
 	for i := 1; i <= 4; i++ {
-		if err := p.Hit(SitePower); err != nil {
+		if err := p.Hit(context.Background(), SitePower); err != nil {
 			powerErrs++
 			if !errors.Is(err, err) || Classify(err) != Permanent {
 				t.Fatalf("power hit %d misclassified: %v", i, err)
@@ -94,7 +95,7 @@ func TestPlanSchedule(t *testing.T) {
 func TestPlanDelayStalls(t *testing.T) {
 	p := MustPlan(Injection{Site: SiteTrace, Nth: 1, Class: Transient, Delay: 30 * time.Millisecond})
 	start := time.Now()
-	if err := p.Hit(SiteTrace); err == nil {
+	if err := p.Hit(context.Background(), SiteTrace); err == nil {
 		t.Fatal("expected injected failure")
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
@@ -102,9 +103,38 @@ func TestPlanDelayStalls(t *testing.T) {
 	}
 }
 
+// TestPlanDelayCancelled: a context that ends mid-stall cuts the stall
+// short with ctx.Err(), and the hit still counts, so the next hit fires
+// exactly as scheduled.
+func TestPlanDelayCancelled(t *testing.T) {
+	p := MustPlan(Injection{Site: SiteDEG, Nth: 1, Count: 2, Class: Transient, Delay: 10 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := p.Hit(ctx, SiteDEG); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled stall returned %v, want %v", err, context.DeadlineExceeded)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled stall still ran %v", d)
+	}
+	if p.Hits(SiteDEG) != 1 {
+		t.Fatalf("cancelled hit not counted: %d", p.Hits(SiteDEG))
+	}
+	// Hit 2 is still scheduled; a context that is already done stops its
+	// stall before it starts, and the injection stays unfired.
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	if err := p.Hit(done, SiteDEG); !errors.Is(err, context.Canceled) {
+		t.Fatalf("hit 2 under a done context returned %v", err)
+	}
+	if err := p.Hit(ctx, SiteDEG); err != nil || p.Hits(SiteDEG) != 3 {
+		t.Fatalf("hit 3 past the schedule: err=%v hits=%d", err, p.Hits(SiteDEG))
+	}
+}
+
 func TestNilPlanInert(t *testing.T) {
 	var p *Plan
-	if err := p.Hit(SiteSim); err != nil {
+	if err := p.Hit(context.Background(), SiteSim); err != nil {
 		t.Fatal("nil plan injected")
 	}
 	if p.Hits(SiteSim) != 0 {
@@ -125,7 +155,7 @@ func TestPlanConcurrentHits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if err := p.Hit(SiteSim); err != nil {
+				if err := p.Hit(context.Background(), SiteSim); err != nil {
 					mu.Lock()
 					fired++
 					mu.Unlock()

@@ -39,7 +39,7 @@ const (
 	MetricHypervolume   = "archx_hypervolume"          // running Pareto hypervolume (gauge)
 	MetricCampaignsDone = "archx_campaigns_done_total" // finished grid cells in an experiment fan-out
 	MetricRetries       = "archx_retries_total"        // transient stage failures retried
-	MetricTimeouts      = "archx_stage_timeouts_total" // stage attempts abandoned at the timeout
+	MetricTimeouts      = "archx_stage_timeouts_total" // stage attempts cancelled at the timeout
 	MetricEvalSkips     = "archx_eval_skips_total"     // permanently failed evaluations degraded to skips
 	MetricCheckpoints   = "archx_checkpoints_total"    // campaign snapshots written
 	MetricStageTrace    = "archx_stage_trace_seconds"  // histograms: per-stage worker latency

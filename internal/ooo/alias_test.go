@@ -22,15 +22,15 @@ func aliasConfigs() []uarch.Config {
 	return []uarch.Config{uarch.Baseline(), tightConfig(), wide, narrow}
 }
 
-// TestRunNoTraceAliasing extends the Retain/Release contract to traces that
-// are live at the same time, the way the evaluator holds one per in-flight
+// TestRunNoTraceAliasing extends the GetTrace/Release contract to traces
+// that are live at the same time, the way the evaluator holds one per in-flight
 // (config, workload) job: runs of different configs over one shared stream
 // return pairwise distinct traces with distinct record storage, no run
 // writes into another's live trace, and recycling the traces between
 // rounds — in alternating order, so configs draw each other's storage —
 // leaves every fingerprint unchanged. (The double-Release pin for the
 // underlying bug class lives with the pool: pipetrace's
-// TestReleaseBeyondZeroPanics.)
+// TestTraceReleaseTwicePanics.)
 func TestRunNoTraceAliasing(t *testing.T) {
 	cfgs := aliasConfigs()
 	seedPinned := map[int]string{0: "baseline", 1: "tight"} // cfgs index -> seedFingerprints key

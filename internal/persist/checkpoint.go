@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -81,7 +82,7 @@ func AttachCheckpoint(ev *dse.Evaluator, opts CheckpointOptions) error {
 // site, retrying transient injections like any other stage.
 func saveWithFaults(c *Campaign, opts CheckpointOptions) error {
 	for attempt := 1; ; attempt++ {
-		err := opts.Faults.Hit(fault.SitePersistWrite)
+		err := opts.Faults.Hit(context.Background(), fault.SitePersistWrite)
 		if err == nil {
 			err = c.Save(opts.Path)
 		}
@@ -104,7 +105,7 @@ func saveWithFaults(c *Campaign, opts CheckpointOptions) error {
 func resumeFrom(ev *dse.Evaluator, opts CheckpointOptions) error {
 	var c *Campaign
 	for attempt := 1; ; attempt++ {
-		err := opts.Faults.Hit(fault.SitePersistRead)
+		err := opts.Faults.Hit(context.Background(), fault.SitePersistRead)
 		if err == nil {
 			c, err = Load(opts.Path)
 		}

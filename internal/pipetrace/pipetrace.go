@@ -197,14 +197,11 @@ type Trace struct {
 	// as long as the records that point into it.
 	Arena
 
-	// refs counts the owners that may still read this trace; see Retain.
-	// A plain int32 driven by sync/atomic functions (not atomic.Int32) so
-	// value copies of ad-hoc traces keep working; pooled traces are never
-	// copied. pooled marks traces that came from GetTrace: only those are
-	// refcounted and recycled — a zero-valued &Trace{} resets on Release
-	// but never enters the pool.
-	refs   int32
-	pooled bool
+	// pooled marks traces that came from GetTrace: only those are
+	// recycled — a zero-valued &Trace{} resets on Release but never enters
+	// the pool. released marks a pooled trace its one owner has handed
+	// back; see Release.
+	pooled, released bool
 }
 
 // Span returns the wall-clock interval the trace covers: last commit minus

@@ -13,38 +13,27 @@ import (
 var tracePool sync.Pool
 
 // PoolStats counts trace-pool traffic. The counters exist so tests can
-// assert lifecycle invariants — every acquired trace is eventually
-// released even when stage timeouts abandon readers — without poking at
-// sync.Pool internals; they are three atomic adds per simulator run, far
-// off the per-record hot path.
+// assert lifecycle invariants — every acquired trace is released by the
+// time its owner returns, stage timeouts included — without poking at
+// sync.Pool internals; they are two atomic adds per simulator run, far off
+// the per-record hot path.
 type PoolStats struct {
-	// Gets counts GetTrace calls; Puts counts traces actually returned to
-	// the pool by the final Release. Gets - Puts is the number of live
-	// (pool-owned, unreleased) traces.
+	// Gets counts GetTrace calls; Puts counts traces returned to the pool
+	// by Release. Gets - Puts is the number of live (pool-owned,
+	// unreleased) traces.
 	Gets, Puts int64
-	// Retains counts Retain calls (extra references taken on live traces).
-	Retains int64
 }
 
-var poolGets, poolPuts, poolRetains atomic.Int64
+var poolGets, poolPuts atomic.Int64
 
 // TracePoolStats returns a snapshot of the pool counters.
 func TracePoolStats() PoolStats {
-	return PoolStats{
-		Gets:    poolGets.Load(),
-		Puts:    poolPuts.Load(),
-		Retains: poolRetains.Load(),
-	}
+	return PoolStats{Gets: poolGets.Load(), Puts: poolPuts.Load()}
 }
 
 // GetTrace returns an empty trace whose record storage can hold at least
 // capacity records without growing, reusing a released trace when one is
-// available. The trace starts with one reference — the caller's ownership.
-// Callers that finish with the trace hand it back with Release; code that
-// needs the trace to outlive the owner (an abandoned timed-out analysis
-// attempt, a concurrent reader) takes its own reference with Retain and
-// pairs it with Release, and the storage recycles when the last reference
-// drops.
+// available. The caller owns the trace and hands it back with Release.
 func GetTrace(capacity int) *Trace {
 	poolGets.Add(1)
 	if v := tracePool.Get(); v != nil {
@@ -52,62 +41,35 @@ func GetTrace(capacity int) *Trace {
 		if cap(t.Records) < capacity {
 			t.Records = make([]Record, 0, capacity)
 		}
-		atomic.StoreInt32(&t.refs, 1)
-		t.pooled = true
+		t.released = false
 		return t
 	}
-	t := &Trace{Records: make([]Record, 0, capacity), refs: 1, pooled: true}
-	return t
+	return &Trace{Records: make([]Record, 0, capacity), pooled: true}
 }
 
-// Retain takes an additional reference on the trace, keeping its storage
-// out of the pool until a matching Release. It must be called while the
-// caller already holds a live reference (taking a reference on a trace
-// whose last Release already ran is a use-after-free). Nil-safe.
-func (t *Trace) Retain() {
-	if t == nil {
-		return
-	}
-	poolRetains.Add(1)
-	atomic.AddInt32(&t.refs, 1)
-}
-
-// Release drops one reference; the last Release resets the trace and
-// returns its storage to the pool. The dropping caller must not touch the
-// trace — or any Record or annotation slice obtained from it — after
-// Release: once the final reference drops, the next GetTrace may hand the
-// same backing storage to a concurrent simulation.
+// Release resets the trace and returns its storage to the pool. The
+// caller must not touch the trace — or any Record or annotation slice
+// obtained from it — afterwards: the next GetTrace may hand the same
+// backing storage to a concurrent simulation. Releasing a pooled trace
+// twice panics: a second Put would let two later GetTrace calls hand the
+// SAME *Trace to two concurrent simulations, so the violation must be
+// loud, not a latent cross-config aliasing bug. Nil-safe.
 //
-// Traces constructed directly (&Trace{}, not via GetTrace) carry no pool
-// reference; Release resets them without pooling, preserving the old
-// contract for such one-off traces.
+// Traces constructed directly (&Trace{}, not via GetTrace) never enter the
+// pool; Release only resets them.
 func (t *Trace) Release() {
 	if t == nil {
 		return
 	}
-	if t.pooled {
-		switch refs := atomic.AddInt32(&t.refs, -1); {
-		case refs > 0:
-			return
-		case refs < 0:
-			// A Release beyond the last reference used to fall through and
-			// Put the trace a second time, so two later GetTrace calls could
-			// hand out the SAME *Trace to two concurrent simulations — in
-			// batch mode, one lane silently writing another lane's records.
-			// The refcount contract is load-bearing; violating it must be
-			// loud, not a latent cross-config aliasing bug. (pooled stays
-			// set across the pool round-trip exactly so this over-release
-			// lands here instead of silently resetting someone's trace.)
-			panic("pipetrace: Trace released more times than retained")
-		}
-		t.Records = t.Records[:0]
-		t.Cycles = 0
-		t.Arena.reset()
-		poolPuts.Add(1)
-		tracePool.Put(t)
-		return
+	if t.pooled && t.released {
+		panic("pipetrace: Trace released twice")
 	}
 	t.Records = t.Records[:0]
 	t.Cycles = 0
 	t.Arena.reset()
+	if t.pooled {
+		t.released = true
+		poolPuts.Add(1)
+		tracePool.Put(t)
+	}
 }
