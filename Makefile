@@ -39,12 +39,16 @@ test:
 # the parallel windowed-DEG tests for the same reason: every window of a
 # parallel analysis crosses goroutines through the window ring. The fourth
 # repeats the stage-timeout tests: a timed-out attempt must be cancelled
-# and gone, with its storage released, whenever its deadline lands.
+# and gone, with its storage released, whenever its deadline lands. The
+# fifth repeats the streamed-evaluation tests: every streamed evaluation
+# drives its window ring from the simulating goroutine, inside the
+# evaluator's workload fan-out.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestRecycledCoresConcurrent$$' ./internal/ooo/
 	$(GO) test -race -count=5 -run 'TestParallel' ./internal/deg/
 	$(GO) test -race -count=10 -run 'TestStageTimeout|TestNoTraceLeakWithStageTimeouts|TestCancelStalledDEGStage|TestCancelTimedOutStream' ./internal/dse/
+	$(GO) test -race -count=5 -run 'TestEvaluatorStreamed|TestEvaluatorDEGWorkersDeterminism' ./internal/dse/
 
 cover:
 	@set -e; \

@@ -69,7 +69,7 @@ func TestBatchPathsParallelParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := tracePoolLive()
+			base := poolLive()
 			pts := batchPoints(21, 6)
 			run := func(parallelism int) (*Evaluator, []*Evaluation, []spanShape) {
 				ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1000)
@@ -170,7 +170,7 @@ func TestBatchSimFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := tracePoolLive()
+			base := poolLive()
 			ev := faultEvaluator(t, fault.MustPlan(tc.inj))
 			ev.SkipFailures = true
 			evals, err := ev.EvaluateBatch(pts, true)

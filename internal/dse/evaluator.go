@@ -92,9 +92,10 @@ type Evaluation struct {
 
 	// DEGWindows and DEGPeakEdges summarize windowed bottleneck analysis
 	// across the suite: total windows analyzed and the largest
-	// single-window graph. Both stay zero on whole-trace runs. DEGDrops
-	// counts defensively dropped DEG edges in either mode — nonzero means
-	// the simulator emitted a corrupt trace.
+	// single-window graph. Both stay zero on whole-trace runs (DEGWindow
+	// 0), streamed or buffered. DEGDrops counts defensively dropped DEG
+	// edges in every mode — nonzero means the simulator emitted a corrupt
+	// trace.
 	DEGWindows   int
 	DEGPeakEdges int
 	DEGDrops     int64
@@ -174,13 +175,14 @@ type Evaluator struct {
 	DEGOverlap int
 
 	// DEGStream fuses simulation and bottleneck analysis into one streaming
-	// stage: the simulator emits committed records in ooo.DefaultChunkSize
-	// chunks through a bounded channel and the windowed analyzer consumes
-	// each window as soon as its context margin is buffered, so analysis
-	// overlaps simulation and no full trace is ever materialized — peak
-	// memory is O(window + margin) instead of O(trace). Reports are
-	// bit-identical to the buffered path at equal window/overlap. Probes and
-	// calipers runs need the materialized trace and keep the buffered path
+	// stage: the simulator's chunk sink feeds each ooo.DefaultChunkSize
+	// chunk of committed records straight to the stream analyzer, which
+	// seals each window as soon as its context margin is buffered and
+	// analyzes it on its window ring (inline at GOMAXPROCS 1) while the
+	// simulation goes on. No full trace is ever materialized — peak memory
+	// is O(window + margin) instead of O(trace). Reports are bit-identical
+	// to the buffered path at equal window/overlap. Probes and calipers
+	// runs need the materialized trace and keep the buffered path
 	// regardless.
 	DEGStream bool
 
@@ -746,21 +748,48 @@ type simOutcome struct {
 	stats *ooo.Stats
 }
 
-// degOutcome bundles the bottleneck stage's products: the report plus the
-// windowed analyzer's stats (zero for whole-trace and calipers analysis,
-// so their journals carry no window fields, except drops which every DEG
-// analysis surfaces).
+// degOutcome bundles a bottleneck stage's products: the report, the
+// windowed analyzer's stats (nil for calipers analysis), and the
+// simulation's stats when the stage also simulated (the fused deg_stream
+// stage).
 type degOutcome struct {
-	rep       *deg.Report
-	windows   int
-	peakEdges int
-	drops     int64
+	stats *ooo.Stats
+	rep   *deg.Report
+	ws    *deg.WindowStats
+}
+
+// setDEG records a DEG outcome in the slot by one rule for every analysis
+// path: drops always, window count and peak edges only on windowed runs
+// (a whole-trace analysis is one window and reports none).
+func (r *wlResult) setDEG(d degOutcome, windowed bool) {
+	r.rep = d.rep
+	if d.ws == nil {
+		return
+	}
+	r.degDrops = int64(d.ws.Dropped())
+	if windowed {
+		r.degWindows, r.degPeakEdges = d.ws.Windows, d.ws.PeakEdges
+	}
+}
+
+// timedStage runs one stage through runStage under a span named after its
+// fault site, and stores the stage's wall-clock in *dur (the span carries
+// the same value, so spans and stage sums agree exactly).
+func timedStage[T any](sp *stageSpans, sr *stageRunner, site string, dur *time.Duration, fn func(context.Context) (T, error)) (T, error) {
+	endStage := sp.begin(site)
+	t0 := time.Now()
+	v, err := runStage(sr, site, fn)
+	*dur = time.Since(t0)
+	endStage(*dur)
+	return v, err
 }
 
 // simWorkload runs one (config, workload) simulation end to end: trace,
 // cycle-level core, power model, and (optionally) bottleneck analysis. Each
 // stage runs under the evaluator's resilience policy — fault injection,
 // timeout bounding, transient retries — via runStage, on this goroutine.
+// A streamed evaluation runs the fused deg_stream stage in place of sim and
+// deg.
 func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen int, withDEG, probe bool) (r wlResult) {
 	// Streamed evaluations fuse simulation and analysis; probes need the
 	// materialized trace for warm-window IPC and calipers runs need it for
@@ -813,77 +842,79 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 		}()
 	}
 
-	endStage := sp.begin("trace")
-	t0 := time.Now()
-	stream, err := runStage(sr, fault.SiteTrace, func(context.Context) ([]isa.Inst, error) {
+	stream, err := timedStage(sp, sr, fault.SiteTrace, &r.times.Trace, func(context.Context) ([]isa.Inst, error) {
 		return workload.CachedTrace(wl, traceLen)
 	})
-	r.times.Trace = time.Since(t0)
-	endStage(r.times.Trace)
 	if err != nil {
 		r.err = err
 		return r
 	}
 
+	// stats feeds the power model. tr is a buffered run's materialized
+	// trace, which warm-window IPC and the deg stage read; nil when
+	// streamed.
+	var stats *ooo.Stats
+	var tr *pipetrace.Trace
 	if streamed {
-		return ev.simWorkloadStreamed(r, sp, sr, cfg, wl, stream)
-	}
-
-	endStage = sp.begin("sim")
-	t0 = time.Now()
-	sim, err := runStage(sr, fault.SiteSim, func(context.Context) (simOutcome, error) {
-		core, err := ooo.New(cfg)
+		d, err := timedStage(sp, sr, fault.SiteDEGStream, &r.times.DEGStream, func(ctx context.Context) (degOutcome, error) {
+			return ev.runStreamed(ctx, cfg, wl, stream)
+		})
 		if err != nil {
-			return simOutcome{}, err
+			r.err = err
+			return r
 		}
-		// The trace and Stats the run returns do not share the core's storage.
-		defer core.Release()
-		// Probe-lite: without bottleneck analysis downstream, nothing reads
-		// the DEG annotations, so skip recording them. Stamps and Stats are
-		// bit-identical either way (pinned by ooo's parity tests).
-		var tr *pipetrace.Trace
-		var stats *ooo.Stats
-		if withDEG {
-			tr, stats, err = core.Run(stream)
-		} else {
-			tr, stats, err = core.RunLite(stream)
-		}
+		stats = d.stats
+		r.setDEG(d, ev.DEGWindow > 0)
+	} else {
+		sim, err := timedStage(sp, sr, fault.SiteSim, &r.times.Sim, func(context.Context) (simOutcome, error) {
+			core, err := ooo.New(cfg)
+			if err != nil {
+				return simOutcome{}, err
+			}
+			// The trace and Stats the run returns do not share the core's storage.
+			defer core.Release()
+			// Probe-lite: without bottleneck analysis downstream, nothing reads
+			// the DEG annotations, so skip recording them. Stamps and Stats are
+			// bit-identical either way (pinned by ooo's parity tests).
+			var tr *pipetrace.Trace
+			var stats *ooo.Stats
+			if withDEG {
+				tr, stats, err = core.Run(stream)
+			} else {
+				tr, stats, err = core.RunLite(stream)
+			}
+			if err != nil {
+				return simOutcome{}, fmt.Errorf("dse: %s on %s: %w", wl.Name, cfg, err)
+			}
+			if len(tr.Records) == 0 {
+				tr.Release()
+				return simOutcome{}, fmt.Errorf("dse: %s on %s: simulation committed no instructions", wl.Name, cfg)
+			}
+			return simOutcome{tr: tr, stats: stats}, nil
+		})
 		if err != nil {
-			return simOutcome{}, fmt.Errorf("dse: %s on %s: %w", wl.Name, cfg, err)
+			r.err = err
+			return r
 		}
-		if len(tr.Records) == 0 {
-			tr.Release()
-			return simOutcome{}, fmt.Errorf("dse: %s on %s: simulation committed no instructions", wl.Name, cfg)
-		}
-		return simOutcome{tr: tr, stats: stats}, nil
-	})
-	r.times.Sim = time.Since(t0)
-	endStage(r.times.Sim)
-	if err != nil {
-		r.err = err
-		return r
+		tr, stats = sim.tr, sim.stats
+		// The trace is consumed entirely within this call (warm-window IPC
+		// and the DEG report aggregate; neither escapes holding record
+		// references), and every stage attempt that reads it has returned by
+		// then, so its buffers recycle through the trace pool when this call
+		// returns.
+		defer tr.Release()
 	}
-	tr, stats := sim.tr, sim.stats
-	r.simInsts = int64(len(tr.Records))
-	// The trace is consumed entirely within this call (warm-window IPC and
-	// the DEG report aggregate; neither escapes holding record references),
-	// and every stage attempt that reads it has returned by then, so its
-	// buffers recycle through the trace pool when this call returns.
-	defer tr.Release()
+	r.simInsts = int64(stats.Committed)
 
-	endStage = sp.begin("power")
-	t0 = time.Now()
-	pw, err := runStage(sr, fault.SitePower, func(context.Context) (mcpat.Result, error) {
+	pw, err := timedStage(sp, sr, fault.SitePower, &r.times.Power, func(context.Context) (mcpat.Result, error) {
 		return mcpat.Evaluate(cfg, stats)
 	})
-	r.times.Power = time.Since(t0)
-	endStage(r.times.Power)
 	if err != nil {
 		r.err = err
 		return r
 	}
 	r.ipc = stats.IPC()
-	if probe {
+	if probe { // probes never stream, so tr is set
 		if w, ok := warmWindowIPC(tr); ok {
 			r.ipc = w
 		}
@@ -891,10 +922,8 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 	r.pow = pw.PowerW
 	r.area = pw.AreaMM2
 
-	if withDEG {
-		endStage = sp.begin("deg")
-		t0 = time.Now()
-		dout, err := runStage(sr, fault.SiteDEG, func(context.Context) (degOutcome, error) {
+	if withDEG && !streamed {
+		d, err := timedStage(sp, sr, fault.SiteDEG, &r.times.DEG, func(context.Context) (degOutcome, error) {
 			if ev.UseCalipers {
 				rep, err := calipersReport(tr, cfg)
 				return degOutcome{rep: rep}, err
@@ -904,148 +933,57 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 				ReorderWindow: cfg.ROBEntries,
 				Workers:       par.DefaultLimit(),
 			})
-			if err != nil {
-				return degOutcome{}, err
-			}
-			out := degOutcome{rep: rep, drops: int64(ws.Dropped())}
-			if ev.DEGWindow > 0 {
-				out.windows, out.peakEdges = ws.Windows, ws.PeakEdges
-			}
-			return out, nil
+			return degOutcome{rep: rep, ws: ws}, err
 		})
-		r.times.DEG = time.Since(t0)
-		endStage(r.times.DEG)
 		if err != nil {
 			r.err = err
 			return r
 		}
-		r.rep = dout.rep
-		r.degWindows = dout.windows
-		r.degPeakEdges = dout.peakEdges
-		r.degDrops = dout.drops
+		r.setDEG(d, ev.DEGWindow > 0)
 	}
 	return r
 }
 
-// streamDepth is the bounded channel depth between the simulating producer
-// and the analyzing consumer of a streamed evaluation: enough for the
-// stages to overlap, small enough that in-flight chunks stay a rounding
-// error next to the analyzer's window+margin working set.
-const streamDepth = 2
-
-// streamOutcome bundles the fused simulate+analyze stage's products.
-type streamOutcome struct {
-	stats *ooo.Stats
-	rep   *deg.Report
-	ws    *deg.WindowStats
-}
-
-// simWorkloadStreamed is simWorkload's tail for streamed evaluations: one
-// fused stage runs the simulator and the windowed DEG analyzer as a
-// producer/consumer pair over a bounded chunk channel, then the power model
-// runs on the stats as usual. No full trace is ever materialized.
-func (ev *Evaluator) simWorkloadStreamed(r wlResult, sp *stageSpans, sr *stageRunner, cfg uarch.Config, wl workload.Profile, stream []isa.Inst) wlResult {
-	endStage := sp.begin("deg_stream")
-	t0 := time.Now()
-	so, err := runStage(sr, fault.SiteDEGStream, func(ctx context.Context) (streamOutcome, error) {
-		return ev.runStreamed(ctx, cfg, wl, stream)
-	})
-	r.times.DEGStream = time.Since(t0)
-	endStage(r.times.DEGStream)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	r.simInsts = int64(so.stats.Committed)
-	r.rep = so.rep
-	r.degWindows = so.ws.Windows
-	r.degPeakEdges = so.ws.PeakEdges
-	r.degDrops = int64(so.ws.Dropped())
-
-	endStage = sp.begin("power")
-	t0 = time.Now()
-	pw, err := runStage(sr, fault.SitePower, func(context.Context) (mcpat.Result, error) {
-		return mcpat.Evaluate(cfg, so.stats)
-	})
-	r.times.Power = time.Since(t0)
-	endStage(r.times.Power)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	r.ipc = so.stats.IPC()
-	r.pow = pw.PowerW
-	r.area = pw.AreaMM2
-	return r
-}
-
-// runStreamed is one attempt of the fused stage: the simulator goroutine
-// (this one) emits chunks into a bounded channel; a consumer goroutine
-// feeds them to the stream analyzer, which analyzes each window the moment
-// its forward margin is buffered and evicts records no later window can
-// reach. An analyzer error aborts the simulation at the next chunk instead
-// of draining the whole workload into a dead consumer, and so does ctx
-// ending (the stage timeout).
-func (ev *Evaluator) runStreamed(ctx context.Context, cfg uarch.Config, wl workload.Profile, stream []isa.Inst) (streamOutcome, error) {
+// runStreamed is one attempt of the fused stage. The simulator's chunk sink
+// feeds each chunk straight to the stream analyzer on this goroutine; the
+// analyzer's window ring overlaps window analysis with the rest of the
+// simulation, and the analyzer evicts records no later window can reach.
+// A Feed error stops the simulation at the chunk that failed, and so does
+// ctx ending (the stage timeout).
+func (ev *Evaluator) runStreamed(ctx context.Context, cfg uarch.Config, wl workload.Profile, stream []isa.Inst) (degOutcome, error) {
 	sa, err := deg.NewStreamAnalyzer(deg.WindowOptions{
 		Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
 		ReorderWindow: cfg.ROBEntries,
 		Workers:       par.DefaultLimit(),
 	})
 	if err != nil {
-		return streamOutcome{}, err
+		return degOutcome{}, err
 	}
 	defer sa.Close() // idempotent; pairs with Finish on the success path
 	core, err := ooo.New(cfg)
 	if err != nil {
-		return streamOutcome{}, err
+		return degOutcome{}, err
 	}
 	defer core.Release()
 
-	ch := make(chan *pipetrace.Chunk, streamDepth)
-	done := make(chan struct{})
-	var feedErr error
-	go func() {
-		defer close(done)
-		for c := range ch {
-			if err := sa.Feed(c); err != nil {
-				feedErr = err
-				return
-			}
-		}
-	}()
-	stats, simErr := core.RunStream(stream, ooo.DefaultChunkSize, func(c *pipetrace.Chunk) error {
+	stats, err := core.RunStream(stream, ooo.DefaultChunkSize, func(c *pipetrace.Chunk) error {
 		if err := ctx.Err(); err != nil {
 			c.Release()
 			return err
 		}
-		select {
-		case ch <- c:
-			return nil
-		case <-done:
-			c.Release()
-			return feedErr // consumer died; abort the simulation
-		}
+		return sa.Feed(c) // Feed owns c, on error too
 	})
-	close(ch)
-	<-done
-	for c := range ch {
-		c.Release() // chunks the consumer never reached before it died
-	}
-	if feedErr != nil {
-		return streamOutcome{}, feedErr
-	}
-	if simErr != nil {
-		return streamOutcome{}, fmt.Errorf("dse: %s on %s: %w", wl.Name, cfg, simErr)
+	if err != nil {
+		return degOutcome{}, fmt.Errorf("dse: %s on %s: %w", wl.Name, cfg, err)
 	}
 	if stats.Committed == 0 {
-		return streamOutcome{}, fmt.Errorf("dse: %s on %s: simulation committed no instructions", wl.Name, cfg)
+		return degOutcome{}, fmt.Errorf("dse: %s on %s: simulation committed no instructions", wl.Name, cfg)
 	}
 	rep, ws, err := sa.Finish(stats.Cycles)
 	if err != nil {
-		return streamOutcome{}, err
+		return degOutcome{}, err
 	}
-	return streamOutcome{stats: stats, rep: rep, ws: ws}, nil
+	return degOutcome{stats: stats, rep: rep, ws: ws}, nil
 }
 
 // warmWindowIPC measures IPC over the post-warmup window of a probe trace:

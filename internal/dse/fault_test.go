@@ -145,9 +145,10 @@ func TestKillAlwaysAborts(t *testing.T) {
 	}
 }
 
-// TestStageTimeoutRetries: a hung stage attempt is abandoned at the
-// StageTimeout and retried as a transient failure; the retry succeeds and
-// the result matches a clean run.
+// TestStageTimeoutRetries: a hung stage attempt is cancelled at the
+// StageTimeout, at its next cancellation point (here the injected stall),
+// and retried as a transient failure; the retry succeeds and the result
+// matches a clean run.
 func TestStageTimeoutRetries(t *testing.T) {
 	clean := faultEvaluator(t, nil)
 	pt := clean.Space.Nearest(uarch.Baseline())
@@ -157,7 +158,7 @@ func TestStageTimeoutRetries(t *testing.T) {
 	}
 
 	// The injected fault stalls 200ms before firing; the 20ms stage timeout
-	// abandons the attempt long before that, converting it to a timeout.
+	// cancels the stall long before that, converting it to a timeout.
 	plan := fault.MustPlan(fault.Injection{
 		Site: fault.SitePower, Nth: 1, Class: fault.Transient, Delay: 200 * time.Millisecond,
 	})

@@ -16,7 +16,7 @@ import (
 )
 
 // TestEvaluatorStreamedParity pins the tentpole at the evaluator level: a
-// streamed evaluation (fused sim+DEG over the bounded chunk channel) is
+// streamed evaluation (fused sim+DEG, the chunk sink feeding the analyzer) is
 // byte-identical to the buffered windowed path in everything deterministic —
 // PPA, per-workload IPC, merged report, window stats, budget accounting.
 func TestEvaluatorStreamedParity(t *testing.T) {
@@ -64,7 +64,9 @@ func TestEvaluatorStreamedParity(t *testing.T) {
 }
 
 // TestEvaluatorStreamedWholeTrace: DEGStream with no window streams into the
-// whole-trace short-circuit and still matches the plain whole-trace report.
+// whole-trace short-circuit and still matches the plain whole-trace report,
+// window stats included: a whole-trace run reports no windows and no peak
+// edges, streamed or not.
 func TestEvaluatorStreamedWholeTrace(t *testing.T) {
 	whole := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1200)
 	stream := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1200)
@@ -81,6 +83,11 @@ func TestEvaluatorStreamedWholeTrace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(eW.Report, eS.Report) || eW.PPA != eS.PPA {
 		t.Fatal("whole-trace streamed evaluation differs from buffered")
+	}
+	if eW.DEGWindows != eS.DEGWindows || eW.DEGPeakEdges != eS.DEGPeakEdges || eW.DEGDrops != eS.DEGDrops {
+		t.Fatalf("window stats differ: buffered (%d,%d,%d) streamed (%d,%d,%d)",
+			eW.DEGWindows, eW.DEGPeakEdges, eW.DEGDrops,
+			eS.DEGWindows, eS.DEGPeakEdges, eS.DEGDrops)
 	}
 }
 
@@ -164,8 +171,10 @@ func TestEvaluatorStreamedJournal(t *testing.T) {
 
 // TestEvaluatorStreamedFaultInjection: the fused stage is a registered
 // fault site — transient failures there retry to the same result, and the
-// stage is charged the retry hits.
+// stage is charged the retry hits. Every trace and chunk is back in its
+// pool when the retried evaluation returns.
 func TestEvaluatorStreamedFaultInjection(t *testing.T) {
+	base := poolLive()
 	mk := func(plan *fault.Plan) *Evaluator {
 		ev := faultEvaluator(t, plan)
 		ev.DEGWindow = 400
@@ -193,21 +202,30 @@ func TestEvaluatorStreamedFaultInjection(t *testing.T) {
 	if plan.Hits(fault.SiteDEGStream) < 3 {
 		t.Fatalf("expected >= 3 deg_stream hits, got %d", plan.Hits(fault.SiteDEGStream))
 	}
+	checkPoolBalanced(t, base)
 }
 
-// tracePoolLive returns the trace pool's live (unreleased) trace count.
-func tracePoolLive() int64 {
-	st := pipetrace.TracePoolStats()
-	return st.Gets - st.Puts
+// poolCensus is the live (taken, unreleased) count of the trace and chunk
+// pools.
+type poolCensus struct{ traces, chunks int64 }
+
+// poolLive returns the trace and chunk pools' live counts.
+func poolLive() poolCensus {
+	tr, ch := pipetrace.TracePoolStats(), pipetrace.ChunkPoolStats()
+	return poolCensus{traces: tr.Gets - tr.Puts, chunks: ch.Gets - ch.Puts}
 }
 
-// checkPoolBalanced fails the test unless every pool-owned trace taken
-// since base has been released. Releases are synchronous — no stage attempt
-// outlives the call that ran it — so the check needs no wait.
-func checkPoolBalanced(t *testing.T, base int64) {
+// checkPoolBalanced fails the test unless every pool-owned trace and chunk
+// taken since base has been released. Releases are synchronous — no stage
+// attempt outlives the call that ran it — so the check needs no wait.
+func checkPoolBalanced(t *testing.T, base poolCensus) {
 	t.Helper()
-	if leaked := tracePoolLive() - base; leaked != 0 {
+	now := poolLive()
+	if leaked := now.traces - base.traces; leaked != 0 {
 		t.Fatalf("%d traces live after the call returned (want 0)", leaked)
+	}
+	if leaked := now.chunks - base.chunks; leaked != 0 {
+		t.Fatalf("%d chunks live after the call returned (want 0)", leaked)
 	}
 }
 
@@ -251,7 +269,7 @@ func stalledDEGEvaluator() *Evaluator {
 // every (config, workload) run leaked its records and arenas for the life
 // of the campaign.
 func TestNoTraceLeakWithStageTimeouts(t *testing.T) {
-	base := tracePoolLive()
+	base := poolLive()
 
 	// Plain timed run: generous timeout, nothing fires, traces must still
 	// recycle.
@@ -290,12 +308,12 @@ func TestCancelStalledDEGStage(t *testing.T) {
 	var buf bytes.Buffer
 	ev.Obs.SetJournalWriter(&buf)
 	pt := ev.Space.Nearest(uarch.Baseline())
-	goroutines, traces := runtime.NumGoroutine(), tracePoolLive()
+	goroutines, pools := runtime.NumGoroutine(), poolLive()
 	if _, err := ev.Evaluate(pt, true); err != nil {
 		t.Fatal(err)
 	}
 	checkGoroutines(t, goroutines)
-	checkPoolBalanced(t, traces)
+	checkPoolBalanced(t, pools)
 
 	if err := ev.Obs.Close(); err != nil {
 		t.Fatal(err)
@@ -320,8 +338,8 @@ func TestCancelStalledDEGStage(t *testing.T) {
 
 // TestCancelTimedOutStream: a streamed evaluation that runs past its stage
 // timeout stops at the next chunk and fails with a TimeoutError; the
-// simulator, the chunk consumer and the window ring are all gone, and
-// every window trace is back in the pool, by the time Evaluate returns.
+// simulator and the window ring are both gone, and every chunk and window
+// trace is back in its pool, by the time Evaluate returns.
 func TestCancelTimedOutStream(t *testing.T) {
 	const n = 200000
 	suite := workload.Suite17()[:1]
@@ -335,7 +353,7 @@ func TestCancelTimedOutStream(t *testing.T) {
 	ev.DEGStream = true
 	ev.StageTimeout = 10 * time.Millisecond
 	pt := ev.Space.Nearest(uarch.Baseline())
-	goroutines, traces := runtime.NumGoroutine(), tracePoolLive()
+	goroutines, pools := runtime.NumGoroutine(), poolLive()
 	_, err := ev.Evaluate(pt, true)
 	var te *fault.TimeoutError
 	if !errors.As(err, &te) {
@@ -345,5 +363,5 @@ func TestCancelTimedOutStream(t *testing.T) {
 		t.Fatalf("timeout at %q, want %q", te.Site, fault.SiteDEGStream)
 	}
 	checkGoroutines(t, goroutines)
-	checkPoolBalanced(t, traces)
+	checkPoolBalanced(t, pools)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // DefaultChunkSize is the record count per streamed chunk when the caller
-// passes chunkSize <= 0: large enough that chunk handoff overhead (channel
-// sends, pool traffic) is amortized over ~1k instructions, small enough
+// passes chunkSize <= 0: large enough that per-chunk overhead (the sink
+// call, pool traffic) is amortized over ~1k instructions, small enough
 // that analysis starts long before the simulation ends.
 const DefaultChunkSize = 1024
 

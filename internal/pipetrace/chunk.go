@@ -1,6 +1,9 @@
 package pipetrace
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Chunk is one fixed-size batch of committed-instruction records in the
 // streaming sim→DEG pipeline. The simulator fills a chunk — records plus
@@ -34,10 +37,19 @@ type Chunk struct {
 
 var chunkPool sync.Pool
 
+var chunkGets, chunkPuts atomic.Int64
+
+// ChunkPoolStats returns a snapshot of the chunk pool's counters: Gets
+// counts GetChunk calls, Puts counts chunks returned by Release.
+func ChunkPoolStats() PoolStats {
+	return PoolStats{Gets: chunkGets.Load(), Puts: chunkPuts.Load()}
+}
+
 // GetChunk returns an empty chunk whose record storage can hold at least
 // capacity records without growing, reusing a released chunk when one is
 // available. The caller owns the chunk.
 func GetChunk(capacity int) *Chunk {
+	chunkGets.Add(1)
 	if v := chunkPool.Get(); v != nil {
 		c := v.(*Chunk)
 		if cap(c.Records) < capacity {
@@ -64,5 +76,6 @@ func (c *Chunk) Release() {
 	c.released = true
 	c.Records = c.Records[:0]
 	c.Arena.reset()
+	chunkPuts.Add(1)
 	chunkPool.Put(c)
 }

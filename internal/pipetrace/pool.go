@@ -12,21 +12,22 @@ import (
 // windowed analyzer.
 var tracePool sync.Pool
 
-// PoolStats counts trace-pool traffic. The counters exist so tests can
-// assert lifecycle invariants — every acquired trace is released by the
-// time its owner returns, stage timeouts included — without poking at
-// sync.Pool internals; they are two atomic adds per simulator run, far off
-// the per-record hot path.
+// PoolStats counts the traffic of one storage pool, traces
+// (TracePoolStats) or chunks (ChunkPoolStats). The counters exist so tests
+// can assert lifecycle invariants — every acquired trace or chunk is
+// released by the time its owner returns, stage timeouts included —
+// without poking at sync.Pool internals; they are two atomic adds per
+// simulator run or per chunk, far off the per-record hot path.
 type PoolStats struct {
-	// Gets counts GetTrace calls; Puts counts traces returned to the pool
-	// by Release. Gets - Puts is the number of live (pool-owned,
-	// unreleased) traces.
+	// Gets counts acquisitions (GetTrace, GetChunk); Puts counts releases
+	// back to the pool. Gets - Puts is the number of live (pool-owned,
+	// unreleased) traces or chunks.
 	Gets, Puts int64
 }
 
 var poolGets, poolPuts atomic.Int64
 
-// TracePoolStats returns a snapshot of the pool counters.
+// TracePoolStats returns a snapshot of the trace pool's counters.
 func TracePoolStats() PoolStats {
 	return PoolStats{Gets: poolGets.Load(), Puts: poolPuts.Load()}
 }

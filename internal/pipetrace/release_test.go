@@ -59,10 +59,15 @@ func TestTraceReleaseTwicePanics(t *testing.T) {
 
 // TestChunkReleaseTwicePanics: a chunk has one owner, and a second Release
 // would pool it twice, so two later GetChunk calls could hand the same
-// storage to two simulations.
+// storage to two simulations. The chunk census counts the one get and the
+// one release.
 func TestChunkReleaseTwicePanics(t *testing.T) {
+	base := ChunkPoolStats()
 	c := GetChunk(4)
 	c.Release()
+	if st := ChunkPoolStats(); st.Gets != base.Gets+1 || st.Puts != base.Puts+1 {
+		t.Fatalf("one get and one release: %+v (base %+v)", st, base)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second Release did not panic")
