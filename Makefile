@@ -11,10 +11,10 @@ GO ?= go
 # fault-injection registry (which exists purely to make failure paths
 # testable, so untested lines defeat its point). Measured 91%/90%/97% when
 # the gates were set; the slack absorbs small refactors, not test deletions.
-# The simulator core and the conformance harness joined later: three
-# timing engines and two parallel DEG analyzers claim bit-identical
-# results, so untested simulator lines are unpinned behaviour (measured
-# 94%/90% at gate time).
+# The simulator core and the conformance harness joined later: the
+# timing entry points (Run and RunStream, one per-instruction loop) and
+# two parallel DEG analyzers claim bit-identical results, so untested
+# simulator lines are unpinned behaviour (measured 94%/90% at gate time).
 COVER_MIN_OBS := 85
 COVER_MIN_DSE := 80
 COVER_MIN_FAULT := 90
@@ -91,18 +91,18 @@ bench:
 bench-deg:
 	$(GO) test -bench='BenchmarkDEGAnalyze(Windowed|Probe)?$$' -benchmem -run XXX -count 3 .
 
-# Simulator hot path: full-fidelity (pooled, annotated) vs probe-lite runs
-# on the 20k-instruction trace, plus BenchmarkSimProbe, the simulation work
-# of explore probes (12 SPEC06 workloads x 500 instructions, New+Run+Release
+# Simulator hot path: full-fidelity (pooled, annotated) runs on the
+# 20k-instruction trace, plus BenchmarkSimProbe, the simulation work of
+# explore probes (12 SPEC06 workloads x 500 instructions, New+Run+Release
 # per simulation). BENCH_sim.json records the before/after of each
 # rewrite; re-run this after touching internal/ooo.
 bench-sim:
-	$(GO) test -bench='BenchmarkSim(Full|Lite|Probe)$$' -benchmem -run XXX -count 3 .
+	$(GO) test -bench='BenchmarkSim(Full|Probe)$$' -benchmem -run XXX -count 3 .
 
 # Single-iteration smoke of the simulator benchmarks — catches a broken
 # bench harness in CI without paying for a full measurement run.
 bench-sim-smoke:
-	$(GO) test -bench='BenchmarkSim(Full|Lite|Probe)$$' -benchtime=1x -run XXX .
+	$(GO) test -bench='BenchmarkSim(Full|Probe)$$' -benchtime=1x -run XXX .
 
 # Buffered (Run + AnalyzeWindowed) vs fused streaming (RunStream +
 # StreamAnalyzer) sim→DEG pipeline on the 20k-instruction trace.
@@ -162,11 +162,10 @@ bench-spans:
 # does the parallel-DEG speedup gate.
 bench-all:
 	$(GO) build -o benchgate ./cmd/benchgate
-	$(GO) test -bench='BenchmarkSim(Full|Lite|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream)$$' -benchmem -run XXX -count 1 . | \
+	$(GO) test -bench='BenchmarkSim(Full|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream)$$' -benchmem -run XXX -count 1 . | \
 	  ./benchgate -tolerance 0.10 \
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
-	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:anchor_order.change.analyze.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:anchor_order.change.windowed.inst_per_sec' \
@@ -182,11 +181,10 @@ bench-all:
 # any host, without paying for — or trusting — a real measurement run.
 bench-all-smoke:
 	$(GO) build -o benchgate ./cmd/benchgate
-	$(GO) test -bench='BenchmarkSim(Full|Lite|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream|StreamPar)$$' -benchtime=1x -run XXX . | \
+	$(GO) test -bench='BenchmarkSim(Full|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream|StreamPar)$$' -benchtime=1x -run XXX . | \
 	  ./benchgate -tolerance 0.95 \
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
-	    -expect 'BenchmarkSimLite=BENCH_sim.json:calqueue.lite.inst_per_sec' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:anchor_order.change.analyze.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:anchor_order.change.windowed.inst_per_sec' \

@@ -84,7 +84,7 @@ func runStreamedWorkers(b *testing.B, cfg uarch.Config, stream []isa.Inst, worke
 		b.Fatal(err)
 	}
 	fed := 0
-	stats, err := core.RunStream(stream, 0, func(c *pipetrace.Chunk) error {
+	stats, err := core.RunStream(stream, 0, func(c *pipetrace.Trace) error {
 		err := sa.Feed(c)
 		if probe != nil {
 			fed += len(c.Records)

@@ -1,12 +1,11 @@
 // Simulator hot-path benchmarks: the bench-sim / profile-sim Makefile
 // targets run exactly these. BenchmarkSimFull measures the steady-state DSE
 // configuration — pooled trace storage and recycled cores, all DEG
-// annotations recorded — and BenchmarkSimLite the probe-lite path that
-// skips annotation recording. BenchmarkSimProbe is the simulation work of
+// annotations recorded. BenchmarkSimProbe is the simulation work of
 // explore probes, where core construction costs as much as the run.
 // BENCH_sim.json records the before/after numbers of each rewrite.
 //
-//	make bench-sim       # all three benchmarks, -benchmem
+//	make bench-sim       # both benchmarks, -benchmem
 //	make profile-sim     # CPU profile of BenchmarkSimFull → sim.pprof
 package archexplorer
 
@@ -36,7 +35,10 @@ func benchStream(b *testing.B) []isa.Inst {
 	return stream
 }
 
-func benchSim(b *testing.B, lite bool) {
+// BenchmarkSimFull is the steady-state full-fidelity simulation: trace
+// buffers and cores recycle through their pools, annotations are recorded
+// and interned into the trace arenas.
+func BenchmarkSimFull(b *testing.B) {
 	stream := benchStream(b)
 	cfg := uarch.Baseline()
 	b.ResetTimer()
@@ -45,30 +47,15 @@ func benchSim(b *testing.B, lite bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var err2 error
-		var tr interface{ Release() }
-		if lite {
-			tr, _, err2 = core.RunLite(stream)
-		} else {
-			tr, _, err2 = core.Run(stream)
-		}
-		if err2 != nil {
-			b.Fatal(err2)
+		tr, _, err := core.Run(stream)
+		if err != nil {
+			b.Fatal(err)
 		}
 		tr.Release()
 		core.Release()
 	}
 	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
-
-// BenchmarkSimFull is the steady-state full-fidelity simulation: trace
-// buffers and cores recycle through their pools, annotations are recorded
-// and interned into the trace arenas.
-func BenchmarkSimFull(b *testing.B) { benchSim(b, false) }
-
-// BenchmarkSimLite is the probe-lite variant: identical timing model, no
-// annotation recording (what EvaluateBatch(..., withDEG=false) runs).
-func BenchmarkSimLite(b *testing.B) { benchSim(b, true) }
 
 // probeConfigs is the number of seeded StandardSpace design points
 // BenchmarkSimProbe cycles through, so cores are recycled across

@@ -1,23 +1,23 @@
 // Package conformance is the differential-testing harness over the
-// simulator's three timing engines — per-config full-fidelity (Core.Run),
-// probe-lite (Core.RunLite), and streaming (Core.RunStream) — plus Run on
-// a recycled core (one a different config released, as in the evaluator's
-// steady state), and the two parallel windowed DEG analyzers: buffered
-// (deg.AnalyzeWindowed with Workers > 1) and streamed (RunStream chunks
-// fed straight into a deg.StreamAnalyzer, the shape of the evaluator's
-// -deg-stream pipeline). All of them implement one timing-and-attribution
-// model, so for any (config, stream) pair they must agree exactly; the
-// package quantifies that over randomly drawn valid configurations.
+// simulator's timing entry points — per-config Core.Run and streaming
+// Core.RunStream, one per-instruction loop that packages its records as
+// one trace or as chunks — plus Run on a recycled core (one a different
+// config released, as in the evaluator's steady state), and the two
+// parallel windowed DEG analyzers: buffered (deg.AnalyzeWindowed with
+// Workers > 1) and streamed (RunStream chunks fed straight into a
+// deg.StreamAnalyzer, the shape of the evaluator's -deg-stream pipeline).
+// All of them implement one timing-and-attribution model, so for any
+// (config, stream) pair they must agree exactly; the package quantifies
+// that over randomly drawn valid configurations.
 //
 // The timing oracle is the fingerprint family in internal/ooo: the
 // reference and recycled runs are hashed through ooo.Fingerprint (every
-// deterministic record field), the lite engine through
-// ooo.TimingFingerprint (the lite-preserved subset), and the chunked
-// stream through ooo.ChunkedFingerprint. Agreement of the traces' annotations is necessary
-// but not sufficient for ArchExplorer, whose decisions consume the
-// bottleneck reports, so both parallel DEG analyzers must also reproduce
-// the sequential windowed report and stats of the reference trace bit for
-// bit.
+// deterministic record field), and the chunked stream through
+// ooo.ChunkedFingerprint, the same byte layout fed chunk by chunk.
+// Agreement of the traces' annotations is necessary but not sufficient
+// for ArchExplorer, whose decisions consume the bottleneck reports, so
+// both parallel DEG analyzers must also reproduce the sequential windowed
+// report and stats of the reference trace bit for bit.
 //
 // When a draw disagrees, Shrink reduces the failing design point toward
 // the baseline one lattice step at a time, so the reported counterexample
@@ -68,7 +68,7 @@ func (g *Gen) Config() uarch.Config { return g.Space.Decode(g.Point()) }
 // Mismatch is one engine disagreement: the named engine's output diverged
 // from the per-config reference run on this (config, workload).
 type Mismatch struct {
-	Engine    string // "lite", "stream", "recycled", "deg-par", "deg-stream"
+	Engine    string // "stream", "recycled", "deg-par", "deg-stream"
 	Workload  string
 	Config    uarch.Config
 	Want, Got uint64 // reference and diverging fingerprints (0 for the deg engines)
@@ -103,10 +103,9 @@ func Check(stream []isa.Inst, wl string, cfgs []uarch.Config, withDEG bool) erro
 // engineRuns is one config's engine outputs over a stream, reduced to what
 // the oracles compare.
 type engineRuns struct {
-	ref, refTiming uint64 // reference Run: Fingerprint and TimingFingerprint
-	lite           uint64 // RunLite: TimingFingerprint
-	stream         uint64 // RunStream: ChunkedFingerprint
-	recycled       uint64 // Run on a recycled core: Fingerprint
+	ref      uint64 // reference Run: Fingerprint
+	stream   uint64 // RunStream: ChunkedFingerprint
+	recycled uint64 // Run on a recycled core: Fingerprint
 	// With the DEG oracles on: the sequential windowed analysis of the
 	// reference trace (seq) and the two parallel analyzers that must
 	// reproduce it. All three stay zero, and so agree, without them.
@@ -124,8 +123,6 @@ type windowed struct {
 // engine agreed.
 func (r *engineRuns) diverged() (engine string, want, got uint64) {
 	switch {
-	case r.lite != r.refTiming:
-		return "lite", r.refTiming, r.lite
 	case r.stream != r.ref:
 		return "stream", r.ref, r.stream
 	case r.recycled != r.ref:
@@ -140,7 +137,7 @@ func (r *engineRuns) diverged() (engine string, want, got uint64) {
 
 // runEngines runs every engine for cfg over stream.
 func runEngines(stream []isa.Inst, cfg uarch.Config, withDEG bool) (*engineRuns, error) {
-	// Reference: the plain per-config full-fidelity engine.
+	// Reference: the plain per-config engine.
 	core, err := ooo.New(cfg)
 	if err != nil {
 		return nil, err
@@ -150,21 +147,7 @@ func runEngines(stream []isa.Inst, cfg uarch.Config, withDEG bool) (*engineRuns,
 		return nil, err
 	}
 	defer tr.Release()
-	r := &engineRuns{
-		ref:       ooo.Fingerprint(tr, st),
-		refTiming: ooo.TimingFingerprint(tr, st),
-	}
-
-	liteCore, err := ooo.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ltr, lst, err := liteCore.RunLite(stream)
-	if err != nil {
-		return nil, err
-	}
-	r.lite = ooo.TimingFingerprint(ltr, lst)
-	ltr.Release()
+	r := &engineRuns{ref: ooo.Fingerprint(tr, st)}
 
 	if r.stream, err = streamFingerprint(cfg, stream); err != nil {
 		return nil, err
@@ -201,13 +184,13 @@ func streamFingerprint(cfg uarch.Config, stream []isa.Inst) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var chunks []*pipetrace.Chunk
+	var chunks []*pipetrace.Trace
 	defer func() {
 		for _, c := range chunks {
 			c.Release()
 		}
 	}()
-	st, err := core.RunStream(stream, 0, func(c *pipetrace.Chunk) error {
+	st, err := core.RunStream(stream, 0, func(c *pipetrace.Trace) error {
 		chunks = append(chunks, c)
 		return nil
 	})
@@ -425,14 +408,14 @@ func CheckGrowth(space *uarch.Space, pt uarch.Point, prm uarch.Param, stream []i
 	return true, nil
 }
 
-// IPC is the monotonicity metric: committed IPC of one probe-lite run of
-// cfg over stream.
+// IPC is the monotonicity metric: committed IPC of one run of cfg over
+// stream.
 func IPC(cfg uarch.Config, stream []isa.Inst) (float64, error) {
 	core, err := ooo.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	tr, st, err := core.RunLite(stream)
+	tr, st, err := core.Run(stream)
 	if err != nil {
 		return 0, err
 	}

@@ -36,7 +36,6 @@ func TestDivergedNamesEngine(t *testing.T) {
 		splice func(r *engineRuns)
 		fp     bool // the engine is compared by fingerprint
 	}{
-		{"lite", func(r *engineRuns) { r.lite = diff.lite }, true},
 		{"stream", func(r *engineRuns) { r.stream = diff.stream }, true},
 		{"recycled", func(r *engineRuns) { r.recycled = diff.recycled }, true},
 		{"deg-par", func(r *engineRuns) { r.par = diff.par }, false},

@@ -21,10 +21,10 @@ import (
 // analyzer that will not reach Finish, releasing retained chunks and
 // pooled buffers; it is idempotent and implied by Finish.
 //
-// Chunk ownership: Feed takes ownership of its chunk — records and arena
-// — per the pipetrace.Chunk contract, and releases it once every record
-// in it has fallen out of reach of future windows. The caller must not
-// touch a chunk after Feed returns.
+// Chunk ownership: Feed takes ownership of its chunk — a pooled
+// pipetrace.Trace, records and arena — per the Trace ownership rules, and
+// releases it once every record in it has fallen out of reach of future
+// windows. The caller must not touch a chunk after Feed returns.
 //
 // Parallel mode (WindowOptions.Workers > 1) pushes each sealed window
 // into a window ring instead of analyzing it inline: the window's records
@@ -72,7 +72,7 @@ type StreamAnalyzer struct {
 }
 
 type retainedChunk struct {
-	c   *pipetrace.Chunk
+	c   *pipetrace.Trace
 	end int // global seq one past the chunk's last record
 }
 
@@ -99,7 +99,7 @@ func NewStreamAnalyzer(opts WindowOptions) (*StreamAnalyzer, error) {
 // that seals — a window is sealed once its forward context margin is fully
 // buffered. Feed takes ownership of the chunk. Chunks must arrive in
 // commit order with densely increasing sequence numbers.
-func (s *StreamAnalyzer) Feed(c *pipetrace.Chunk) error {
+func (s *StreamAnalyzer) Feed(c *pipetrace.Trace) error {
 	if s.closed || s.err != nil {
 		c.Release()
 		if s.err != nil {

@@ -31,7 +31,7 @@ func TestStreamAllocsBounded(t *testing.T) {
 			if hi > n {
 				hi = n
 			}
-			c := pipetrace.GetChunk(hi - lo)
+			c := pipetrace.GetTrace(hi - lo)
 			for i := lo; i < hi; i++ {
 				r := tr.Records[i]
 				r.ResourceDeps = c.InternDeps(r.ResourceDeps)
@@ -47,7 +47,7 @@ func TestStreamAllocsBounded(t *testing.T) {
 		}
 	}
 
-	run() // warm the chunk pool and the analyzer buffer pool
+	run() // warm the trace pool and the analyzer buffer pool
 
 	const budget = 250.0
 	if allocs := testing.AllocsPerRun(5, run); allocs > budget {

@@ -23,7 +23,7 @@ func feedTrace(t *testing.T, sa *StreamAnalyzer, tr *pipetrace.Trace, chunkSize 
 		if hi > n {
 			hi = n
 		}
-		c := pipetrace.GetChunk(hi - lo)
+		c := pipetrace.GetTrace(hi - lo)
 		for i := lo; i < hi; i++ {
 			r := tr.Records[i]
 			r.ResourceDeps = c.InternDeps(r.ResourceDeps)
@@ -259,7 +259,7 @@ func TestStreamMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := pipetrace.GetChunk(1)
+	c := pipetrace.GetTrace(1)
 	c.Records = append(c.Records, tr.Records[5])
 	if err := sa.Feed(c); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gap Feed err = %v", err)
@@ -282,7 +282,7 @@ func TestStreamMisuse(t *testing.T) {
 	if _, _, err := sa3.Finish(tr.Cycles); err == nil {
 		t.Fatal("double Finish must fail")
 	}
-	c2 := pipetrace.GetChunk(1)
+	c2 := pipetrace.GetTrace(1)
 	c2.Records = append(c2.Records, tr.Records[0])
 	if err := sa3.Feed(c2); err == nil {
 		t.Fatal("Feed after Finish must fail")

@@ -36,8 +36,8 @@ func sameHistories(t *testing.T, label string, a, b *Evaluator) {
 	}
 }
 
-// TestBatchPathsParallelParity: on every path a batch can take — probe-lite
-// PPA, whole-trace DEG, buffered windowed DEG, the fused streamed stage, a
+// TestBatchPathsParallelParity: on every path a batch can take — plain
+// PPA without DEG, whole-trace DEG, buffered windowed DEG, the fused streamed stage, a
 // DEG upgrade of cached points, and probes — a Parallelism-4 batch leaves
 // the same history, budget and journaled span tree as the sequential one,
 // its stage spans name exactly the stages that path runs, a duplicate point

@@ -873,16 +873,7 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 			}
 			// The trace and Stats the run returns do not share the core's storage.
 			defer core.Release()
-			// Probe-lite: without bottleneck analysis downstream, nothing reads
-			// the DEG annotations, so skip recording them. Stamps and Stats are
-			// bit-identical either way (pinned by ooo's parity tests).
-			var tr *pipetrace.Trace
-			var stats *ooo.Stats
-			if withDEG {
-				tr, stats, err = core.Run(stream)
-			} else {
-				tr, stats, err = core.RunLite(stream)
-			}
+			tr, stats, err := core.Run(stream)
 			if err != nil {
 				return simOutcome{}, fmt.Errorf("dse: %s on %s: %w", wl.Name, cfg, err)
 			}
@@ -966,7 +957,7 @@ func (ev *Evaluator) runStreamed(ctx context.Context, cfg uarch.Config, wl workl
 	}
 	defer core.Release()
 
-	stats, err := core.RunStream(stream, ooo.DefaultChunkSize, func(c *pipetrace.Chunk) error {
+	stats, err := core.RunStream(stream, ooo.DefaultChunkSize, func(c *pipetrace.Trace) error {
 		if err := ctx.Err(); err != nil {
 			c.Release()
 			return err

@@ -8,8 +8,8 @@ import (
 	"archexplorer/internal/uarch"
 )
 
-// litePoints picks a handful of diverse design points to compare lite and
-// full evaluations over.
+// litePoints picks a handful of diverse design points to compare plain
+// (no-DEG) and DEG evaluations over.
 func litePoints(space *uarch.Space) []uarch.Point {
 	pts := []uarch.Point{space.Nearest(uarch.Baseline())}
 	cfg := uarch.Baseline()
@@ -23,11 +23,10 @@ func litePoints(space *uarch.Space) []uarch.Point {
 	return pts
 }
 
-// TestLiteEvaluationMatchesFull is the evaluator half of the probe-lite
-// contract: an evaluation without DEG analysis (which runs the simulator in
-// lite mode, skipping all annotation recording) must report the exact same
-// IPC, PPA, and per-workload results as the annotated run — the annotations
-// may only feed the DEG, never the timing.
+// TestLiteEvaluationMatchesFull checks that a plain evaluation (no DEG
+// analysis) reports the exact same IPC, PPA, and per-workload results as a
+// DEG evaluation of the same points — the analysis may only add the
+// report, never move the timing.
 func TestLiteEvaluationMatchesFull(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		space := uarch.StandardSpace()
@@ -73,10 +72,10 @@ func TestLiteEvaluationMatchesFull(t *testing.T) {
 	}
 }
 
-// TestLiteJournalDeterministic runs the same lite batch sequentially and
-// fanned out, with journals attached, and requires the deterministic fields
-// of the two journals to be identical — probe-lite and trace pooling must
-// not leak scheduling order into the telemetry stream.
+// TestLiteJournalDeterministic runs the same plain (no-DEG) batch
+// sequentially and fanned out, with journals attached, and requires the
+// deterministic fields of the two journals to be identical — trace pooling
+// must not leak scheduling order into the telemetry stream.
 func TestLiteJournalDeterministic(t *testing.T) {
 	run := func(parallelism int) ([]obs.Event, *Evaluator) {
 		ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)

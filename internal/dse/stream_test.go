@@ -205,27 +205,20 @@ func TestEvaluatorStreamedFaultInjection(t *testing.T) {
 	checkPoolBalanced(t, base)
 }
 
-// poolCensus is the live (taken, unreleased) count of the trace and chunk
-// pools.
-type poolCensus struct{ traces, chunks int64 }
-
-// poolLive returns the trace and chunk pools' live counts.
-func poolLive() poolCensus {
-	tr, ch := pipetrace.TracePoolStats(), pipetrace.ChunkPoolStats()
-	return poolCensus{traces: tr.Gets - tr.Puts, chunks: ch.Gets - ch.Puts}
+// poolLive returns the trace pool's live (taken, unreleased) count: whole
+// traces, streamed chunks and window copies alike.
+func poolLive() int64 {
+	st := pipetrace.TracePoolStats()
+	return st.Gets - st.Puts
 }
 
-// checkPoolBalanced fails the test unless every pool-owned trace and chunk
+// checkPoolBalanced fails the test unless every pool-owned trace or chunk
 // taken since base has been released. Releases are synchronous — no stage
 // attempt outlives the call that ran it — so the check needs no wait.
-func checkPoolBalanced(t *testing.T, base poolCensus) {
+func checkPoolBalanced(t *testing.T, base int64) {
 	t.Helper()
-	now := poolLive()
-	if leaked := now.traces - base.traces; leaked != 0 {
-		t.Fatalf("%d traces live after the call returned (want 0)", leaked)
-	}
-	if leaked := now.chunks - base.chunks; leaked != 0 {
-		t.Fatalf("%d chunks live after the call returned (want 0)", leaked)
+	if leaked := poolLive() - base; leaked != 0 {
+		t.Fatalf("%d traces or chunks live after the call returned (want 0)", leaked)
 	}
 }
 

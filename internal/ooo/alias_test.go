@@ -45,7 +45,7 @@ func TestRunNoTraceAliasing(t *testing.T) {
 					if round%2 == 1 {
 						i = len(cfgs) - 1 - k
 					}
-					trs[i], sts[i] = runParityWorkload(t, name, cfgs[i], false)
+					trs[i], sts[i] = runParityWorkload(t, name, cfgs[i])
 				}
 				for i, a := range trs {
 					for j := i + 1; j < len(trs); j++ {

@@ -146,12 +146,9 @@ type Core struct {
 	// release the stalled front end (-1 when the front end is healthy).
 	pendingRedirectSeq int
 
-	// Per-run recording state: the arena the current record's annotations
-	// intern into — the whole trace's in Run, the current chunk's in
-	// RunStream — and whether this run elides the DEG-only annotations
-	// (probe-lite).
+	// arena is the current trace's annotation storage, which the records
+	// being simulated intern into; nil between runs.
 	arena *pipetrace.Arena
-	lite  bool
 
 	stats Stats
 
@@ -281,52 +278,67 @@ func issueRingSlots(cfg uarch.Config) int {
 // Run simulates the dynamic instruction stream and returns the pipeline
 // trace plus activity statistics, recording the full set of DEG
 // annotations (resource/FU/port producers, data producers, misprediction
-// refill sources).
+// refill sources). It is RunStream with one chunk the size of the stream,
+// which Run keeps and returns with its Cycles set.
 //
 // Run never mutates the stream: workload.CachedTrace shares one memoised
 // slice across every concurrent evaluation, so the stream is read-only by
-// contract. The returned trace draws its record storage from a process-
-// wide pool; callers that finish with it may hand it back via
-// (*pipetrace.Trace).Release, and callers that keep it simply never do.
-// The returned Stats is a copy that outlives the core's Release.
+// contract. The returned trace draws its storage from the trace pool; the
+// caller owns it and may hand it back via (*pipetrace.Trace).Release, or
+// keep it and never do. The returned Stats is a copy that outlives the
+// core's Release.
 func (c *Core) Run(stream []isa.Inst) (*pipetrace.Trace, *Stats, error) {
-	return c.run(stream, false)
+	var tr *pipetrace.Trace
+	st, err := c.run(stream, len(stream), func(t *pipetrace.Trace) error {
+		tr = t
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	tr.Cycles = st.Cycles
+	return tr, st, nil
 }
 
-// RunLite is Run in probe-lite mode: every stage stamp, latency, and Stats
-// counter is byte-identical to Run, but the DEG-only metadata — resource/
-// FU/port producer annotations, data producers, and misprediction refill
-// sources — is elided. Evaluations that never build a dependence graph
-// (plain PPA evaluations, baseline explorers) use it to skip the
-// annotation interning entirely.
-func (c *Core) RunLite(stream []isa.Inst) (*pipetrace.Trace, *Stats, error) {
-	return c.run(stream, true)
-}
+// RunLite is Run.
+//
+// Deprecated: use Run. RunLite remains for the archbench replay until it
+// moves to Run.
+func (c *Core) RunLite(stream []isa.Inst) (*pipetrace.Trace, *Stats, error) { return c.Run(stream) }
 
-func (c *Core) run(stream []isa.Inst, lite bool) (*pipetrace.Trace, *Stats, error) {
+// run is the one per-instruction loop behind Run and RunStream. It fills
+// one pooled trace per chunkSize records of stream (the last may hold
+// fewer) and hands each to sink as soon as it is full, so it takes exactly
+// ceil(len(stream)/chunkSize) traces from the pool and no spare. A sink
+// error stops the simulation at once and is returned as is. On success it
+// returns a copy of the run's Stats.
+func (c *Core) run(stream []isa.Inst, chunkSize int, sink func(*pipetrace.Trace) error) (*Stats, error) {
 	if len(stream) == 0 {
-		return nil, nil, fmt.Errorf("ooo: empty instruction stream")
+		return nil, fmt.Errorf("ooo: empty instruction stream")
 	}
-	tr := pipetrace.GetTrace(len(stream))
-	c.arena = &tr.Arena
-	c.lite = lite
+	for lo := 0; lo < len(stream); lo += chunkSize {
+		hi := min(lo+chunkSize, len(stream))
+		tr := pipetrace.GetTrace(hi - lo)
+		c.arena = &tr.Arena
+		for seq := lo; seq < hi; seq++ {
+			in := &stream[seq]
+			tr.Records = pipetrace.AppendReset(tr.Records, seq, in.PC, in.Class)
+			rec := &tr.Records[seq-lo]
 
-	for seq := range stream {
-		in := &stream[seq]
-		tr.Records = pipetrace.AppendReset(tr.Records, seq, in.PC, in.Class)
-		rec := &tr.Records[seq]
-
-		c.fetch(in, rec)
-		c.decode(rec)
-		c.rename(in, rec)
-		c.schedule(in, rec)
-		c.commit(in, rec)
+			c.fetch(in, rec)
+			c.decode(rec)
+			c.rename(in, rec)
+			c.schedule(in, rec)
+			c.commit(in, rec)
+		}
+		c.arena = nil
+		if err := sink(tr); err != nil {
+			return nil, err
+		}
 	}
-	c.arena = nil
 	c.finalizeStats(len(stream))
-	tr.Cycles = c.stats.Cycles
 	st := c.stats
-	return tr, &st, nil
+	return &st, nil
 }
 
 // finalizeStats fills the end-of-run counters after n committed
@@ -362,9 +374,7 @@ func (c *Core) fetch(in *isa.Inst, rec *pipetrace.Record) {
 		c.groupLeft = c.maxGroupSize
 		c.stats.FetchGroups++
 		if c.refillFrom >= 0 {
-			if !c.lite {
-				rec.MispredictFrom = c.refillFrom
-			}
+			rec.MispredictFrom = c.refillFrom
 			c.refillFrom = -1
 		}
 	}
@@ -432,10 +442,8 @@ func (c *Core) rename(in *isa.Inst, rec *pipetrace.Record) {
 	deps := 0
 	take := func(t int64, owner int, res uarch.Resource) {
 		if t > base && owner >= 0 {
-			if !c.lite {
-				depBuf[deps] = pipetrace.ResourceDep{Resource: res, Producer: owner}
-				deps++
-			}
+			depBuf[deps] = pipetrace.ResourceDep{Resource: res, Producer: owner}
+			deps++
 			c.stats.RenameStalls[res]++
 		}
 		ready = max(ready, t)
@@ -504,7 +512,7 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 		} else {
 			t, prod = c.intReady[src.Index], c.intProd[src.Index]
 		}
-		if t > base && prod >= 0 && !c.lite {
+		if t > base && prod >= 0 {
 			prodBuf[prods] = prod
 			prods++
 		}
@@ -522,7 +530,7 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 	}
 	fu := c.fus[spec.res]
 	fuStart, fuUnit, fuPrev := fu.acquire(base, occ, rec.Seq)
-	if fuStart > base && fuPrev >= 0 && !c.lite {
+	if fuStart > base && fuPrev >= 0 {
 		rec.FUProducer = fuPrev
 		rec.FURes = spec.res
 	}
@@ -532,7 +540,7 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 	portUnit := -1
 	if in.Class == isa.OpLoad {
 		pStart, pu, pPrev := c.ports.acquire(issueAt, 1, rec.Seq)
-		if pStart > issueAt && pPrev >= 0 && !c.lite {
+		if pStart > issueAt && pPrev >= 0 {
 			rec.PortProducer = pPrev
 		}
 		issueAt = pStart

@@ -3,7 +3,6 @@ package ooo
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 
 	"archexplorer/internal/pipetrace"
 )
@@ -11,7 +10,8 @@ import (
 // Fingerprint folds every deterministic field of a trace — stage stamps,
 // latencies, all DEG annotations, and the activity statistics — into one
 // FNV-1a hash. Two runs agree on the fingerprint iff their pipetrace
-// records and stats are byte-identical.
+// records and stats are byte-identical. It is ChunkedFingerprint over the
+// trace's records, so both hash one byte layout.
 //
 // It is the oracle of the conformance suite (internal/conformance) and of
 // the in-package parity tests: the pinned seed fingerprints in
@@ -19,56 +19,30 @@ import (
 // layout must never change — a model change that legitimately moves the
 // hash is re-pinned there, never absorbed by editing the format.
 func Fingerprint(tr *pipetrace.Trace, st *Stats) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "cycles=%d\n", tr.Cycles)
-	for i := range tr.Records {
-		hashRecord(h, &tr.Records[i])
-	}
-	fmt.Fprintf(h, "%+v\n", *st)
-	return h.Sum64()
-}
-
-// TimingFingerprint is Fingerprint restricted to the fields probe-lite
-// recording preserves: stage stamps, cache/execution latencies, the
-// misprediction outcome, and the stats. Full-fidelity and lite runs of the
-// same (config, stream) agree on it by the RunLite contract, so it is the
-// cross-mode oracle — comparing a lite run against a full run through the
-// full Fingerprint would only measure the elided annotations.
-func TimingFingerprint(tr *pipetrace.Trace, st *Stats) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "cycles=%d\n", tr.Cycles)
-	for i := range tr.Records {
-		r := &tr.Records[i]
-		fmt.Fprintf(h, "%d %#x %d %v %d %d %v\n",
-			r.Seq, r.PC, r.Class, r.Stamp,
-			r.ICacheLat, r.DCacheLat, fpBool(r.Mispredicted))
-		fmt.Fprintf(h, "exec=%d\n", r.ExecLat)
-	}
-	fmt.Fprintf(h, "%+v\n", *st)
-	return h.Sum64()
+	return ChunkedFingerprint(tr.Cycles, st, func(hash func(*pipetrace.Record)) {
+		for i := range tr.Records {
+			hash(&tr.Records[i])
+		}
+	})
 }
 
 // ChunkedFingerprint is Fingerprint over a run delivered as record chunks
-// (RunStream): cycles and stats are hashed in the same positions, with the
+// (RunStream): the cycles preamble, every record, then the stats, with the
 // record sequence supplied chunk by chunk via the visit callback. Feeding
 // it each chunk's records in emission order reproduces exactly what
-// Fingerprint would compute over the materialized trace.
+// Fingerprint computes over the materialized trace.
 func ChunkedFingerprint(cycles int64, st *Stats, visit func(hash func(r *pipetrace.Record))) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "cycles=%d\n", cycles)
-	visit(func(r *pipetrace.Record) { hashRecord(h, r) })
+	visit(func(r *pipetrace.Record) {
+		fmt.Fprintf(h, "%d %#x %d %v %v %d %d %v %d %d %d %d %v\n",
+			r.Seq, r.PC, r.Class, r.Stamp, r.ResourceDeps, r.FUProducer,
+			r.FURes, r.DataProducers, r.PortProducer, r.MispredictFrom,
+			r.ICacheLat, r.DCacheLat, fpBool(r.Mispredicted))
+		fmt.Fprintf(h, "exec=%d\n", r.ExecLat)
+	})
 	fmt.Fprintf(h, "%+v\n", *st)
 	return h.Sum64()
-}
-
-// hashRecord writes one record's deterministic fields in the pinned
-// fingerprint layout.
-func hashRecord(h io.Writer, r *pipetrace.Record) {
-	fmt.Fprintf(h, "%d %#x %d %v %v %d %d %v %d %d %d %d %v\n",
-		r.Seq, r.PC, r.Class, r.Stamp, r.ResourceDeps, r.FUProducer,
-		r.FURes, r.DataProducers, r.PortProducer, r.MispredictFrom,
-		r.ICacheLat, r.DCacheLat, fpBool(r.Mispredicted))
-	fmt.Fprintf(h, "exec=%d\n", r.ExecLat)
 }
 
 func fpBool(b bool) int {

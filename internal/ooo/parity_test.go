@@ -57,7 +57,7 @@ var seedFingerprints = map[string]map[string]uint64{
 	},
 }
 
-func runParityWorkload(t *testing.T, name string, cfg uarch.Config, lite bool) (*pipetrace.Trace, *Stats) {
+func runParityWorkload(t *testing.T, name string, cfg uarch.Config) (*pipetrace.Trace, *Stats) {
 	t.Helper()
 	p, err := workload.ByName(name)
 	if err != nil {
@@ -71,13 +71,7 @@ func runParityWorkload(t *testing.T, name string, cfg uarch.Config, lite bool) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr *pipetrace.Trace
-	var st *Stats
-	if lite {
-		tr, st, err = core.RunLite(stream)
-	} else {
-		tr, st, err = core.Run(stream)
-	}
+	tr, st, err := core.Run(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +90,7 @@ func TestSeedParity(t *testing.T) {
 	for cfgName, cfg := range configs {
 		for _, name := range parityWorkloads {
 			t.Run(cfgName+"/"+name, func(t *testing.T) {
-				tr, st := runParityWorkload(t, name, cfg, false)
+				tr, st := runParityWorkload(t, name, cfg)
 				got := traceFingerprint(tr, st)
 				want := seedFingerprints[cfgName][name]
 				if got != want {
@@ -109,54 +103,13 @@ func TestSeedParity(t *testing.T) {
 	}
 }
 
-// TestLiteParity asserts probe-lite mode changes only what it promises to:
-// stage stamps, latencies, and Stats are byte-identical to a full run, while
-// the DEG annotations (resource deps, producers, mispredict blame) are
-// elided entirely.
-func TestLiteParity(t *testing.T) {
-	for _, name := range parityWorkloads {
-		t.Run(name, func(t *testing.T) {
-			full, fullSt := runParityWorkload(t, name, uarch.Baseline(), false)
-			lite, liteSt := runParityWorkload(t, name, uarch.Baseline(), true)
-
-			if *fullSt != *liteSt {
-				t.Errorf("stats diverge between full and lite:\nfull %+v\nlite %+v", *fullSt, *liteSt)
-			}
-			if full.Cycles != lite.Cycles {
-				t.Errorf("cycles diverge: full %d, lite %d", full.Cycles, lite.Cycles)
-			}
-			if len(full.Records) != len(lite.Records) {
-				t.Fatalf("record count diverges: full %d, lite %d", len(full.Records), len(lite.Records))
-			}
-			for i := range full.Records {
-				f, l := &full.Records[i], &lite.Records[i]
-				if f.Stamp != l.Stamp {
-					t.Fatalf("rec %d: stamps diverge\nfull %v\nlite %v", i, f.Stamp, l.Stamp)
-				}
-				if f.ICacheLat != l.ICacheLat || f.DCacheLat != l.DCacheLat ||
-					f.ExecLat != l.ExecLat || f.Mispredicted != l.Mispredicted {
-					t.Fatalf("rec %d: latencies/outcomes diverge", i)
-				}
-				if len(l.ResourceDeps) != 0 || len(l.DataProducers) != 0 {
-					t.Fatalf("rec %d: lite run recorded annotations: deps=%v prods=%v",
-						i, l.ResourceDeps, l.DataProducers)
-				}
-				if l.FUProducer != -1 || l.PortProducer != -1 || l.MispredictFrom != -1 {
-					t.Fatalf("rec %d: lite run recorded producer blame: fu=%d port=%d bp=%d",
-						i, l.FUProducer, l.PortProducer, l.MispredictFrom)
-				}
-			}
-		})
-	}
-}
-
 // TestPooledTraceReuseDeterministic asserts releasing a trace back to the
 // pool and running again yields the identical fingerprint — reused backing
 // storage must be indistinguishable from fresh storage.
 func TestPooledTraceReuseDeterministic(t *testing.T) {
 	var want uint64
 	for round := 0; round < 3; round++ {
-		tr, st := runParityWorkload(t, "458.sjeng", tightConfig(), false)
+		tr, st := runParityWorkload(t, "458.sjeng", tightConfig())
 		got := traceFingerprint(tr, st)
 		if round == 0 {
 			want = got
@@ -169,9 +122,9 @@ func TestPooledTraceReuseDeterministic(t *testing.T) {
 }
 
 // TestRunDoesNotMutateSharedStream pins the CachedTrace immutability
-// contract: Core.Run and RunLite treat the instruction stream as read-only,
-// because CachedTrace hands every caller — concurrent evaluator workers
-// included — the same backing array.
+// contract: Core.Run treats the instruction stream as read-only, because
+// CachedTrace hands every caller — concurrent evaluator workers included —
+// the same backing array. RunStream shares Run's loop.
 func TestRunDoesNotMutateSharedStream(t *testing.T) {
 	p, err := workload.ByName("429.mcf")
 	if err != nil {
@@ -184,24 +137,16 @@ func TestRunDoesNotMutateSharedStream(t *testing.T) {
 	snapshot := make([]isa.Inst, len(stream))
 	copy(snapshot, stream)
 
-	for _, lite := range []bool{false, true} {
-		core, err := New(tightConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lite {
-			_, _, err = core.RunLite(stream)
-		} else {
-			_, _, err = core.Run(stream)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range stream {
-			if stream[i] != snapshot[i] {
-				t.Fatalf("lite=%v: Run mutated shared stream at index %d: %+v != %+v",
-					lite, i, stream[i], snapshot[i])
-			}
+	core, err := New(tightConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err = core.Run(stream); err != nil {
+		t.Fatal(err)
+	}
+	for i := range stream {
+		if stream[i] != snapshot[i] {
+			t.Fatalf("Run mutated shared stream at index %d: %+v != %+v", i, stream[i], snapshot[i])
 		}
 	}
 }

@@ -85,43 +85,38 @@ type engine int
 
 const (
 	engineRun engine = iota
-	engineLite
 	engineStream
 	engineStreamFail // RunStream whose sink fails on the second chunk
+	numEngines
 )
 
 func (e engine) String() string {
-	return [...]string{"run", "lite", "stream", "stream-fail"}[e]
+	return [...]string{"run", "stream", "stream-fail"}[e]
 }
 
 var errSinkFailed = errors.New("sink failed")
 
 // runFingerprint runs stream on c with engine e and fingerprints the
-// output: Fingerprint for Run and RunLite, ChunkedFingerprint for the
-// streams. A failed stream fingerprints the chunks it delivered before
-// the failure, under zero cycles and Stats.
+// output: Fingerprint for Run, ChunkedFingerprint for the streams. A
+// failed stream fingerprints the chunks it delivered before the failure,
+// under zero cycles and Stats.
 func runFingerprint(t testing.TB, c *Core, stream []isa.Inst, e engine) uint64 {
 	t.Helper()
-	switch e {
-	case engineRun, engineLite:
-		run := c.Run
-		if e == engineLite {
-			run = c.RunLite
-		}
-		tr, st, err := run(stream)
+	if e == engineRun {
+		tr, st, err := c.Run(stream)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tr.Release()
 		return Fingerprint(tr, st)
 	}
-	var chunks []*pipetrace.Chunk
+	var chunks []*pipetrace.Trace
 	defer func() {
 		for _, ch := range chunks {
 			ch.Release()
 		}
 	}()
-	st, err := c.RunStream(stream, 256, func(ch *pipetrace.Chunk) error {
+	st, err := c.RunStream(stream, 256, func(ch *pipetrace.Trace) error {
 		chunks = append(chunks, ch)
 		if e == engineStreamFail && len(chunks) == 2 {
 			return errSinkFailed
@@ -179,7 +174,7 @@ func TestRecycledLineageMatchesFresh(t *testing.T) {
 		d := shapes[(i+i/len(shapes))%len(shapes)]
 		cfg.DCacheKB, cfg.DCacheAssoc = d[0], d[1]
 		cfg.ROBEntries = []int{32, 256}[(i/2)%2]
-		e := engine(i % 4)
+		e := engine(i % int(numEngines))
 		var stream []isa.Inst
 		if i == chaseStep {
 			cfg, e, stream = chaseConfig(), engineRun, chaseStream(3000)

@@ -23,7 +23,7 @@ func collectStream(t *testing.T, cfg uarch.Config, n, chunkSize int) ([]pipetrac
 	}
 	var recs []pipetrace.Record
 	var sizes []int
-	stats, err := core.RunStream(stream, chunkSize, func(c *pipetrace.Chunk) error {
+	stats, err := core.RunStream(stream, chunkSize, func(c *pipetrace.Trace) error {
 		sizes = append(sizes, len(c.Records))
 		for i := range c.Records {
 			r := c.Records[i] // copy
@@ -107,7 +107,7 @@ func TestRunStreamSinkError(t *testing.T) {
 	}
 	boom := fmt.Errorf("sink exploded")
 	calls := 0
-	_, err = core.RunStream(testStream(t, 3000), 256, func(c *pipetrace.Chunk) error {
+	_, err = core.RunStream(testStream(t, 3000), 256, func(c *pipetrace.Trace) error {
 		calls++
 		c.Release()
 		if calls == 2 {

@@ -6,10 +6,9 @@ package pipetrace
 // the records then hold three-index subslices of arena chunks, so the
 // arena must live exactly as long as the records that point into it.
 //
-// Both the batch Trace and the streaming Chunk embed an Arena: in batch
-// mode one arena backs the whole trace, in streaming mode each chunk owns
-// the arena its records' annotations live in, so releasing a chunk
-// releases its annotation storage with it.
+// Every Trace embeds an Arena: one arena backs a whole run's trace, and
+// each streamed chunk owns the arena its records' annotations live in, so
+// releasing a trace releases its annotation storage with it.
 type Arena struct {
 	deps  []ResourceDep
 	prods []int

@@ -139,8 +139,8 @@ func (r *Record) Reset(seq int, pc uint64, class isa.OpClass) {
 }
 
 // AppendReset extends recs by one record — reusing the existing slot in
-// place when capacity allows, as it always does for pooled trace and chunk
-// storage — and resets that slot to the NewRecord state. It returns the
+// place when capacity allows, as it always does for pooled trace storage —
+// and resets that slot to the NewRecord state. It returns the
 // extended slice; the caller fills the last element through a pointer.
 func AppendReset(recs []Record, seq int, pc uint64, class isa.OpClass) []Record {
 	if len(recs) < cap(recs) {
@@ -181,16 +181,37 @@ func (r *Record) Span() int64 { return r.Stamp[SC] - r.Stamp[SF1] }
 // non-memory instructions).
 func (r *Record) HasStage(s Stage) bool { return r.Stamp[s] != NoStamp }
 
-// Trace is the microexecution of a whole workload on one design point.
+// Trace is the microexecution of a workload on one design point: the
+// whole run (ooo's Run), or one chunk of it in the streaming sim→DEG
+// pipeline (ooo's RunStream), whose records keep their global sequence
+// numbers.
 //
 // A Trace owns arena storage for its records' annotation slices
 // (ResourceDeps, DataProducers): the simulator interns each record's
 // annotations into the arena instead of allocating one slice per record,
-// and Release recycles the whole bundle — records and arenas — through the
-// trace pool for the next run of the same length.
+// so handing a trace over hands over all storage its records reference,
+// and Release recycles the whole bundle — records and arena — through the
+// trace pool.
+//
+// Ownership rules (one owner at a time):
+//
+//   - The simulator owns a trace from GetTrace until it returns it (Run)
+//     or its sink callback returns (RunStream); it does not touch the
+//     trace afterwards.
+//   - The receiver owns it from then until it Releases it — which it may
+//     only do once no retained Record (or annotation subslice) it still
+//     reads aliases the trace. A receiver that needs records past that
+//     point copies them out, re-interning their annotations into storage
+//     of its own; the stream analyzer holds every chunk whose records
+//     overlap a still-unanalyzed window.
+//   - Release recycles the storage through a pool shared with future
+//     runs and chunks, so a late read after it observes another
+//     simulation's records.
 type Trace struct {
+	// Records hold committed instructions in commit order; Seq is the
+	// commit index in the whole run, also in a streamed chunk.
 	Records []Record
-	Cycles  int64 // total simulated cycles (commit time of the last instruction)
+	Cycles  int64 // total simulated cycles of a whole run; zero in a streamed chunk
 
 	// Arena is the backing storage for the records' annotation slices.
 	// Records hold three-index subslices of it, so the arena lives exactly
@@ -203,6 +224,11 @@ type Trace struct {
 	// back; see Release.
 	pooled, released bool
 }
+
+// Chunk is the former name of a streamed chunk, now a Trace.
+//
+// Deprecated: use Trace. Chunk remains for the archbench replay.
+type Chunk = Trace
 
 // Span returns the wall-clock interval the trace covers: last commit minus
 // first fetch. Zero for an empty trace.

@@ -6,22 +6,20 @@ import (
 )
 
 // tracePool recycles Trace buffers — the records array plus the annotation
-// arenas — across simulator runs. Repeated evaluations of the same trace
-// length (the DSE loop's steady state) then run allocation-free in the
-// record path: the pool mirrors the DEG stage's buffer pools from the
-// windowed analyzer.
+// arena — across simulator runs, streamed chunks and the stream analyzer's
+// window copies. Repeated evaluations (the DSE loop's steady state) then
+// run allocation-free in the record path: the pool mirrors the DEG stage's
+// buffer pools from the windowed analyzer.
 var tracePool sync.Pool
 
-// PoolStats counts the traffic of one storage pool, traces
-// (TracePoolStats) or chunks (ChunkPoolStats). The counters exist so tests
-// can assert lifecycle invariants — every acquired trace or chunk is
+// PoolStats counts the trace pool's traffic (TracePoolStats). The counters
+// exist so tests can assert lifecycle invariants — every acquired trace is
 // released by the time its owner returns, stage timeouts included —
 // without poking at sync.Pool internals; they are two atomic adds per
-// simulator run or per chunk, far off the per-record hot path.
+// simulator run or chunk, far off the per-record hot path.
 type PoolStats struct {
-	// Gets counts acquisitions (GetTrace, GetChunk); Puts counts releases
-	// back to the pool. Gets - Puts is the number of live (pool-owned,
-	// unreleased) traces or chunks.
+	// Gets counts GetTrace calls; Puts counts releases back to the pool.
+	// Gets - Puts is the number of live (pool-owned, unreleased) traces.
 	Gets, Puts int64
 }
 

@@ -13,8 +13,8 @@ func TestGetTraceCapacityAndReuse(t *testing.T) {
 	}
 	tr.Records = append(tr.Records, NewRecord(0, 0x100, 0))
 	tr.Cycles = 42
-	tr.InternDeps([]ResourceDep{{Resource: uarch.ResROB, Producer: 7}})
-	tr.InternProducers([]int{1, 2})
+	tr.Records[0].ResourceDeps = tr.InternDeps([]ResourceDep{{Resource: uarch.ResROB, Producer: 7}})
+	tr.Records[0].DataProducers = tr.InternProducers([]int{1, 2})
 	tr.Release()
 
 	// A released trace comes back empty whatever storage it reuses.

@@ -19,16 +19,16 @@ func TestDirectTraceNeverPools(t *testing.T) {
 	nilTr.Release()
 }
 
-// TestChunkReleaseRecycles: chunks round-trip through their pool with
-// records and arena reset.
+// TestChunkReleaseRecycles: streamed chunks round-trip through the trace
+// pool with records and arena reset.
 func TestChunkReleaseRecycles(t *testing.T) {
-	c := GetChunk(4)
+	var c *Chunk = GetTrace(4)
 	c.Records = append(c.Records, NewRecord(0, 0x40, 0))
 	c.Records[0].ResourceDeps = c.InternDeps([]ResourceDep{{Producer: 3}})
 	c.Records[0].DataProducers = c.InternProducers([]int{1, 2})
 	c.Release()
 
-	c2 := GetChunk(4)
+	c2 := GetTrace(4)
 	if len(c2.Records) != 0 || len(c2.deps) != 0 || len(c2.prods) != 0 {
 		t.Fatal("recycled chunk not reset")
 	}
@@ -37,10 +37,12 @@ func TestChunkReleaseRecycles(t *testing.T) {
 	nilChunk.Release()
 }
 
-// TestTraceReleaseTwicePanics: a pooled trace has one owner, and a second
-// Release would pool it twice, so two later GetTrace calls could hand the
-// SAME *Trace to two concurrent simulations. The violation must be loud,
-// and a trace that comes back out of the pool is releasable again.
+// TestTraceReleaseTwicePanics: a pooled trace — a whole run or a streamed
+// chunk — has one owner, and a second Release would pool it twice, so two
+// later GetTrace calls could hand the SAME *Trace to two concurrent
+// simulations. The violation must be loud, the census counts the one get
+// and the one release, and a trace that comes back out of the pool is
+// releasable again.
 func TestTraceReleaseTwicePanics(t *testing.T) {
 	base := TracePoolStats()
 	tr := GetTrace(4)
@@ -58,14 +60,14 @@ func TestTraceReleaseTwicePanics(t *testing.T) {
 }
 
 // TestChunkReleaseTwicePanics: a chunk has one owner, and a second Release
-// would pool it twice, so two later GetChunk calls could hand the same
-// storage to two simulations. The chunk census counts the one get and the
+// would pool it twice, so two later GetTrace calls could hand the same
+// storage to two simulations. The pool census counts the one get and the
 // one release.
 func TestChunkReleaseTwicePanics(t *testing.T) {
-	base := ChunkPoolStats()
-	c := GetChunk(4)
+	base := TracePoolStats()
+	var c *Chunk = GetTrace(4)
 	c.Release()
-	if st := ChunkPoolStats(); st.Gets != base.Gets+1 || st.Puts != base.Puts+1 {
+	if st := TracePoolStats(); st.Gets != base.Gets+1 || st.Puts != base.Puts+1 {
 		t.Fatalf("one get and one release: %+v (base %+v)", st, base)
 	}
 	defer func() {
