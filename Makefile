@@ -13,8 +13,9 @@ GO ?= go
 # the gates were set; the slack absorbs small refactors, not test deletions.
 # The simulator core and the conformance harness joined later: the
 # timing entry points (Run and RunStream, one per-instruction loop) and
-# two parallel DEG analyzers claim bit-identical results, so untested
-# simulator lines are unpinned behaviour (measured 94%/90% at gate time).
+# the parallel streamed DEG analyzer claim bit-identical results, so
+# untested simulator lines are unpinned behaviour (measured 94%/90% at
+# gate time).
 COVER_MIN_OBS := 85
 COVER_MIN_DSE := 80
 COVER_MIN_FAULT := 90
@@ -37,7 +38,8 @@ test:
 # cores cross goroutines through a sync.Pool, and one pass of a race test
 # only sees the interleavings that pass happened to run. The third repeats
 # the parallel windowed-DEG tests for the same reason: every window of a
-# parallel analysis crosses goroutines through the window ring. The fourth
+# parallel analysis crosses goroutines through the window ring, whose one
+# entry point (pushCopy) the ring and overlap tests also drive. The fourth
 # repeats the stage-timeout tests: a timed-out attempt must be cancelled
 # and gone, with its storage released, whenever its deadline lands. The
 # fifth repeats the streamed-evaluation tests: every streamed evaluation
@@ -46,7 +48,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestRecycledCoresConcurrent$$' ./internal/ooo/
-	$(GO) test -race -count=5 -run 'TestParallel' ./internal/deg/
+	$(GO) test -race -count=5 -run 'TestParallel|TestWindowRing|TestOverlapCovers' ./internal/deg/
 	$(GO) test -race -count=10 -run 'TestStageTimeout|TestNoTraceLeakWithStageTimeouts|TestCancelStalledDEGStage|TestCancelTimedOutStream' ./internal/dse/
 	$(GO) test -race -count=5 -run 'TestEvaluatorStreamed|TestEvaluatorDEGWorkersDeterminism' ./internal/dse/
 

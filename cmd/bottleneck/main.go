@@ -6,6 +6,11 @@
 //
 //	bottleneck -workload 458.sjeng -n 20000
 //	bottleneck -workload 429.mcf -rob 128 -intrf 96 -width 6
+//	bottleneck -workload 458.sjeng -n 20000 -deg-window 2000
+//
+// With -deg-window the simulator streams its records into the windowed
+// analyzer and no full trace is materialized; without it the whole trace
+// is analyzed in one graph, which -dot can write out.
 package main
 
 import (
@@ -53,8 +58,8 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		cli.Usagef("%v", err)
 	}
-	if *dotOut != "" && (degf.Window > 0 || degf.Stream) {
-		cli.Usagef("-dot needs the whole-trace graph; drop -deg-window/-deg-stream")
+	if *dotOut != "" && degf.Window > 0 {
+		cli.Usagef("-dot needs the whole-trace graph; drop -deg-window")
 	}
 	if *dotOut != "" && *all {
 		cli.Usagef("-dot renders one workload's graph; drop -all")
@@ -97,14 +102,13 @@ func main() {
 		var g *deg.Graph
 		var cp *deg.CriticalPath
 		var ws *deg.WindowStats
-		if degf.Stream {
+		if degf.Window > 0 {
 			// Fused simulate+analyze: the simulator's chunks feed the
 			// windowed analyzer directly and no full trace is materialized —
 			// peak memory is the analyzer's window+margin working set.
 			sa, err := deg.NewStreamAnalyzer(deg.WindowOptions{
-				Window: degf.Window, Overlap: degf.Overlap,
-				ReorderWindow: cfg.ROBEntries,
-				Workers:       par.DefaultLimit(),
+				Window: degf.Window, ReorderWindow: cfg.ROBEntries,
+				Workers: par.DefaultLimit(),
 			})
 			cli.Check(err)
 			t0 = time.Now()
@@ -123,19 +127,8 @@ func main() {
 			times[1] = time.Since(t0)
 
 			t0 = time.Now()
-			if degf.Window > 0 {
-				rep, ws, err = deg.AnalyzeWindowed(tr, deg.WindowOptions{
-					Window: degf.Window, Overlap: degf.Overlap,
-					ReorderWindow: cfg.ROBEntries,
-					Workers:       par.DefaultLimit(),
-				})
-				cli.Check(err)
-				fmt.Printf("windowed analysis: %d windows, peak %d edges / %d vertices, %d clipped deps\n",
-					ws.Windows, ws.PeakEdges, ws.PeakVertices, ws.ClippedDeps)
-			} else {
-				rep, g, cp, err = deg.Analyze(tr, deg.Options{})
-				cli.Check(err)
-			}
+			rep, g, cp, err = deg.Analyze(tr, deg.Options{})
+			cli.Check(err)
 			times[3] = time.Since(t0)
 		}
 		core.Release()
@@ -157,7 +150,7 @@ func main() {
 		rec.Counter(obs.MetricEvaluations).Inc()
 		rec.Histogram(obs.MetricStageTrace).Observe(times[0].Seconds())
 		rec.Histogram(obs.MetricStagePower).Observe(times[2].Seconds())
-		if degf.Stream {
+		if degf.Window > 0 {
 			rec.Histogram(obs.MetricStageDEGStream).Observe(streamDur.Seconds())
 		} else {
 			rec.Histogram(obs.MetricStageSim).Observe(times[1].Seconds())

@@ -79,8 +79,6 @@ func main() {
 		StageTimeout:    resil.StageTimeout,
 		SkipFailures:    resil.SkipFailures,
 		DEGWindow:       degf.Window,
-		DEGOverlap:      degf.Overlap,
-		DEGStream:       degf.Stream,
 	}
 	// Campaign grids are multi-minute; surface cell completions live
 	// whenever any telemetry is on.

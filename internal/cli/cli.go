@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"archexplorer/internal/dse"
@@ -155,35 +156,37 @@ func (c *Checkpoint) Wire(ev *dse.Evaluator, method, suite string, budget int, s
 	})
 }
 
-// DEG is the shared bottleneck-analysis flag set: the streaming windowed
-// analyzer's window size and context margin. Both default to 0, which
-// keeps the whole-trace analyzer — byte-identical to an unwired binary.
+// DEG is the shared bottleneck-analysis flag set: one knob, the windowed
+// analyzer's window size. It defaults to 0, which keeps the whole-trace
+// analyzer — byte-identical to an unwired binary.
 type DEG struct {
 	// Window is the instructions per analysis window (-deg-window); 0
-	// analyzes the whole trace in one pass.
+	// analyzes the whole trace in one pass. A windowed full evaluation
+	// streams the simulator's records straight into the analyzer, and
+	// every window's context margin is derived from the evaluated
+	// config's ROB (deg.RequiredOverlap).
 	Window int
-	// Overlap is the context margin prepended to each window
-	// (-deg-overlap); 0 derives it from the evaluated config's reorder
-	// window (deg.RequiredOverlap), falling back to deg.DefaultOverlap.
-	Overlap int
-	// Stream fuses simulation and analysis into the streaming pipeline
-	// (-deg-stream): no full trace is materialized and peak memory is
-	// O(window + margin).
-	Stream bool
 }
 
-// AddDEGFlags registers the windowed-analysis flags on fs.
+// AddDEGFlags registers -deg-window on fs. A negative window fails the
+// parse, so the binaries exit 2 instead of analyzing the whole trace.
 func (d *DEG) AddDEGFlags(fs *flag.FlagSet) {
-	fs.IntVar(&d.Window, "deg-window", 0, "run bottleneck analysis in instruction windows of this size (pooled buffers, O(window) memory); 0 analyzes the whole trace")
-	fs.IntVar(&d.Overlap, "deg-overlap", 0, "context margin in instructions prepended to each -deg-window so cross-boundary edges are seen; 0 derives it from the evaluated config's ROB")
-	fs.BoolVar(&d.Stream, "deg-stream", false, "stream simulator chunks straight into the windowed analyzer (no materialized trace, O(window+margin) memory; reports identical to the buffered path)")
+	fs.Func("deg-window", "run bottleneck analysis in windows of `n` instructions; full evaluations stream the simulator into it in O(window) memory; 0 analyzes the whole trace", func(s string) error {
+		v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err != nil {
+			return err
+		}
+		if v < 0 {
+			return fmt.Errorf("window %d is negative; use 0 for whole-trace analysis", v)
+		}
+		d.Window = int(v)
+		return nil
+	})
 }
 
-// Apply installs the windowed-analysis knobs on the evaluator.
+// Apply installs the window on the evaluator.
 func (d *DEG) Apply(ev *dse.Evaluator) {
 	ev.DEGWindow = d.Window
-	ev.DEGOverlap = d.Overlap
-	ev.DEGStream = d.Stream
 }
 
 // Resilience is the shared fault-tolerance flag set: the retry policy for

@@ -2,22 +2,22 @@
 // simulator's timing entry points — per-config Core.Run and streaming
 // Core.RunStream, one per-instruction loop that packages its records as
 // one trace or as chunks — plus Run on a recycled core (one a different
-// config released, as in the evaluator's steady state), and the two
-// parallel windowed DEG analyzers: buffered (deg.AnalyzeWindowed with
-// Workers > 1) and streamed (RunStream chunks fed straight into a
-// deg.StreamAnalyzer, the shape of the evaluator's -deg-stream pipeline).
-// All of them implement one timing-and-attribution model, so for any
-// (config, stream) pair they must agree exactly; the package quantifies
-// that over randomly drawn valid configurations.
+// config released, as in the evaluator's steady state), and the parallel
+// windowed DEG pipeline: RunStream chunks fed straight into a 4-worker
+// deg.StreamAnalyzer, the shape of the evaluator's windowed full
+// evaluations. All of them implement one timing-and-attribution model, so
+// for any (config, stream) pair they must agree exactly; the package
+// quantifies that over randomly drawn valid configurations.
 //
 // The timing oracle is the fingerprint family in internal/ooo: the
 // reference and recycled runs are hashed through ooo.Fingerprint (every
 // deterministic record field), and the chunked stream through
 // ooo.ChunkedFingerprint, the same byte layout fed chunk by chunk.
 // Agreement of the traces' annotations is necessary but not sufficient
-// for ArchExplorer, whose decisions consume the bottleneck reports, so
-// both parallel DEG analyzers must also reproduce the sequential windowed
-// report and stats of the reference trace bit for bit.
+// for ArchExplorer, whose decisions consume the bottleneck reports, so the
+// streamed DEG pipeline must also reproduce the report and stats of the
+// sequential reference, deg.AnalyzeWindowed over the reference trace, bit
+// for bit.
 //
 // When a draw disagrees, Shrink reduces the failing design point toward
 // the baseline one lattice step at a time, so the reported counterexample
@@ -68,7 +68,7 @@ func (g *Gen) Config() uarch.Config { return g.Space.Decode(g.Point()) }
 // Mismatch is one engine disagreement: the named engine's output diverged
 // from the per-config reference run on this (config, workload).
 type Mismatch struct {
-	Engine    string // "stream", "recycled", "deg-par", "deg-stream"
+	Engine    string // "stream", "recycled", "deg-stream"
 	Workload  string
 	Config    uarch.Config
 	Want, Got uint64 // reference and diverging fingerprints (0 for the deg engines)
@@ -83,7 +83,7 @@ func (m *Mismatch) Error() string {
 // Check cross-checks every engine for each config over one instruction
 // stream, one config at a time, and returns the first disagreement as a
 // *Mismatch (or the first operational error). nil means all engines agreed
-// on every config. withDEG adds the two parallel DEG analyzers.
+// on every config. withDEG adds the streamed DEG pipeline.
 func Check(stream []isa.Inst, wl string, cfgs []uarch.Config, withDEG bool) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("conformance: no configs to check")
@@ -106,10 +106,10 @@ type engineRuns struct {
 	ref      uint64 // reference Run: Fingerprint
 	stream   uint64 // RunStream: ChunkedFingerprint
 	recycled uint64 // Run on a recycled core: Fingerprint
-	// With the DEG oracles on: the sequential windowed analysis of the
-	// reference trace (seq) and the two parallel analyzers that must
-	// reproduce it. All three stay zero, and so agree, without them.
-	seq, par, streamed windowed
+	// With the DEG oracle on: the sequential windowed analysis of the
+	// reference trace (seq) and the streamed pipeline that must reproduce
+	// it. Both stay zero, and so agree, without it.
+	seq, streamed windowed
 }
 
 // windowed is one windowed DEG analysis: the stitched report and its stats.
@@ -127,8 +127,6 @@ func (r *engineRuns) diverged() (engine string, want, got uint64) {
 		return "stream", r.ref, r.stream
 	case r.recycled != r.ref:
 		return "recycled", r.ref, r.recycled
-	case !reflect.DeepEqual(r.par, r.seq):
-		return "deg-par", 0, 0
 	case !reflect.DeepEqual(r.streamed, r.seq):
 		return "deg-stream", 0, 0
 	}
@@ -161,15 +159,12 @@ func runEngines(stream []isa.Inst, cfg uarch.Config, withDEG bool) (*engineRuns,
 
 	// Window at roughly a quarter of the trace so the run genuinely spans
 	// several windows, with the margin derived from the config's own
-	// reorder window; the parallel analyzers run 4 workers.
+	// reorder window; the streamed analyzer runs 4 workers.
 	opt := deg.WindowOptions{Window: max(1, len(tr.Records)/4), ReorderWindow: cfg.ROBEntries}
 	if r.seq.rep, r.seq.st, err = deg.AnalyzeWindowed(tr, opt); err != nil {
 		return nil, err
 	}
 	opt.Workers = 4
-	if r.par.rep, r.par.st, err = deg.AnalyzeWindowed(tr, opt); err != nil {
-		return nil, err
-	}
 	if r.streamed, err = streamWindowed(cfg, stream, opt); err != nil {
 		return nil, err
 	}

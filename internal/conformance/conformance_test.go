@@ -57,7 +57,7 @@ func TestCorpus(t *testing.T) {
 // TestCorpusEdges pins the capacity-floor corners of the space: configs
 // with every pool starved at once (at both width extremes) and with each
 // pool starved individually, checked across every engine with the DEG
-// oracles on (including both parallel windowed analyzers). Random draws
+// oracle on (the 4-worker streamed windowed analyzer). Random draws
 // never land here, but these are the points where the pool free lists
 // saturate every cycle — the first place a pool bookkeeping or
 // release-tie-order bug would surface.

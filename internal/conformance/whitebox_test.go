@@ -38,7 +38,6 @@ func TestDivergedNamesEngine(t *testing.T) {
 	}{
 		{"stream", func(r *engineRuns) { r.stream = diff.stream }, true},
 		{"recycled", func(r *engineRuns) { r.recycled = diff.recycled }, true},
-		{"deg-par", func(r *engineRuns) { r.par = diff.par }, false},
 		{"deg-stream", func(r *engineRuns) { r.streamed = diff.streamed }, false},
 		// Equal reports with diverging stats are still a divergence.
 		{"deg-stream", func(r *engineRuns) {

@@ -10,9 +10,10 @@ import (
 	"archexplorer/internal/uarch"
 )
 
-// TestParallelWindowedParity pins the tentpole's determinism guarantee for
-// the buffered analyzer: AnalyzeWindowed with any worker count returns a
-// Report and WindowStats bit-identical to the sequential run, across the
+// TestParallelWindowedParity pins the determinism guarantee of parallel
+// windows with the whole trace available up front: a StreamAnalyzer fed
+// the trace as one chunk, at any worker count, returns a Report and
+// WindowStats bit-identical to the sequential AnalyzeWindowed, across the
 // same window/overlap shapes the stream parity suite uses — including
 // overlap larger than window and margins larger than the trace.
 func TestParallelWindowedParity(t *testing.T) {
@@ -40,10 +41,7 @@ func TestParallelWindowedParity(t *testing.T) {
 				}
 				par := seq
 				par.Workers = workers
-				gotRep, gotSt, err := AnalyzeWindowed(tr, par)
-				if err != nil {
-					t.Fatal(err)
-				}
+				gotRep, gotSt, _ := streamReport(t, tr, par, n)
 				if !reflect.DeepEqual(gotRep, wantRep) {
 					t.Fatalf("parallel report differs:\npar %+v\nseq %+v", gotRep, wantRep)
 				}
@@ -95,8 +93,9 @@ func TestParallelStreamParity(t *testing.T) {
 
 // TestParallelPropertyRandom quantifies worker-count invariance over random
 // {window, overlap, chunk, workers} draws: every draw's parallel stream
-// report must match the sequential batch analyzer bit for bit. Run under
-// -race this doubles as the data-race gate on the dispatch/fold machinery.
+// report, fed the trace as one chunk and as random-size chunks, must match
+// the sequential batch analyzer bit for bit. Run under -race this doubles
+// as the data-race gate on the dispatch/fold machinery.
 func TestParallelPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7a11e1))
 	traces := []*pipetrace.Trace{
@@ -121,12 +120,9 @@ func TestParallelPropertyRandom(t *testing.T) {
 		}
 		par := opts
 		par.Workers = workers
-		parRep, parSt, err := AnalyzeWindowed(tr, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(parRep, wantRep) || !reflect.DeepEqual(parSt, wantSt) {
-			t.Fatalf("iter %d (window=%d overlap=%d workers=%d): buffered parallel mismatch",
+		oneRep, oneSt, _ := streamReport(t, tr, par, len(tr.Records))
+		if !reflect.DeepEqual(oneRep, wantRep) || !reflect.DeepEqual(oneSt, wantSt) {
+			t.Fatalf("iter %d (window=%d overlap=%d workers=%d): one-chunk parallel mismatch",
 				iter, opts.Window, opts.Overlap, workers)
 		}
 		gotRep, gotSt, _ := streamReport(t, tr, par, chunk)
@@ -143,7 +139,8 @@ func TestParallelPropertyRandom(t *testing.T) {
 // same full graph and finds the same global critical path, and since the
 // windows' [lo, hi) ownership ranges partition the trace, the stitched
 // report must equal whole-trace Analyze EXACTLY. Any double attribution of
-// an edge whose head lands in two windows' margins would break this.
+// an edge whose head lands in two windows' margins would break this. The
+// sequential AnalyzeWindowed and a 4-worker StreamAnalyzer both must.
 func TestOverlapCoversTraceMatchesWholeTrace(t *testing.T) {
 	const n = 2000
 	tr := traceFor(t, uarch.Baseline(), "429.mcf", n)
@@ -151,18 +148,25 @@ func TestOverlapCoversTraceMatchesWholeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		for _, window := range []int{250, 500, 1999} {
-			rep, st, err := AnalyzeWindowed(tr, WindowOptions{Window: window, Overlap: 2 * n, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+	for _, window := range []int{250, 500, 1999} {
+		opts := WindowOptions{Window: window, Overlap: 2 * n}
+		rep, st, err := AnalyzeWindowed(tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Workers = 4
+		parRep, parSt, _ := streamReport(t, tr, opts, 256)
+		for _, run := range []struct {
+			name string
+			rep  *Report
+			st   *WindowStats
+		}{{"sequential", rep, st}, {"4-worker stream", parRep, parSt}} {
+			if !reflect.DeepEqual(run.rep, whole) {
+				t.Fatalf("window=%d %s overlap=full-trace: stitched report diverges from whole-trace Analyze:\nwindowed %+v\nwhole    %+v",
+					window, run.name, run.rep, whole)
 			}
-			if !reflect.DeepEqual(rep, whole) {
-				t.Fatalf("window=%d workers=%d overlap=full-trace: stitched report diverges from whole-trace Analyze:\nwindowed %+v\nwhole    %+v",
-					window, workers, rep, whole)
-			}
-			if want := (n + window - 1) / window; st.Windows != want {
-				t.Fatalf("window=%d: %d windows, want %d", window, st.Windows, want)
+			if want := (n + window - 1) / window; run.st.Windows != want {
+				t.Fatalf("window=%d %s: %d windows, want %d", window, run.name, run.st.Windows, want)
 			}
 		}
 	}
@@ -251,12 +255,14 @@ func TestParallelStreamCloseMidStream(t *testing.T) {
 // two empty (failing) windows among valid ones: it must fold exactly the
 // windows before the lowest failure, in order, whatever finishes first —
 // the sequential loop's error and accumulator state — and close must
-// still wait out and recycle everything in flight.
+// still wait out everything in flight and return every window copy to the
+// trace pool.
 func TestWindowRingFoldsInOrderToFirstError(t *testing.T) {
 	tr := traceFor(t, uarch.Baseline(), "458.sjeng", 1000)
 	const window = 100
 	for _, workers := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("k%d", workers), func(t *testing.T) {
+			pool := pipetrace.TracePoolStats()
 			var wa windowAccum
 			ring := newWindowRing(&wa, workers)
 			defer ring.close()
@@ -266,7 +272,7 @@ func TestWindowRingFoldsInOrderToFirstError(t *testing.T) {
 				if i == 5 || i == 7 {
 					hi = lo // empty: buildInto fails
 				}
-				err = ring.push(tr, lo, hi, lo, hi)
+				err = ring.pushCopy(tr.Records[lo:hi], 0, hi-lo)
 			}
 			if err == nil {
 				err = ring.drain()
@@ -277,6 +283,11 @@ func TestWindowRingFoldsInOrderToFirstError(t *testing.T) {
 			if wa.st.Windows != 5 {
 				t.Fatalf("folded %d windows before the error, want 5", wa.st.Windows)
 			}
+			ring.close()
+			if ring.copied != 0 {
+				t.Fatalf("%d copied records counted past close", ring.copied)
+			}
+			assertTracesReturned(t, pool)
 		})
 	}
 }

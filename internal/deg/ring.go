@@ -2,17 +2,17 @@ package deg
 
 import "archexplorer/internal/pipetrace"
 
-// windowRing is the parallel half of both windowed analyzers. It keeps at
-// most len(slots) windows in flight, each on its own goroutine with its
-// own pooled buffers, and folds their results into the accumulator in
-// window order on the caller's goroutine: window i runs in slot
-// i % len(slots), so starting a window in a full ring first waits for,
-// and folds, the oldest one. Folding stops at the first failed window, so
-// the error a caller sees is the lowest failed window's, the one the
-// sequential loop would have hit.
+// windowRing is the parallel half of the StreamAnalyzer. It keeps at most
+// len(slots) windows in flight, each on its own goroutine with its own
+// pooled buffers and its own copy of the window's records, and folds their
+// results into the accumulator in window order on the caller's goroutine:
+// window i runs in slot i % len(slots), so starting a window in a full
+// ring first waits for, and folds, the oldest one. Folding stops at the
+// first failed window, so the error a caller sees is the lowest failed
+// window's, the one the sequential loop would have hit.
 //
-// The ring is driven from one goroutine; close must run before the traces
-// its windows read are released.
+// The ring is driven from one goroutine, through pushCopy, drain and
+// close.
 type windowRing struct {
 	wa     *windowAccum
 	slots  []ringSlot
@@ -21,17 +21,16 @@ type windowRing struct {
 	copied int // records held by in-flight window copies
 }
 
-// ringSlot is one in-flight window: the trace it reads (a view of the
-// caller's trace, or a pooled copy the slot owns), its bounds as in
-// analyzeWindowPure, and its result.
+// ringSlot is one in-flight window: the pooled copy of its records, which
+// the slot releases when the window retires, the owned span [lo, hi)
+// within it, and its result.
 type ringSlot struct {
-	b                 *buffers
-	tr                *pipetrace.Trace
-	own               bool // tr is the slot's copy, released when the window retires
-	base, end, lo, hi int
-	res               windowResult
-	err               error
-	done              chan struct{} // one send per window, when the pure phase ends
+	b      *buffers
+	tr     *pipetrace.Trace
+	lo, hi int
+	res    windowResult
+	err    error
+	done   chan struct{} // one send per window, when the pure phase ends
 }
 
 func newWindowRing(wa *windowAccum, workers int) *windowRing {
@@ -40,18 +39,6 @@ func newWindowRing(wa *windowAccum, workers int) *windowRing {
 		r.slots[i].done = make(chan struct{}, 1)
 	}
 	return r
-}
-
-// push runs records [base, end) of tr as a window owning [lo, hi). The
-// window reads tr until it retires.
-func (r *windowRing) push(tr *pipetrace.Trace, base, end, lo, hi int) error {
-	s, err := r.next()
-	if err != nil {
-		return err
-	}
-	s.tr, s.base, s.end, s.lo, s.hi = tr, base, end, lo, hi
-	r.start(s)
-	return nil
 }
 
 // pushCopy runs recs as a window owning [lo, hi), from a pooled trace the
@@ -70,8 +57,7 @@ func (r *windowRing) pushCopy(recs []pipetrace.Record, lo, hi int) error {
 		rec.ResourceDeps = t.InternDeps(rec.ResourceDeps)
 		rec.DataProducers = t.InternProducers(rec.DataProducers)
 	}
-	s.tr, s.own = t, true
-	s.base, s.end, s.lo, s.hi = 0, len(recs), lo, hi
+	s.tr, s.lo, s.hi = t, lo, hi
 	r.copied += len(recs)
 	r.start(s)
 	return nil
@@ -97,7 +83,7 @@ func (r *windowRing) start(s *ringSlot) {
 	r.live++
 	s.res = windowResult{}
 	go func() {
-		s.err = analyzeWindowPure(s.tr, s.base, s.end, s.lo, s.hi, s.b, &s.res)
+		s.err = analyzeWindowPure(s.tr, 0, len(s.tr.Records), s.lo, s.hi, s.b, &s.res)
 		s.done <- struct{}{}
 	}()
 }
@@ -109,11 +95,8 @@ func (r *windowRing) retire(fold bool) error {
 	<-s.done
 	r.oldest++
 	r.live--
-	if s.own {
-		r.copied -= len(s.tr.Records)
-		s.tr.Release()
-		s.own = false
-	}
+	r.copied -= len(s.tr.Records)
+	s.tr.Release()
 	s.tr = nil
 	if !fold {
 		return nil

@@ -72,29 +72,16 @@ type WindowOptions struct {
 	// behavior (DefaultOverlap, no validation) for callers without a
 	// config in hand.
 	ReorderWindow int
-	// Workers sets how many windows are analyzed concurrently. Values
-	// <= 1 keep the sequential path; higher values run the pure
-	// per-window phase (graph build + DP) of up to Workers windows at
-	// once, each on its own goroutine, folding results back in window
-	// order so the Report and WindowStats are bit-identical to the
-	// sequential run at any worker count. AnalyzeWindowed clamps the
-	// count to the number of windows. Callers that want machine scaling
-	// resolve it themselves (e.g. runtime.GOMAXPROCS); the library
-	// default stays sequential.
+	// Workers sets how many windows a StreamAnalyzer analyzes
+	// concurrently. Values <= 1 keep the sequential path; higher values
+	// run the pure per-window phase (graph build + DP) of up to Workers
+	// windows at once, each on its own goroutine, folding results back in
+	// window order so the Report and WindowStats are bit-identical to the
+	// sequential run at any worker count. Callers that want machine
+	// scaling resolve it themselves (e.g. runtime.GOMAXPROCS); the library
+	// default stays sequential. AnalyzeWindowed, the sequential reference,
+	// ignores it.
 	Workers int
-}
-
-// workerCount resolves Workers against the number of windows: sequential
-// unless both the option and the window count leave room to fan out.
-func (o *WindowOptions) workerCount(windows int) int {
-	w := o.Workers
-	if w > windows {
-		w = windows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // effectiveOverlap resolves the context margin from the options,
@@ -190,7 +177,7 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// AnalyzeWindowed is the streaming counterpart of Analyze: it slices the
+// AnalyzeWindowed is the windowed counterpart of Analyze: it slices the
 // trace into fixed-size instruction windows, builds each window's induced
 // DEG (plus a backward context margin) into pooled buffers, runs
 // Algorithm 1 per window, and stitches the per-window critical paths into
@@ -208,6 +195,11 @@ func resize[T any](s []T, n int) []T {
 // analysis within a small tolerance because each window picks its own
 // locally longest path (see DESIGN.md §10).
 //
+// AnalyzeWindowed is the sequential reference for windowed analysis: it
+// analyzes one window after another on the caller's goroutine and ignores
+// WindowOptions.Workers. A StreamAnalyzer at any worker count must
+// reproduce its Report and WindowStats bit for bit.
+//
 // The returned Report and WindowStats are self-contained; no pooled memory
 // escapes.
 func AnalyzeWindowed(tr *pipetrace.Trace, opts WindowOptions) (*Report, *WindowStats, error) {
@@ -223,45 +215,22 @@ func AnalyzeWindowed(tr *pipetrace.Trace, opts WindowOptions) (*Report, *WindowS
 		}
 		window = opts.Window
 	}
-	nWin := (n + window - 1) / window
-	// bounds returns window i's record range: [lo, hi) is the owned span,
-	// [base, end) adds the context margin on both sides. The margin extends
-	// forward as well as back: the window's path then chooses how to cross
-	// the right boundary with knowledge of what follows, instead of greedily
-	// maximizing cost up to hi — which is where a context-free local path
-	// diverges most from the global one.
-	bounds := func(i int) (base, end, lo, hi int) {
-		lo = i * window
-		hi = min(lo+window, n)
-		base = max(lo-overlap, 0)
-		end = min(hi+overlap, n)
-		return
-	}
-
 	var wa windowAccum
-	if workers := opts.workerCount(nWin); workers > 1 {
-		ring := newWindowRing(&wa, workers)
-		defer ring.close()
-		for i := 0; i < nWin; i++ {
-			base, end, lo, hi := bounds(i)
-			if err := ring.push(tr, base, end, lo, hi); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := ring.drain(); err != nil {
+	b := bufPool.Get().(*buffers)
+	defer bufPool.Put(b)
+	// Window [lo, hi) is the owned span; [base, end) adds the context
+	// margin on both sides. The margin extends forward as well as back:
+	// the window's path then chooses how to cross the right boundary with
+	// knowledge of what follows, instead of greedily maximizing cost up to
+	// hi — which is where a context-free local path diverges most from the
+	// global one.
+	for lo := 0; lo < n; lo += window {
+		hi := min(lo+window, n)
+		base, end := max(lo-overlap, 0), min(hi+overlap, n)
+		if err := wa.analyzeWindow(tr, base, end, lo, hi, b); err != nil {
 			return nil, nil, err
 		}
-	} else {
-		b := bufPool.Get().(*buffers)
-		defer bufPool.Put(b)
-		for i := 0; i < nWin; i++ {
-			base, end, lo, hi := bounds(i)
-			if err := wa.analyzeWindow(tr, base, end, lo, hi, b); err != nil {
-				return nil, nil, err
-			}
-		}
 	}
-
 	return wa.finish(tr.Cycles, tr.Span())
 }
 

@@ -37,11 +37,12 @@ func sameHistories(t *testing.T, label string, a, b *Evaluator) {
 }
 
 // TestBatchPathsParallelParity: on every path a batch can take — plain
-// PPA without DEG, whole-trace DEG, buffered windowed DEG, the fused streamed stage, a
-// DEG upgrade of cached points, and probes — a Parallelism-4 batch leaves
-// the same history, budget and journaled span tree as the sequential one,
-// its stage spans name exactly the stages that path runs, a duplicate point
-// shares its evaluation, and every simulated trace returns to the pool.
+// PPA without DEG, whole-trace DEG, windowed DEG (the fused deg_stream
+// stage), a DEG upgrade of cached points, and probes — a Parallelism-4
+// batch leaves the same history, budget and journaled span tree as the
+// sequential one, its stage spans name exactly the stages that path runs,
+// a duplicate point shares its evaluation, and every simulated trace
+// returns to the pool.
 func TestBatchPathsParallelParity(t *testing.T) {
 	evaluate := func(withDEG bool) func(*Evaluator, []uarch.Point) ([]*Evaluation, error) {
 		return func(ev *Evaluator, pts []uarch.Point) ([]*Evaluation, error) { return ev.EvaluateBatch(pts, withDEG) }
@@ -51,21 +52,19 @@ func TestBatchPathsParallelParity(t *testing.T) {
 	cases := []struct {
 		name   string
 		window int
-		stream bool
 		run    func(*Evaluator, []uarch.Point) ([]*Evaluation, error)
 		stages []string
 	}{
-		{"lite", 0, false, evaluate(false), lite},
-		{"full", 0, false, evaluate(true), full},
-		{"windowed", 400, false, evaluate(true), full},
-		{"streamed", 400, true, evaluate(true), []string{"trace", "deg_stream", "power"}},
-		{"upgrade", 0, false, func(ev *Evaluator, pts []uarch.Point) ([]*Evaluation, error) {
+		{"lite", 0, evaluate(false), lite},
+		{"full", 0, evaluate(true), full},
+		{"windowed", 400, evaluate(true), []string{"trace", "deg_stream", "power"}},
+		{"upgrade", 0, func(ev *Evaluator, pts []uarch.Point) ([]*Evaluation, error) {
 			if _, err := ev.EvaluateBatch(pts, false); err != nil {
 				return nil, err
 			}
 			return ev.EvaluateBatch(pts, true) // re-simulates, charges nothing
 		}, full},
-		{"probe", 0, false, (*Evaluator).ProbeBatch, full},
+		{"probe", 0, (*Evaluator).ProbeBatch, full},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,7 +72,7 @@ func TestBatchPathsParallelParity(t *testing.T) {
 			pts := batchPoints(21, 6)
 			run := func(parallelism int) (*Evaluator, []*Evaluation, []spanShape) {
 				ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1000)
-				ev.DEGWindow, ev.DEGStream, ev.Parallelism = tc.window, tc.stream, parallelism
+				ev.DEGWindow, ev.Parallelism = tc.window, parallelism
 				rec := obs.New()
 				var buf bytes.Buffer
 				rec.SetJournalWriter(&buf)

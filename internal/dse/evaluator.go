@@ -35,9 +35,9 @@ type StageTimes struct {
 	Sim   time.Duration // cycle-level out-of-order simulation
 	Power time.Duration // McPAT power/area model
 	DEG   time.Duration // graph build + critical path + attribution
-	// DEGStream is the fused simulate+analyze stage of the streaming
-	// pipeline (Evaluator.DEGStream); on streamed evaluations it replaces
-	// Sim and DEG, which stay zero.
+	// DEGStream is the fused simulate+analyze stage that every windowed
+	// full evaluation runs (Evaluator.DEGWindow > 0); it replaces Sim and
+	// DEG, which stay zero there.
 	DEGStream time.Duration
 }
 
@@ -91,11 +91,11 @@ type Evaluation struct {
 	SimInsts int64
 
 	// DEGWindows and DEGPeakEdges summarize windowed bottleneck analysis
-	// across the suite: total windows analyzed and the largest
+	// across the suite, run by the fused stage (full evaluations) or the
+	// deg stage (probes): total windows analyzed and the largest
 	// single-window graph. Both stay zero on whole-trace runs (DEGWindow
-	// 0), streamed or buffered. DEGDrops counts defensively dropped DEG
-	// edges in every mode — nonzero means the simulator emitted a corrupt
-	// trace.
+	// 0). DEGDrops counts defensively dropped DEG edges in every mode —
+	// nonzero means the simulator emitted a corrupt trace.
 	DEGWindows   int
 	DEGPeakEdges int
 	DEGDrops     int64
@@ -162,28 +162,31 @@ type Evaluator struct {
 	// formulation's mis-attributed contributions steer the same DSE loop.
 	UseCalipers bool
 
-	// DEGWindow switches bottleneck analysis to the streaming windowed
-	// analyzer (deg.AnalyzeWindowed) with this many instructions per
-	// window, bounding peak memory to O(window). 0, the default, keeps
-	// whole-trace analysis — byte-identical to previous behavior.
-	// DEGOverlap is the windows' context margin in instructions; 0 means
-	// deg.DefaultOverlap. Windows are analyzed par.DefaultLimit()
-	// (GOMAXPROCS) at a time, with bit-identical reports at any count;
-	// those workers are not drawn from the Parallelism slot pool, since
-	// the windowed phases are short and self-balancing.
-	DEGWindow  int
+	// DEGWindow switches bottleneck analysis to windows of this many
+	// instructions, each with a context margin derived from the config's
+	// ROB (deg.RequiredOverlap). 0, the default, keeps whole-trace
+	// analysis. A windowed full evaluation fuses simulation and analysis
+	// into one streaming stage, deg_stream: the simulator's chunk sink
+	// feeds each ooo.DefaultChunkSize chunk of committed records straight
+	// to a deg.StreamAnalyzer, which seals each window as soon as its
+	// margin is buffered and analyzes it on its window ring while the
+	// simulation goes on. No full trace is materialized, so peak memory is
+	// O(window + margin) instead of O(trace). The ring runs
+	// par.DefaultLimit() (GOMAXPROCS) windows at a time (inline at 1);
+	// those workers are not drawn from the Parallelism slot pool, since the
+	// windowed phases are short and self-balancing. Probes and calipers
+	// runs need the materialized trace: they simulate, then analyze it
+	// with the sequential deg.AnalyzeWindowed. Reports are bit-identical
+	// either way, at any worker count.
+	DEGWindow int
+
+	// Deprecated: DEGOverlap is ignored; every window's margin is derived
+	// from the config's ROB. It remains until the archbench module stops
+	// naming it.
 	DEGOverlap int
 
-	// DEGStream fuses simulation and bottleneck analysis into one streaming
-	// stage: the simulator's chunk sink feeds each ooo.DefaultChunkSize
-	// chunk of committed records straight to the stream analyzer, which
-	// seals each window as soon as its context margin is buffered and
-	// analyzes it on its window ring (inline at GOMAXPROCS 1) while the
-	// simulation goes on. No full trace is ever materialized — peak memory
-	// is O(window + margin) instead of O(trace). Reports are bit-identical
-	// to the buffered path at equal window/overlap. Probes and calipers
-	// runs need the materialized trace and keep the buffered path
-	// regardless.
+	// Deprecated: DEGStream is ignored; a windowed full evaluation always
+	// streams. It remains until the archbench module stops naming it.
 	DEGStream bool
 
 	// Sims counts the simulation budget spent so far, in units of full
@@ -564,7 +567,9 @@ func (ev *Evaluator) obsCommit(j *job, batchSpan int64) {
 	if e.DEGWindows > 0 {
 		rec.Gauge(obs.MetricDEGWindows).Set(float64(e.DEGWindows))
 		rec.Gauge(obs.MetricDEGPeakEdges).Set(float64(e.DEGPeakEdges))
-		rec.Gauge(obs.MetricDEGWorkers).Set(float64(par.DefaultLimit()))
+		if !e.Probe { // only the fused stage analyzes windows in parallel
+			rec.Gauge(obs.MetricDEGWorkers).Set(float64(par.DefaultLimit()))
+		}
 	}
 	if !rec.JournalEnabled() {
 		return
@@ -788,13 +793,13 @@ func timedStage[T any](sp *stageSpans, sr *stageRunner, site string, dur *time.D
 // cycle-level core, power model, and (optionally) bottleneck analysis. Each
 // stage runs under the evaluator's resilience policy — fault injection,
 // timeout bounding, transient retries — via runStage, on this goroutine.
-// A streamed evaluation runs the fused deg_stream stage in place of sim and
-// deg.
+// A windowed full evaluation runs the fused deg_stream stage in place of
+// sim and deg.
 func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen int, withDEG, probe bool) (r wlResult) {
-	// Streamed evaluations fuse simulation and analysis; probes need the
+	// Windowed evaluations fuse simulation and analysis; probes need the
 	// materialized trace for warm-window IPC and calipers runs need it for
 	// the static graph, so both keep the buffered path.
-	streamed := withDEG && ev.DEGStream && !ev.UseCalipers && !probe
+	streamed := withDEG && ev.DEGWindow > 0 && !ev.UseCalipers && !probe
 	sr := &stageRunner{ev: ev, workload: wl.Name}
 	// Stage span capture (journal and/or live dashboard): occupy a worker
 	// slot for the duration of this workload and time each stage against
@@ -920,9 +925,7 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 				return degOutcome{rep: rep}, err
 			}
 			rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{
-				Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
-				ReorderWindow: cfg.ROBEntries,
-				Workers:       par.DefaultLimit(),
+				Window: ev.DEGWindow, ReorderWindow: cfg.ROBEntries,
 			})
 			return degOutcome{rep: rep, ws: ws}, err
 		})
@@ -943,9 +946,8 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 // ctx ending (the stage timeout).
 func (ev *Evaluator) runStreamed(ctx context.Context, cfg uarch.Config, wl workload.Profile, stream []isa.Inst) (degOutcome, error) {
 	sa, err := deg.NewStreamAnalyzer(deg.WindowOptions{
-		Window: ev.DEGWindow, Overlap: ev.DEGOverlap,
-		ReorderWindow: cfg.ROBEntries,
-		Workers:       par.DefaultLimit(),
+		Window: ev.DEGWindow, ReorderWindow: cfg.ROBEntries,
+		Workers: par.DefaultLimit(),
 	})
 	if err != nil {
 		return degOutcome{}, err

@@ -8,123 +8,107 @@ import (
 	"testing"
 	"time"
 
+	"archexplorer/internal/deg"
 	"archexplorer/internal/fault"
 	"archexplorer/internal/obs"
+	"archexplorer/internal/ooo"
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
 	"archexplorer/internal/workload"
 )
 
-// TestEvaluatorStreamedParity pins the tentpole at the evaluator level: a
-// streamed evaluation (fused sim+DEG, the chunk sink feeding the analyzer) is
-// byte-identical to the buffered windowed path in everything deterministic —
-// PPA, per-workload IPC, merged report, window stats, budget accounting.
+// TestEvaluatorStreamedParity pins the fused stage against a reference
+// built outside the evaluator, the check archbench's replay makes: for
+// every workload in suite order, Core.Run, then the sequential
+// deg.AnalyzeWindowed at the same window and ROB, then Merge. A windowed
+// evaluation (fused sim+DEG, the chunk sink feeding the analyzer on its
+// window ring) must equal it in per-workload IPC, merged report, window
+// stats and committed instructions, and charge only the fused stage.
 func TestEvaluatorStreamedParity(t *testing.T) {
-	buffered := NewEvaluator(uarch.StandardSpace(), miniSuite(), 2000)
-	buffered.DEGWindow = 500
-	streamed := NewEvaluator(uarch.StandardSpace(), miniSuite(), 2000)
-	streamed.DEGWindow = 500
-	streamed.DEGStream = true
-
-	pt := buffered.Space.Nearest(uarch.Baseline())
-	eB, err := buffered.Evaluate(pt, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eS, err := streamed.Evaluate(pt, true)
+	const n, window = 2000, 500
+	ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), n)
+	ev.DEGWindow = window
+	e, err := ev.Evaluate(ev.Space.Nearest(uarch.Baseline()), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if eB.PPA != eS.PPA {
-		t.Fatalf("streaming changed PPA: %+v vs %+v", eB.PPA, eS.PPA)
+	var reports []*deg.Report
+	var windows, peakEdges int
+	var drops, insts int64
+	for k, wl := range ev.Workloads {
+		stream, err := workload.CachedTrace(wl, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core, err := ooo.New(e.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, stats, err := core.Run(stream)
+		core.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, ws, err := deg.AnalyzeWindowed(tr, deg.WindowOptions{Window: window, ReorderWindow: e.Config.ROBEntries})
+		tr.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.PerWorkloadIPC[k]; got != stats.IPC() {
+			t.Fatalf("%s: IPC %v, reference %v", wl.Name, got, stats.IPC())
+		}
+		reports = append(reports, rep)
+		windows += ws.Windows
+		peakEdges = max(peakEdges, ws.PeakEdges)
+		drops += int64(ws.Dropped())
+		insts += int64(stats.Committed)
 	}
-	if !reflect.DeepEqual(eB.PerWorkloadIPC, eS.PerWorkloadIPC) {
-		t.Fatalf("per-workload IPC differs: %v vs %v", eB.PerWorkloadIPC, eS.PerWorkloadIPC)
-	}
-	if !reflect.DeepEqual(eB.Report, eS.Report) {
-		t.Fatalf("streamed merged report differs:\nbuffered %+v\nstreamed %+v", eB.Report, eS.Report)
-	}
-	if eB.DEGWindows != eS.DEGWindows || eB.DEGPeakEdges != eS.DEGPeakEdges || eB.DEGDrops != eS.DEGDrops {
-		t.Fatalf("window stats differ: buffered (%d,%d,%d) streamed (%d,%d,%d)",
-			eB.DEGWindows, eB.DEGPeakEdges, eB.DEGDrops,
-			eS.DEGWindows, eS.DEGPeakEdges, eS.DEGDrops)
-	}
-	if eB.SimInsts != eS.SimInsts || eB.SimsAt != eS.SimsAt {
-		t.Fatalf("accounting differs: insts %d vs %d, sims %v vs %v",
-			eB.SimInsts, eS.SimInsts, eB.SimsAt, eS.SimsAt)
-	}
-	// Stage times land in the fused bucket on the streamed run.
-	if eS.Times.Sim != 0 || eS.Times.DEG != 0 || eS.Times.DEGStream == 0 {
-		t.Fatalf("streamed stage times misfiled: %+v", eS.Times)
-	}
-	if eB.Times.DEGStream != 0 {
-		t.Fatalf("buffered run charged the stream stage: %+v", eB.Times)
-	}
-}
-
-// TestEvaluatorStreamedWholeTrace: DEGStream with no window streams into the
-// whole-trace short-circuit and still matches the plain whole-trace report,
-// window stats included: a whole-trace run reports no windows and no peak
-// edges, streamed or not.
-func TestEvaluatorStreamedWholeTrace(t *testing.T) {
-	whole := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1200)
-	stream := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1200)
-	stream.DEGStream = true
-
-	pt := whole.Space.Nearest(uarch.Baseline())
-	eW, err := whole.Evaluate(pt, true)
+	want, err := deg.Merge(reports, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eS, err := stream.Evaluate(pt, true)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(e.Report, want) {
+		t.Fatalf("streamed merged report differs:\nstreamed  %+v\nreference %+v", e.Report, want)
 	}
-	if !reflect.DeepEqual(eW.Report, eS.Report) || eW.PPA != eS.PPA {
-		t.Fatal("whole-trace streamed evaluation differs from buffered")
+	if e.DEGWindows != windows || e.DEGPeakEdges != peakEdges || e.DEGDrops != drops {
+		t.Fatalf("window stats differ: streamed (%d,%d,%d) reference (%d,%d,%d)",
+			e.DEGWindows, e.DEGPeakEdges, e.DEGDrops, windows, peakEdges, drops)
 	}
-	if eW.DEGWindows != eS.DEGWindows || eW.DEGPeakEdges != eS.DEGPeakEdges || eW.DEGDrops != eS.DEGDrops {
-		t.Fatalf("window stats differ: buffered (%d,%d,%d) streamed (%d,%d,%d)",
-			eW.DEGWindows, eW.DEGPeakEdges, eW.DEGDrops,
-			eS.DEGWindows, eS.DEGPeakEdges, eS.DEGDrops)
+	if e.SimInsts != insts {
+		t.Fatalf("committed %d instructions, reference %d", e.SimInsts, insts)
+	}
+	if e.Times.Sim != 0 || e.Times.DEG != 0 || e.Times.DEGStream == 0 {
+		t.Fatalf("streamed stage times misfiled: %+v", e.Times)
 	}
 }
 
 // TestEvaluatorStreamedProbesStayBuffered: probes need the materialized
-// trace for warm-window IPC, so DEGStream must not change probe results.
+// trace for warm-window IPC, so a windowed probe simulates in the sim
+// stage and analyzes in the deg stage, even when its prefix spans several
+// windows.
 func TestEvaluatorStreamedProbesStayBuffered(t *testing.T) {
-	plain := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
-	plain.DEGWindow = 400
-	stream := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
-	stream.DEGWindow = 400
-	stream.DEGStream = true
-
-	pt := plain.Space.Nearest(uarch.Baseline())
-	eP, err := plain.Probe(pt)
+	ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1500)
+	ev.DEGWindow = 100 // a probe simulates 250 instructions: 3 windows
+	e, err := ev.Probe(ev.Space.Nearest(uarch.Baseline()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eS, err := stream.Probe(pt)
-	if err != nil {
-		t.Fatal(err)
+	if want := 3 * len(ev.Workloads); e.DEGWindows != want {
+		t.Fatalf("probe analyzed %d windows, want %d", e.DEGWindows, want)
 	}
-	if eP.PPA != eS.PPA || !reflect.DeepEqual(eP.Report, eS.Report) {
-		t.Fatal("DEGStream changed probe results")
-	}
-	if eS.Times.DEGStream != 0 {
-		t.Fatalf("probe ran the fused stage: %+v", eS.Times)
+	if e.Times.Sim == 0 || e.Times.DEG == 0 || e.Times.DEGStream != 0 {
+		t.Fatalf("probe stage times %+v, want sim and deg only", e.Times)
 	}
 }
 
-// TestEvaluatorStreamedJournal: streamed spans carry deg_stream_ns and zero
-// sim/deg stage times; buffered spans omit the field entirely, keeping
-// pre-streaming journals byte-identical.
+// TestEvaluatorStreamedJournal: windowed (streamed) spans carry
+// deg_stream_ns and zero sim/deg stage times; whole-trace spans omit the
+// field entirely, keeping pre-streaming journals byte-identical.
 func TestEvaluatorStreamedJournal(t *testing.T) {
-	spans := func(streamed bool) ([]*obs.EvalSpan, []byte) {
+	spans := func(window int) ([]*obs.EvalSpan, []byte) {
 		ev := NewEvaluator(uarch.StandardSpace(), miniSuite(), 1000)
-		ev.DEGWindow = 300
-		ev.DEGStream = streamed
+		ev.DEGWindow = window
 		rec := obs.New()
 		var buf bytes.Buffer
 		rec.SetJournalWriter(&buf)
@@ -151,7 +135,7 @@ func TestEvaluatorStreamedJournal(t *testing.T) {
 		return out, buf.Bytes()
 	}
 
-	streamSpans, _ := spans(true)
+	streamSpans, _ := spans(300)
 	s := streamSpans[len(streamSpans)-1]
 	if s.DEGStreamNS <= 0 {
 		t.Fatalf("streamed EvalSpan deg_stream_ns = %d, want > 0", s.DEGStreamNS)
@@ -163,9 +147,9 @@ func TestEvaluatorStreamedJournal(t *testing.T) {
 		t.Fatalf("streamed EvalSpan missing window stats: %+v", s)
 	}
 
-	_, raw := spans(false)
+	_, raw := spans(0)
 	if bytes.Contains(raw, []byte("deg_stream_ns")) {
-		t.Fatal("buffered journal contains deg_stream_ns; omitempty regression")
+		t.Fatal("whole-trace journal contains deg_stream_ns; omitempty regression")
 	}
 }
 
@@ -178,7 +162,6 @@ func TestEvaluatorStreamedFaultInjection(t *testing.T) {
 	mk := func(plan *fault.Plan) *Evaluator {
 		ev := faultEvaluator(t, plan)
 		ev.DEGWindow = 400
-		ev.DEGStream = true
 		return ev
 	}
 	clean := mk(nil)
@@ -343,7 +326,6 @@ func TestCancelTimedOutStream(t *testing.T) {
 	ev := NewEvaluator(uarch.StandardSpace(), suite, n)
 	ev.Parallelism = 1
 	ev.DEGWindow = 2000
-	ev.DEGStream = true
 	ev.StageTimeout = 10 * time.Millisecond
 	pt := ev.Space.Nearest(uarch.Baseline())
 	goroutines, pools := runtime.NumGoroutine(), poolLive()

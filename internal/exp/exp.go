@@ -69,13 +69,10 @@ type Options struct {
 	// Resume restores each cell from its snapshot when one exists.
 	Resume bool
 
-	// DEGWindow and DEGOverlap switch every evaluator the harness builds
-	// to windowed bottleneck analysis (see dse.Evaluator); 0 keeps the
-	// whole-trace analyzer. DEGStream additionally fuses simulation and
-	// analysis into the streaming pipeline.
-	DEGWindow  int
-	DEGOverlap int
-	DEGStream  bool
+	// DEGWindow switches every evaluator the harness builds to windowed
+	// bottleneck analysis (see dse.Evaluator); 0 keeps the whole-trace
+	// analyzer.
+	DEGWindow int
 
 	// Retry, StageTimeout, and SkipFailures are the evaluator resilience
 	// policy applied to every evaluator the harness builds (see dse).
@@ -161,8 +158,6 @@ func newEvaluator(o Options, suite []workload.Profile) *dse.Evaluator {
 	ev.StageTimeout = o.StageTimeout
 	ev.SkipFailures = o.SkipFailures
 	ev.DEGWindow = o.DEGWindow
-	ev.DEGOverlap = o.DEGOverlap
-	ev.DEGStream = o.DEGStream
 	return ev
 }
 

@@ -43,8 +43,9 @@ const (
 	// SiteDEG is the dependence-graph bottleneck analysis.
 	SiteDEG = "deg"
 	// SiteDEGStream is the fused simulate+analyze stage of the streaming
-	// sim->DEG pipeline (Evaluator.DEGStream); it stands in for both SiteSim
-	// and SiteDEG when the two stages run as one.
+	// sim->DEG pipeline, which every windowed full evaluation runs
+	// (Evaluator.DEGWindow > 0); it stands in for both SiteSim and SiteDEG
+	// there.
 	SiteDEGStream = "deg_stream"
 	// SitePersistWrite is a campaign checkpoint/save write.
 	SitePersistWrite = "persist.write"

@@ -89,8 +89,9 @@ type EvalSpan struct {
 	PowerNS int64 `json:"power_ns"`
 	DEGNS   int64 `json:"deg_ns"`
 	// DEGStreamNS is the fused simulate+analyze stage of streamed
-	// evaluations, which leaves SimNS and DEGNS zero; omitted on buffered
-	// runs so their journals are byte-identical to before.
+	// (windowed full) evaluations, which leaves SimNS and DEGNS zero;
+	// omitted on whole-trace and probe runs so their journals are
+	// byte-identical to before.
 	DEGStreamNS int64 `json:"deg_stream_ns,omitempty"`
 	ElapsedNS   int64 `json:"elapsed_ns"`
 }

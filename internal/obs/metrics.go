@@ -48,7 +48,7 @@ const (
 	MetricStageDEG      = "archx_stage_deg_seconds"
 	// MetricStageDEGStream is the fused simulate+analyze stage of the
 	// streaming sim->DEG pipeline (replaces the sim and deg histograms on
-	// streamed evaluations).
+	// windowed full evaluations, which always stream).
 	MetricStageDEGStream = "archx_stage_deg_stream_seconds"
 	MetricSimInsts       = "archx_sim_insts_total"   // instructions committed by the cycle-level simulator
 	MetricSimInstRate    = "archx_sim_insts_per_sec" // throughput of the most recent simulation (gauge)
@@ -56,7 +56,7 @@ const (
 	MetricDEGWindows   = "archx_deg_windows"             // windows of the last windowed analysis (gauge)
 	MetricDEGPeakEdges = "archx_deg_peak_edges"          // largest single-window edge count (gauge)
 	MetricDEGDrops     = "archx_deg_dropped_edges_total" // defensively dropped DEG edges (corruption indicator)
-	MetricDEGWorkers   = "archx_deg_workers"             // resolved DEG analysis worker count (gauge)
+	MetricDEGWorkers   = "archx_deg_workers"             // window-ring width of the last streamed analysis (gauge)
 	// Runtime self-profile gauges, sampled by the recorder's runtime
 	// sampler (started by the live dashboard, or explicitly via
 	// Recorder.StartRuntimeSampler) so a stalled campaign can be triaged

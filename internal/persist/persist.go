@@ -105,8 +105,8 @@ type StageTimesJSON struct {
 	PowerNS int64 `json:"power_ns"`
 	DEGNS   int64 `json:"deg_ns"`
 	// DEGStreamNS is the fused simulate+analyze stage of streamed
-	// evaluations; omitted when zero so buffered-campaign checkpoints stay
-	// byte-identical to pre-streaming builds.
+	// (windowed full) evaluations; omitted when zero so whole-trace
+	// campaign checkpoints stay byte-identical to pre-streaming builds.
 	DEGStreamNS int64 `json:"deg_stream_ns,omitempty"`
 }
 
