@@ -23,7 +23,7 @@ COVER_MIN_SELFDEG := 80
 COVER_MIN_OOO := 80
 COVER_MIN_CONFORMANCE := 90
 
-.PHONY: build vet test race cover fuzz-seeds bench bench-deg bench-sim bench-sim-smoke bench-pipeline bench-pipeline-smoke bench-pipeline-par bench-spans bench-all bench-all-smoke bench-smoke profile-sim profile-pipeline ci
+.PHONY: build vet test race cover fuzz-seeds bench bench-deg bench-sim bench-sim-smoke bench-pipeline bench-pipeline-smoke bench-pipeline-par bench-spans bench-all bench-all-smoke bench-smoke profile-sim profile-deg profile-pipeline ci
 
 build:
 	$(GO) build ./...
@@ -87,9 +87,9 @@ bench:
 # AnalyzeWindowed (pooled buffers) on the 20k-instruction trace, plus
 # BenchmarkDEGAnalyzeProbe, the DEG work of one explore probe (12 SPEC06
 # workloads x 500 instructions, whole-trace). BENCH_deg.json records the
-# numbers before and after the sort-free, map-free core, and the parent and
-# change medians of the anchor-ordered DP (anchor_order), which bench-all
-# gates.
+# numbers before and after the sort-free, map-free core, the parent and
+# change medians of the anchor-ordered DP (anchor_order), and those of the
+# implicit pipeline edges (implicit_pipeline), which bench-all gates.
 bench-deg:
 	$(GO) test -bench='BenchmarkDEGAnalyze(Windowed|Probe)?$$' -benchmem -run XXX -count 3 .
 
@@ -169,9 +169,9 @@ bench-all:
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:anchor_order.change.analyze.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:anchor_order.change.windowed.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:anchor_order.change.probe.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:implicit_pipeline.change.analyze.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:implicit_pipeline.change.windowed.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:implicit_pipeline.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec'
 	$(MAKE) bench-spans
@@ -188,9 +188,9 @@ bench-all-smoke:
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:anchor_order.change.analyze.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:anchor_order.change.windowed.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:anchor_order.change.probe.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:implicit_pipeline.change.analyze.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:implicit_pipeline.change.windowed.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:implicit_pipeline.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStreamPar=1.5*bench:BenchmarkPipelineStream' \
@@ -208,6 +208,15 @@ bench-smoke:
 profile-sim:
 	$(GO) test -bench='BenchmarkSimFull$$' -run XXX -cpuprofile sim.pprof -o sim.test .
 	@echo "wrote sim.pprof (binary: sim.test); try: go tool pprof -top sim.pprof"
+
+# CPU profile of the DEG layer on one explore probe's work
+# (BenchmarkDEGAnalyzeProbe) at one CPU, the profile the DEG items of
+# ROADMAP.md are sized from. Inspect with
+#   go tool pprof -top deg.pprof
+#   go tool pprof -list 'deg.buildInto' deg.pprof
+profile-deg:
+	$(GO) test -bench='BenchmarkDEGAnalyzeProbe$$' -cpu 1 -run XXX -cpuprofile deg.pprof -o deg.test .
+	@echo "wrote deg.pprof (binary: deg.test); try: go tool pprof -top deg.pprof"
 
 # CPU + heap profile of the fused 1M-instruction sim→DEG pipeline — the
 # DSE inner loop's dominant cost and the profile that motivated the

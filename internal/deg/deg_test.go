@@ -42,7 +42,7 @@ func TestBuildProducesDAGForwardEdges(t *testing.T) {
 	if g.NumVertices == 0 || g.NumEdges() == 0 {
 		t.Fatal("empty graph")
 	}
-	for _, e := range g.Edges {
+	for _, e := range g.Edges() {
 		if e.Delay < 0 {
 			t.Fatalf("backward edge %v", e)
 		}
@@ -125,7 +125,7 @@ func TestDPMatchesBruteForceOnSmallGraph(t *testing.T) {
 	// computed with explicit recursion (independent of topological order).
 	adj := make(map[VertexID][]Edge)
 	verts := map[VertexID]bool{}
-	for _, e := range g.Edges {
+	for _, e := range g.Edges() {
 		adj[e.From] = append(adj[e.From], e)
 		verts[e.From] = true
 		verts[e.To] = true

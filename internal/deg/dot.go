@@ -41,7 +41,8 @@ func (g *Graph) WriteDOT(w io.Writer, cp *CriticalPath) error {
 	name := func(v VertexID) string {
 		return fmt.Sprintf("\"%s(I%d)@%d\"", v.Stage(), v.Seq(), g.time(v))
 	}
-	for _, e := range g.Edges {
+	edges := g.Edges()
+	for _, e := range edges {
 		for _, v := range [2]VertexID{e.From, e.To} {
 			if !emitted[v] {
 				emitted[v] = true
@@ -49,7 +50,7 @@ func (g *Graph) WriteDOT(w io.Writer, cp *CriticalPath) error {
 			}
 		}
 	}
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		attrs := fmt.Sprintf("label=\"%d\"", e.Delay)
 		switch e.Kind {
 		case EdgeVirtual:

@@ -78,7 +78,7 @@ func foldGolden(t *testing.T, h hash.Hash64, tr *pipetrace.Trace) {
 		*rep, g.EdgesByKind, g.SkewedAnchors, g.NumVertices, g.NumEdges(),
 		g.DroppedNoStamp, g.DroppedBackward, g.ClippedDeps)
 	var buf []byte
-	for _, e := range g.Edges {
+	for _, e := range g.Edges() {
 		buf = appendEdge(buf, e)
 	}
 	h.Write(buf)

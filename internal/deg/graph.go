@@ -102,16 +102,16 @@ type Edge struct {
 // the window so arbitrarily long traces stay within the int32 packing.
 type Graph struct {
 	Trace *pipetrace.Trace
-	Edges []Edge
 
 	// base is the global sequence number of local vertex seq 0. Whole-trace
 	// graphs have base 0.
 	base int
 
-	// b holds the marks, the sorted anchors, the in-edge records and the DP
-	// tables: fresh buffers the graph owns after Build, pooled ones that a
-	// windowed analysis reuses for its next window. ks keys the anchors,
-	// the order set of the DP (DESIGN.md §19).
+	// b holds the marks, the sorted anchors, the stored edges, the in-edge
+	// records and the DP tables: fresh buffers the graph owns after Build,
+	// pooled ones that a windowed analysis reuses for its next window. ks
+	// keys the anchors, the order set of the DP (DESIGN.md §19). Pipeline
+	// edges are not stored: a mark on the head stands for each (§20).
 	b  *buffers
 	ks keyspace
 
@@ -159,6 +159,7 @@ const (
 	markListed uint8 = 1 << iota // an edge endpoint, counted in NumVertices
 	markStart                    // starts a skewed edge: a virtual-edge target
 	markEnd                      // ends a skewed edge
+	markPipe                     // heads a kept pipeline edge, from its nearest listed stage below
 )
 
 // Build constructs the induced DEG from a pipeline trace, in fresh buffers
@@ -197,7 +198,6 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 	}
 	g.Trace, g.base, g.b = tr, base, b
 	b.reset(nRecs * pipetrace.NumStages)
-	g.Edges = b.edges[:0]
 	bd := builder{g: g, b: b, recs: tr.Records[base:end]}
 
 	// Producer annotations are global sequence numbers; records sit at
@@ -220,34 +220,13 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 
 	for i := range bd.recs {
 		rec := &bd.recs[i]
-		// Horizontal pipeline chain. Attribution of base latencies: the
-		// I$ response edge attributes to ICache and the load access edge
-		// to DCache; remaining hops are unattributed pipeline progress.
+		// Horizontal pipeline chain.
 		prev := pipetrace.SF1
 		for s := pipetrace.SF2; s < pipetrace.Stage(pipetrace.NumStages); s++ {
 			if !rec.HasStage(s) {
 				continue
 			}
-			res := uarch.ResNone
-			switch {
-			case prev == pipetrace.SF1 && s == pipetrace.SF2:
-				// The pipelined hit latency is intrinsic; only the miss
-				// portion marks the I$ as a bottleneck.
-				if rec.ICacheLat > cacheHitLatency {
-					res = uarch.ResICache
-				}
-			case prev == pipetrace.SM && s == pipetrace.SP:
-				if rec.DCacheLat > cacheHitLatency {
-					res = uarch.ResDCache
-				}
-			case prev == pipetrace.SF2 && s == pipetrace.SF,
-				prev == pipetrace.SF && s == pipetrace.SDC,
-				prev == pipetrace.SR && s == pipetrace.SDP:
-				// Fetch-buffer drain, fetch-queue and dispatch delays:
-				// front-end width/buffer pressure.
-				res = uarch.ResFrontend
-			}
-			bd.edge(i, prev, i, s, EdgePipeline, res)
+			bd.pipe(i, prev, s)
 			prev = s
 		}
 
@@ -306,48 +285,100 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 		}
 	}
 
-	// Index incoming edges as CSR records, filled in edge-index order (the
-	// DP's lowest-index parent tie-break reads them in that order), and
-	// tally statistics. Counting into off[v+2] and filling through off[v+1]
-	// leaves v's in-edges at in[off[v]:off[v+1]].
-	off := b.inOff
-	for i := range g.Edges {
-		off[g.Edges[i].To+2]++
-		g.EdgesByKind[g.Edges[i].Kind]++
+	// Index the stored edges' in-edges as CSR records, filled in edge-index
+	// order (the DP's lowest-index parent tie-break reads them in that
+	// order), and tally statistics. Every stored edge heads an anchor, so
+	// the index is keyed by the anchor's rank r in key order: counting into
+	// off[r+2] and filling through off[r+1] leaves its in-edges at
+	// in[off[r]:off[r+1]].
+	off := resize(b.inOff, len(keys)+2)
+	clear(off)
+	for i := range b.edges {
+		off[b.rank[b.edges[i].To]+2]++
+		g.EdgesByKind[b.edges[i].Kind]++
 	}
-	for v := 2; v < len(off); v++ {
-		off[v] += off[v-1]
+	for r := 2; r < len(off); r++ {
+		off[r] += off[r-1]
 	}
-	b.in = resize(b.in, len(g.Edges))
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		b.in[off[e.To+1]] = inEdge{from: e.From, edge: int32(i), cost: e.Cost}
-		off[e.To+1]++
+	b.in = resize(b.in, len(b.edges))
+	for i := range b.edges {
+		e := &b.edges[i]
+		r := b.rank[e.To]
+		b.in[off[r+1]] = inEdge{from: e.From, edge: int32(i), cost: e.Cost}
+		off[r+1]++
 	}
-	b.edges = g.Edges // hand back grown capacity for the next build
+	b.inOff = off
 	return nil
 }
 
-// edge adds the edge from local vertex (fs, fst) to (ts, tst), listing both
-// endpoints, unless an endpoint's stage never happened or the edge would
-// run backward in time; those are counted as drops. It reports whether the
-// edge was added.
-func (bd *builder) edge(fs int, fst pipetrace.Stage, ts int, tst pipetrace.Stage, kind EdgeKind, res uarch.Resource) bool {
-	df, dt := bd.recs[fs].Stamp[fst], bd.recs[ts].Stamp[tst]
+// pipe adds the pipeline edge of local instruction seq from stage from to
+// stage to, the next present stage, unless keep drops it. The edge is not
+// stored: both endpoints are listed, the head marked markPipe, and the
+// edge counted. Its tail is the head's nearest listed stage below, and
+// pipeEdge rebuilds it from the record.
+func (bd *builder) pipe(seq int, from, to pipetrace.Stage) {
+	if !bd.keep(bd.recs[seq].Stamp[from], bd.recs[seq].Stamp[to]) {
+		return
+	}
+	bd.list(seq, from)
+	bd.b.mark[bd.list(seq, to)] |= markPipe
+	bd.g.EdgesByKind[EdgePipeline]++
+}
+
+// pipeRes attributes the pipeline hop of rec from stage prev to s. The I$
+// response edge attributes to ICache and the load access edge to DCache;
+// remaining hops are unattributed pipeline progress.
+func pipeRes(rec *pipetrace.Record, prev, s pipetrace.Stage) uarch.Resource {
+	switch {
+	case prev == pipetrace.SF1 && s == pipetrace.SF2:
+		// The pipelined hit latency is intrinsic; only the miss portion
+		// marks the I$ as a bottleneck.
+		if rec.ICacheLat > cacheHitLatency {
+			return uarch.ResICache
+		}
+	case prev == pipetrace.SM && s == pipetrace.SP:
+		if rec.DCacheLat > cacheHitLatency {
+			return uarch.ResDCache
+		}
+	case prev == pipetrace.SF2 && s == pipetrace.SF,
+		prev == pipetrace.SF && s == pipetrace.SDC,
+		prev == pipetrace.SR && s == pipetrace.SDP:
+		// Fetch-buffer drain, fetch-queue and dispatch delays: front-end
+		// width/buffer pressure.
+		return uarch.ResFrontend
+	}
+	return uarch.ResNone
+}
+
+// keep reports whether an edge from stamp df to stamp dt is kept. It drops,
+// and counts, an edge an endpoint of which never happened or which would
+// run backward in time.
+func (bd *builder) keep(df, dt int64) bool {
 	if df == pipetrace.NoStamp || dt == pipetrace.NoStamp {
 		bd.g.DroppedNoStamp++
 		return false
 	}
-	delay := dt - df
-	if delay < 0 {
+	if dt < df {
 		bd.g.DroppedBackward++
 		return false // defensive: never create a backward edge
 	}
+	return true
+}
+
+// edge stores the edge from local vertex (fs, fst) to (ts, tst), listing
+// both endpoints, unless keep drops it. It reports whether the edge was
+// stored.
+func (bd *builder) edge(fs int, fst pipetrace.Stage, ts int, tst pipetrace.Stage, kind EdgeKind, res uarch.Resource) bool {
+	df, dt := bd.recs[fs].Stamp[fst], bd.recs[ts].Stamp[tst]
+	if !bd.keep(df, dt) {
+		return false
+	}
+	delay := dt - df
 	var cost int64
 	if kind == EdgeResource || kind == EdgeFU || kind == EdgeMispredict {
 		cost = delay
 	}
-	bd.g.Edges = append(bd.g.Edges, Edge{
+	bd.b.edges = append(bd.b.edges, Edge{
 		From: bd.list(fs, fst), To: bd.list(ts, tst),
 		Kind: kind, Res: res, Delay: delay, Cost: cost,
 	})
@@ -398,10 +429,60 @@ func (bd *builder) anchor(seq int, st pipetrace.Stage, role uint8) {
 // stamped t, to the target with order key k.
 func (bd *builder) virtual(from VertexID, t int64, k uint64) {
 	ks := &bd.g.ks
-	bd.g.Edges = append(bd.g.Edges, Edge{
+	bd.b.edges = append(bd.b.edges, Edge{
 		From: from, To: vertexOf(ks.code(k)), Kind: EdgeVirtual, Delay: ks.time(k) - t,
 	})
 }
 
-// NumEdges returns the total edge count.
-func (g *Graph) NumEdges() int { return len(g.Edges) }
+// NumEdges returns the total edge count: the stored edges plus the
+// pipeline edges, which are counted but not stored.
+func (g *Graph) NumEdges() int { return len(g.b.edges) + g.EdgesByKind[EdgePipeline] }
+
+// Edges lists every edge in build order: per instruction its pipeline
+// edges, then its skewed edges; then all virtual edges. It reads the
+// graph's trace to rebuild the pipeline edges.
+func (g *Graph) Edges() []Edge {
+	out := make([]Edge, 0, g.NumEdges())
+	stored := g.b.edges
+	for seq := range len(g.b.mark) / pipetrace.NumStages {
+		for v := Vertex(seq, 0); v < Vertex(seq+1, 0); v++ {
+			if g.b.mark[v]&markPipe != 0 {
+				out = append(out, g.pipeEdge(v))
+			}
+		}
+		for len(stored) > 0 && stored[0].Kind != EdgeVirtual && stored[0].To.Seq() == seq {
+			out, stored = append(out, stored[0]), stored[1:]
+		}
+	}
+	return append(out, stored...)
+}
+
+// parentEdge returns the edge the DP chose into v, which has a parent: a
+// stored edge, or the pipeline edge rebuilt from the record.
+func (g *Graph) parentEdge(v VertexID) Edge {
+	if pe := g.b.parent[v]; pe >= 0 {
+		return g.b.edges[pe]
+	}
+	return g.pipeEdge(v)
+}
+
+// pipeEdge rebuilds the pipeline edge into v, a vertex marked markPipe.
+func (g *Graph) pipeEdge(v VertexID) Edge {
+	from := g.b.pipeTail(v)
+	rec := &g.Trace.Records[g.base+v.Seq()]
+	return Edge{
+		From: from, To: v, Kind: EdgePipeline, Res: pipeRes(rec, from.Stage(), v.Stage()),
+		Delay: rec.Stamp[v.Stage()] - rec.Stamp[from.Stage()],
+	}
+}
+
+// pipeTail returns the tail of the pipeline edge into v, a vertex marked
+// markPipe: the nearest listed stage of its instruction below v. The
+// stages in between never happened, so nothing lists them.
+func (b *buffers) pipeTail(v VertexID) VertexID {
+	u := v - 1
+	for b.mark[u]&markListed == 0 {
+		u--
+	}
+	return u
+}

@@ -1,6 +1,7 @@
 package deg
 
 import (
+	"fmt"
 	"testing"
 
 	"archexplorer/internal/pipetrace"
@@ -10,8 +11,9 @@ import (
 
 // refPath is Algorithm 1 computed the plain way: every edge endpoint
 // visited in (stamp, VertexID) order by a comparison sort, with d and
-// parent in maps.
+// parent in maps. A parent indexes edges, the graph's full edge list.
 type refPath struct {
+	edges  []Edge
 	order  []VertexID
 	d      map[VertexID]int64
 	parent map[VertexID]int32
@@ -24,10 +26,11 @@ type refPath struct {
 // reference itself meaningless.
 func refLongestPath(t testing.TB, g *Graph) refPath {
 	t.Helper()
+	edges := g.Edges()
 	var verts []VertexID
 	in := make(map[VertexID][]int32)
 	seen := make(map[VertexID]bool)
-	for i, e := range g.Edges {
+	for i, e := range edges {
 		for _, v := range [2]VertexID{e.From, e.To} {
 			if !seen[v] {
 				seen[v] = true
@@ -37,6 +40,7 @@ func refLongestPath(t testing.TB, g *Graph) refPath {
 		in[e.To] = append(in[e.To], int32(i))
 	}
 	r := refPath{
+		edges:  edges,
 		order:  refSort(verts, g.time),
 		d:      make(map[VertexID]int64, len(verts)),
 		parent: make(map[VertexID]int32, len(verts)),
@@ -46,7 +50,7 @@ func refLongestPath(t testing.TB, g *Graph) refPath {
 	for i, v := range r.order {
 		pos[v] = i
 	}
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		if pos[e.From] >= pos[e.To] {
 			t.Fatalf("edge %+v does not run forward in (stamp, VertexID) order", e)
 		}
@@ -55,7 +59,7 @@ func refLongestPath(t testing.TB, g *Graph) refPath {
 		var dv int64
 		pe := int32(-1)
 		for _, ei := range in[v] {
-			e := &g.Edges[ei]
+			e := &edges[ei]
 			if cand := r.d[e.From] + e.Cost; cand > dv || (cand == dv && pe < 0) {
 				dv, pe = cand, ei
 			}
@@ -69,7 +73,9 @@ func refLongestPath(t testing.TB, g *Graph) refPath {
 }
 
 // checkLongestPath fails unless g's DP matches the reference DP: the same
-// super-sink and cost, and the same d and parent at every vertex.
+// super-sink and cost, and at every vertex the same d and the same parent
+// edge, compared by value (the DP's stored-edge indices do not index the
+// full edge list), or no parent on both sides.
 func checkLongestPath(t testing.TB, g *Graph) {
 	t.Helper()
 	want := refLongestPath(t, g)
@@ -83,10 +89,24 @@ func checkLongestPath(t testing.TB, g *Graph) {
 	if sink != want.sink || cost != want.cost {
 		t.Fatalf("sink %d cost %d, want sink %d cost %d", sink, cost, want.sink, want.cost)
 	}
+	show := func(ok bool, e Edge) string {
+		if !ok {
+			return "none"
+		}
+		return fmt.Sprintf("%+v", e)
+	}
 	for _, v := range want.order {
-		if d, p := g.b.d[v], g.b.parent[v]; d != want.d[v] || p != want.parent[v] {
-			t.Fatalf("vertex %d (seq %d %s): d=%d parent=%d, want d=%d parent=%d",
-				v, v.Seq(), v.Stage(), d, p, want.d[v], want.parent[v])
+		var p, wp Edge
+		ok, wok := g.b.parent[v] != -1, want.parent[v] >= 0
+		if ok {
+			p = g.parentEdge(v)
+		}
+		if wok {
+			wp = want.edges[want.parent[v]]
+		}
+		if d := g.b.d[v]; d != want.d[v] || ok != wok || p != wp {
+			t.Fatalf("vertex %d (seq %d %s): d=%d parent=%s, want d=%d parent=%s",
+				v, v.Seq(), v.Stage(), d, show(ok, p), want.d[v], show(wok, wp))
 		}
 	}
 }
@@ -294,7 +314,7 @@ func FuzzLongestPathOrder(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(g.Edges) == 0 {
+		if g.NumEdges() == 0 {
 			return
 		}
 		checkBothBuffers(t, tr, dirty)

@@ -108,20 +108,20 @@ func (k *keyspace) time(key uint64) int64 {
 
 // virtualTargets filters the sorted anchor keys down to the virtual-edge
 // targets, the anchors starting a skewed edge, into tkeys, with their
-// sequence numbers in tseq for Rule 2. It records at every anchor v Rule
-// 1's target, rule1[v]: the index of the first target ordered after v
-// (len(tkeys) if none is), which is the count of targets ordered up to v
-// itself — so Rule 1 needs no search.
+// sequence numbers in tseq for Rule 2. It records at every anchor v its
+// rank in key order, b.rank[v], and Rule 1's target, rule1[v]: the index
+// of the first target ordered after v (len(tkeys) if none is), which is
+// the count of targets ordered up to v itself — so Rule 1 needs no search.
 func (b *buffers) virtualTargets(k *keyspace, keys []uint64, rule1 []int32) {
 	b.tkeys, b.tseq = resize(b.tkeys, len(keys))[:0], resize(b.tseq, len(keys))[:0]
-	for _, key := range keys {
+	for r, key := range keys {
 		c := k.code(key)
 		v := vertexOf(c)
 		if b.mark[v]&markStart != 0 {
 			b.tkeys = append(b.tkeys, key)
 			b.tseq = append(b.tseq, int32(c>>stageBits))
 		}
-		rule1[v] = int32(len(b.tkeys))
+		rule1[v], b.rank[v] = int32(len(b.tkeys)), int32(r)
 	}
 }
 
@@ -205,34 +205,34 @@ func radixSort(keys, scratch []uint64, maxKey uint64) {
 // order with the maximum cost: the first anchor in key order reaching a
 // positive maximum, or else the earliest listed vertex.
 func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
-	if len(g.Edges) == 0 {
+	if g.NumEdges() == 0 {
 		return 0, 0, fmt.Errorf("deg: graph has no edges")
 	}
 	b := g.b
 	b.d = resize(b.d, len(b.mark)) // the build sized parent
 	b.next = resize(b.next, len(b.mark)/pipetrace.NumStages)
 	clear(b.next)
-	mark, next := b.mark, b.next
+	mark, next, off := b.mark, b.next, b.inOff
 	sink = -1
-	for _, k := range b.keys {
+	for r, k := range b.keys {
 		c := g.ks.code(k)
 		seq, st := int(c>>stageBits), uint8(c&(1<<stageBits-1))
 		v0 := VertexID(seq * pipetrace.NumStages)
 		for s := next[seq]; s < st; s++ {
-			if mark[v0+VertexID(s)] == markListed { // listed, not an anchor
-				b.relax(v0 + VertexID(s))
+			if mark[v0+VertexID(s)]&^markPipe == markListed { // listed, not an anchor
+				b.relax(v0+VertexID(s), nil)
 			}
 		}
 		next[seq] = st + 1
-		if dv := b.relax(v0 + VertexID(st)); dv > cost {
+		if dv := b.relax(v0+VertexID(st), b.in[off[r]:off[r+1]]); dv > cost {
 			sink, cost = v0+VertexID(st), dv
 		}
 	}
 	for seq, s := range next {
 		v0 := VertexID(seq * pipetrace.NumStages)
 		for ; int(s) < pipetrace.NumStages; s++ {
-			if mark[v0+VertexID(s)] == markListed { // listed, not an anchor
-				b.relax(v0 + VertexID(s))
+			if mark[v0+VertexID(s)]&^markPipe == markListed { // listed, not an anchor
+				b.relax(v0+VertexID(s), nil)
 			}
 		}
 	}
@@ -243,12 +243,19 @@ func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
 }
 
 // relax sets vertex v's path cost and parent from its in-edges, whose tails
-// the DP has already visited, and returns the cost.
-func (b *buffers) relax(v VertexID) int64 {
+// the DP has already visited, and returns the cost. The pipeline in-edge,
+// when v has one, has the lowest edge index, so it comes first; in holds
+// the stored in-edges, in edge order (none unless v is an anchor). The
+// parent is -1 for none, -2 for the pipeline edge, or a stored edge's
+// index.
+func (b *buffers) relax(v VertexID, in []inEdge) int64 {
 	var dv int64
-	pe := int32(-1) // incoming edge index, -1 none
-	for _, r := range b.in[b.inOff[v]:b.inOff[v+1]] {
-		if cand := b.d[r.from] + r.cost; cand > dv || (cand == dv && pe < 0) {
+	pe := int32(-1)
+	if b.mark[v]&markPipe != 0 {
+		dv, pe = b.d[b.pipeTail(v)], -2
+	}
+	for _, r := range in {
+		if cand := b.d[r.from] + r.cost; cand > dv || (cand == dv && pe == -1) {
 			dv, pe = cand, r.edge
 		}
 	}
@@ -284,7 +291,7 @@ func (g *Graph) Construct() (*CriticalPath, error) {
 	}
 	parent := g.b.parent
 	n := 1
-	for v := sink; parent[v] >= 0; v = g.Edges[parent[v]].From {
+	for v := sink; parent[v] != -1; v = g.parentEdge(v).From {
 		n++
 	}
 	cp := &CriticalPath{Vertices: make([]VertexID, n), Cost: cost}
@@ -294,7 +301,7 @@ func (g *Graph) Construct() (*CriticalPath, error) {
 	v := sink
 	for i := n - 1; i > 0; i-- {
 		cp.Vertices[i] = v
-		cp.Edges[i-1] = g.Edges[parent[v]]
+		cp.Edges[i-1] = g.parentEdge(v)
 		v = cp.Edges[i-1].From
 	}
 	cp.Vertices[0] = v

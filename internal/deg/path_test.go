@@ -163,13 +163,14 @@ func TestOrderKeysMatchRefSort(t *testing.T) {
 // against a direct scan of every target on random anchor sets: Rule 1
 // picks the first target after the anchor in (time, VertexID) order, Rule 2
 // the one closest in instruction sequence among the next scan targets, the
-// earliest on ties.
+// earliest on ties. It also checks each anchor's rank, the count of anchors
+// ordered before it, which keys the in-edge index.
 func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 	rng := xorshift(7)
 	for iter := 0; iter < 300; iter++ {
 		const nRecs = 64
 		span := []uint64{4, 100, 1 << 40}[iter%3]
-		b := buffers{mark: make([]uint8, nRecs*pipetrace.NumStages)}
+		b := buffers{mark: make([]uint8, nRecs*pipetrace.NumStages), rank: make([]int32, nRecs*pipetrace.NumStages)}
 		var vs, targets []stamped
 		seen := make(map[uint64]bool)
 		for n := 1 + int(rng.next()%200); len(vs) < n; {
@@ -197,6 +198,15 @@ func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 			return a.t < b.t || (a.t == b.t && vertexOf(a.code) < vertexOf(b.code))
 		}
 		for _, a := range vs {
+			var rank int32
+			for _, c := range vs {
+				if before(c, a) {
+					rank++
+				}
+			}
+			if got := b.rank[vertexOf(a.code)]; got != rank {
+				t.Fatalf("iter %d: anchor %+v has rank %d, want %d", iter, a, got, rank)
+			}
 			var after []stamped
 			for _, c := range targets {
 				if before(a, c) {

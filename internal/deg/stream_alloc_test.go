@@ -7,6 +7,7 @@ import (
 
 	"archexplorer/internal/pipetrace"
 	"archexplorer/internal/uarch"
+	"archexplorer/internal/workload"
 )
 
 // TestStreamAllocsBounded is the CI allocation gate on the streaming hot
@@ -74,5 +75,26 @@ func TestWholeTraceAllocsBounded(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, run); allocs > budget {
 		t.Fatalf("whole-trace analysis of %d records allocates %.0f times, budget %.0f",
 			len(tr.Records), allocs, budget)
+	}
+}
+
+// TestPooledBuildStoresNoPipelineEdge pins the memory half of the implicit
+// pipeline edges: a pooled whole-trace build of each SPEC06 probe trace
+// stores, and indexes, only its skewed and virtual edges, while NumEdges
+// still counts every edge.
+func TestPooledBuildStoresNoPipelineEdge(t *testing.T) {
+	b := bufPool.Get().(*buffers)
+	defer bufPool.Put(b)
+	for _, p := range workload.Suite06() {
+		tr := traceFor(t, uarch.Baseline(), p.Name, 500)
+		var g Graph
+		if err := buildInto(&g, tr, 0, len(tr.Records), b); err != nil {
+			t.Fatal(err)
+		}
+		pipe := g.EdgesByKind[EdgePipeline]
+		if want := g.NumEdges() - pipe; pipe == 0 || len(b.edges) != want || len(b.in) != want {
+			t.Fatalf("%s: %d edges, %d pipeline: stored %d and indexed %d, want %d",
+				p.Name, g.NumEdges(), pipe, len(b.edges), len(b.in), want)
+		}
 	}
 }

@@ -35,8 +35,9 @@ func mkTrace(recs ...pipetrace.Record) *pipetrace.Trace {
 }
 
 func findEdge(g *Graph, from, to VertexID, kind EdgeKind) *Edge {
-	for i := range g.Edges {
-		e := &g.Edges[i]
+	edges := g.Edges()
+	for i := range edges {
+		e := &edges[i]
 		if e.From == from && e.To == to && e.Kind == kind {
 			return e
 		}
@@ -196,7 +197,7 @@ func TestVirtualEdgesConnectConsecutiveSkewedEdges(t *testing.T) {
 	}
 	// Some virtual edge must END at the second skewed edge's start R(3).
 	found := false
-	for _, e := range g.Edges {
+	for _, e := range g.Edges() {
 		if e.Kind == EdgeVirtual && e.To == Vertex(3, pipetrace.SR) {
 			found = true
 			if e.Cost != 0 {

@@ -121,16 +121,18 @@ func (s *WindowStats) Dropped() int { return s.DroppedNoStamp + s.DroppedBackwar
 // DP: every slice either would otherwise allocate. Build gives each graph
 // fresh buffers; windowed analyses reuse pooled ones window after window,
 // so they grow to the largest window seen. The mark array and the in-edge
-// offsets are cleared per build, the chain cursors per DP; the d/parent
-// tables carry stale values by design (longestPath computes every listed
-// vertex's last entry after its in-edge tails' last entries).
+// offsets are cleared per build, the chain cursors per DP; the rank and
+// d/parent tables carry stale values by design (the build ranks every
+// anchor, the only vertices whose rank is read, and longestPath computes
+// every listed vertex's last entry after its in-edge tails' last entries).
 type buffers struct {
 	// Graph build.
-	edges   []Edge
-	mark    []uint8   // per local VertexID: markListed|markStart|markEnd
+	edges   []Edge    // the stored edges: skewed in record order, then virtual
+	mark    []uint8   // per local VertexID: markListed|markStart|markEnd|markPipe
 	anchors []stamped // the order set: distinct skewed-edge endpoints, first-occurrence order
-	inOff   []int32   // per VertexID: in-edges at in[inOff[v]:inOff[v+1]]
-	in      []inEdge  // in-edge records grouped by head, in edge order
+	rank    []int32   // per anchor VertexID: its rank r in key order
+	inOff   []int32   // per anchor rank: stored in-edges at in[inOff[r]:inOff[r+1]]
+	in      []inEdge  // stored in-edge records grouped by head, in edge order
 
 	// The anchors' keys, sorted by the build and read by the DP, their
 	// virtual-edge targets (the vertices starting a skewed edge) with their
@@ -144,8 +146,9 @@ type buffers struct {
 	parent        []int32
 }
 
-// inEdge is one in-edge of a vertex: its tail, its index in Graph.Edges,
-// and its DP cost, copied so that the DP reads one contiguous record.
+// inEdge is one stored in-edge of an anchor: its tail, its index in
+// buffers.edges, and its DP cost, copied so that the DP reads one
+// contiguous record.
 type inEdge struct {
 	from VertexID
 	edge int32
@@ -154,17 +157,16 @@ type inEdge struct {
 
 var bufPool = sync.Pool{New: func() any { return new(buffers) }}
 
-// reset readies the buffers for a build over total vertex slots. The edge
-// list gets room for 12.5 edges per instruction (the bundled workloads
-// average 11.5) and the anchor list for 1.5 (they list 1.1–1.3), so a
-// fresh build allocates each about once instead of growing it by repeated
-// copies.
+// reset readies the buffers for a build over total vertex slots. The
+// stored edge list gets room for 4 edges per instruction (the bundled
+// workloads store 2.4–3.4 skewed and virtual edges) and the anchor list
+// for 1.5 (they list 1.1–1.3), so a fresh build allocates each about once
+// instead of growing it by repeated copies.
 func (b *buffers) reset(total int) {
 	b.mark = resize(b.mark, total)
 	clear(b.mark)
-	b.inOff = resize(b.inOff, total+2)
-	clear(b.inOff)
-	b.edges = slices.Grow(b.edges[:0], total+total/4)
+	b.rank = resize(b.rank, total)
+	b.edges = slices.Grow(b.edges[:0], total*2/5)
 	b.anchors = slices.Grow(b.anchors[:0], total*3/20)
 }
 
@@ -286,8 +288,8 @@ func analyzeWindowPure(tr *pipetrace.Trace, base, end, lo, hi int, b *buffers, r
 	// outside [lo, hi) is a margin edge; its owner window attributes it.
 	own0, own1 := Vertex(lo-base, 0), Vertex(hi-base, 0)
 	v := sink
-	for pe := b.parent[v]; pe >= 0; pe = b.parent[v] {
-		e := &g.Edges[pe]
+	for b.parent[v] != -1 {
+		e := g.parentEdge(v)
 		v = e.From
 		if e.Res == uarch.ResNone || e.To < own0 || e.To >= own1 {
 			continue
