@@ -69,14 +69,16 @@ cover:
 
 # A short randomized pass over the campaign-file reader, the engine
 # conformance check, the capacity-pool/heap differential (the
-# calendar-queue pool must pop bit-identically to container/heap), and the
-# DEG's anchor-order DP against a comparison-sorted reference DP over
-# perturbed traces, on top of the checked-in seed corpora that `make test`
-# already replays.
+# calendar-queue pool must pop bit-identically to container/heap), the
+# unit-bank differential (the masked scan must pick the unit the branching
+# scan picked, lowest index on ties), and the DEG's anchor-order DP against
+# a comparison-sorted reference DP over perturbed traces, on top of the
+# checked-in seed corpora that `make test` already replays.
 fuzz-seeds:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/persist/
 	$(GO) test -fuzz=FuzzConformance -fuzztime=10s ./internal/conformance/
 	$(GO) test -fuzz=FuzzCapPoolParity -fuzztime=10s ./internal/ooo/
+	$(GO) test -fuzz=FuzzUnitPoolParity -fuzztime=10s ./internal/ooo/
 	$(GO) test -fuzz=FuzzLongestPathOrder -fuzztime=10s ./internal/deg/
 
 # One regeneration per experiment plus the evaluator fan-out comparison.
@@ -153,11 +155,11 @@ bench-spans:
 # simulator, DEG or pipeline throughput lands more than 10% below what
 # BENCH_sim.json / BENCH_deg.json / BENCH_pipeline.json record for the
 # reference host.
-# The simulator gates are the calendar-queue numbers (the current
-# baseline) PLUS a speedup floor: SimFull must also hold >=1.2x the
-# pre-calendar-queue after_full record, so the pool rewrite's win cannot
-# silently erode back even across re-baselines of the calqueue section.
-# SimProbe holds the recycled-core probe number (BENCH_sim.json probe).
+# The simulator gates are the branch-free-pool numbers (the current
+# baseline, BENCH_sim.json branchfree_pools, measured at -cpu 1) PLUS a
+# speedup floor: SimFull must also hold >=1.2x the pre-calendar-queue
+# after_full record, so the pool rewrites' win cannot silently erode back
+# even across re-baselines. SimProbe holds the same section's probe number.
 # Re-baseline (re-run bench-sim / bench-pipeline and update the JSONs)
 # when a deliberate change moves the numbers. The span-overhead gate rides
 # along (span capture must cost <2% of same-run pipeline throughput), as
@@ -166,9 +168,9 @@ bench-all:
 	$(GO) build -o benchgate ./cmd/benchgate
 	$(GO) test -bench='BenchmarkSim(Full|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream)$$' -benchmem -run XXX -count 1 . | \
 	  ./benchgate -tolerance 0.10 \
-	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
+	    -expect 'BenchmarkSimFull=BENCH_sim.json:branchfree_pools.change.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
-	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
+	    -expect 'BenchmarkSimProbe=BENCH_sim.json:branchfree_pools.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:implicit_pipeline.change.analyze.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:implicit_pipeline.change.windowed.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:implicit_pipeline.change.probe.inst_per_sec' \
@@ -185,9 +187,9 @@ bench-all-smoke:
 	$(GO) build -o benchgate ./cmd/benchgate
 	$(GO) test -bench='BenchmarkSim(Full|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream|StreamPar)$$' -benchtime=1x -run XXX . | \
 	  ./benchgate -tolerance 0.95 \
-	    -expect 'BenchmarkSimFull=BENCH_sim.json:calqueue.full.inst_per_sec' \
+	    -expect 'BenchmarkSimFull=BENCH_sim.json:branchfree_pools.change.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
-	    -expect 'BenchmarkSimProbe=BENCH_sim.json:probe.change.inst_per_sec' \
+	    -expect 'BenchmarkSimProbe=BENCH_sim.json:branchfree_pools.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:implicit_pipeline.change.analyze.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:implicit_pipeline.change.windowed.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:implicit_pipeline.change.probe.inst_per_sec' \
@@ -202,11 +204,13 @@ bench-all-smoke:
 bench-smoke:
 	$(GO) -C bench test ./...
 
-# CPU profile of the full-fidelity simulator benchmark. Inspect with
+# CPU profile of the simulator benchmarks (BenchmarkSimFull and
+# BenchmarkSimProbe) at one CPU, the profile the simulator items of
+# ROADMAP.md are sized from. Inspect with
 #   go tool pprof -top sim.pprof
-#   go tool pprof -http=: sim.pprof
+#   go tool pprof -list 'capPool..alloc' sim.pprof
 profile-sim:
-	$(GO) test -bench='BenchmarkSimFull$$' -run XXX -cpuprofile sim.pprof -o sim.test .
+	$(GO) test -bench='BenchmarkSim(Full|Probe)$$' -cpu 1 -run XXX -cpuprofile sim.pprof -o sim.test .
 	@echo "wrote sim.pprof (binary: sim.test); try: go tool pprof -top sim.pprof"
 
 # CPU profile of the DEG layer on one explore probe's work

@@ -6,7 +6,7 @@
 // BENCH_sim.json records the before/after numbers of each rewrite.
 //
 //	make bench-sim       # both benchmarks, -benchmem
-//	make profile-sim     # CPU profile of BenchmarkSimFull → sim.pprof
+//	make profile-sim     # CPU profile of both at -cpu 1 → sim.pprof
 package archexplorer
 
 import (

@@ -3,6 +3,7 @@ package ooo
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"archexplorer/internal/uarch"
@@ -97,9 +98,13 @@ type poolOp struct {
 // container/heap shadow. The sim itself only ever does strict alloc/free
 // alternation once a pool fills; this test covers the wider contract so
 // the pool stays a drop-in heap, not just a heap on today's call pattern.
+// The capacities reach the deepest heaps the design space builds (ROB
+// pools up to 256 entries, rename pools up to 272), so the sift's phantom
+// right child is taken at every depth a campaign uses, with both parities
+// of the last level.
 func TestCapPoolMatchesReferenceHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, capacity := range []int{1, 2, 3, 8, 50, 192} {
+	for _, capacity := range []int{1, 2, 3, 8, 50, 192, 255, 256, 257, 272} {
 		for trial := 0; trial < 20; trial++ {
 			ops := make([]poolOp, 0, 2048)
 			clock := int64(0)
@@ -309,6 +314,91 @@ func TestUnitPoolTieBreak(t *testing.T) {
 	if start != 7 || unit != 0 || prev != 100 {
 		t.Fatalf("contended acquire = (%d, %d, %d), want (7, 0, 100)", start, unit, prev)
 	}
+}
+
+// refUnitPool is unitPool's contract written with branches: an if keeps
+// the first minimum, and another selects start and prev. It is the
+// reference FuzzUnitPoolParity holds the branch-free pool to.
+type refUnitPool struct {
+	nextFree []int64
+	lastUser []int
+}
+
+func (u *refUnitPool) acquire(at int64, occ int64, user int) (start int64, unit, prev int) {
+	best := 0
+	for i := 1; i < len(u.nextFree); i++ {
+		if u.nextFree[i] < u.nextFree[best] {
+			best = i
+		}
+	}
+	start = at
+	prev = -1
+	if u.nextFree[best] > at {
+		start = u.nextFree[best]
+		prev = u.lastUser[best]
+	}
+	u.nextFree[best] = start + occ
+	u.lastUser[best] = user
+	return start, best, prev
+}
+
+// FuzzUnitPoolParity drives unitPool and refUnitPool through the same
+// acquire/adjust sequences: every acquire must return the same (start,
+// unit, prev), and the banks must end with the same nextFree and lastUser.
+// TestUnitPoolTieBreak pins the lowest-index tie-break on one hand-made
+// sequence; this holds it on tie-heavy sequences of any bank size the
+// design space builds.
+//
+// Byte encoding: byte 0 picks the unit count (1..8). Each following byte b
+// is one op. b&1 == 0 is an acquire at a running clock moved by
+// (b>>1)&7 - 2 cycles, so equal and earlier request times are common; its
+// occupancy is 1, or b>>5 + 2 cycles (a blocking unit) when b&16 is set.
+// b&1 == 1 adjusts the last acquired unit to a start (b>>1)&7 cycles after
+// the one acquire returned, as an issue-bandwidth delay does in the core.
+func FuzzUnitPoolParity(f *testing.F) {
+	f.Add([]byte{2, 4, 4, 4, 4, 4})               // three units, five acquires in one cycle: idle and busy ties
+	f.Add([]byte{0, 4, 20, 2})                    // one unit, contended, blocking
+	f.Add([]byte{3, 4, 4, 4, 4, 3, 4, 5, 4})      // four units; adjusts break and remake ties
+	f.Add([]byte{7, 244, 4, 4, 4, 4, 4, 4, 4, 4}) // eight units: a blocking acquire, then a full bank
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		units := int(data[0])%8 + 1
+		got := (*unitPool)(nil).reset(units)
+		want := &refUnitPool{nextFree: make([]int64, units), lastUser: make([]int, units)}
+		for i := range want.lastUser {
+			want.lastUser[i] = -1
+		}
+		clock := int64(64) // headroom so backward moves stay positive
+		last, lastStart, lastOcc := -1, int64(0), int64(0)
+		for i, b := range data[1:] {
+			if b&1 == 1 {
+				if last >= 0 {
+					start := lastStart + int64(b>>1&7)
+					got.adjust(last, start, lastOcc)
+					want.nextFree[last] = start + lastOcc
+				}
+				continue
+			}
+			clock += int64(b>>1&7) - 2
+			occ := int64(1)
+			if b&16 != 0 {
+				occ = int64(b>>5) + 2
+			}
+			gs, gu, gp := got.acquire(clock, occ, i)
+			ws, wu, wp := want.acquire(clock, occ, i)
+			if gs != ws || gu != wu || gp != wp {
+				t.Fatalf("op %d (%d units): acquire(%d, %d) = (%d, %d, %d), reference = (%d, %d, %d)",
+					i, units, clock, occ, gs, gu, gp, ws, wu, wp)
+			}
+			last, lastStart, lastOcc = gu, gs, occ
+		}
+		if !slices.Equal(got.nextFree, want.nextFree) || !slices.Equal(got.lastUser, want.lastUser) {
+			t.Fatalf("%d units: final bank nextFree %v lastUser %v, reference nextFree %v lastUser %v",
+				units, got.nextFree, got.lastUser, want.nextFree, want.lastUser)
+		}
+	})
 }
 
 // TestUnitPoolAcquireAdjust pins the acquire/adjust contract: prev is the

@@ -82,31 +82,28 @@ func (p *capPool) alloc() (int64, int) {
 	if n < p.capacity {
 		return 0, -1
 	}
-	rt, ro := p.times[0], p.owners[0]
+	t, o := p.times, p.owners
+	rt, ro := t[0], o[0]
 	n--
-	// Reslice to the post-pop length before sifting: every index below is
-	// then provably < len, so the sift loop runs without bounds checks.
-	t, o := p.times[:n], p.owners[:n]
-	lt, lo := p.times[n], p.owners[n]
-	p.times, p.owners = t, o
-	if n == 0 {
-		return rt, ro
-	}
+	lt, lo := t[n], o[n]
 	// Sift the displaced last element down from the root. Same child
 	// choice as container/heap's down (left child on equal times) and same
 	// strict-less stop condition, so the resulting array layout is
 	// identical; only the data movement differs — the element rides in
 	// registers and path entries shift up through the hole, instead of
-	// four 16-byte swap moves per level.
+	// four 16-byte swap moves per level. The child is chosen by adding the
+	// comparison as 0/1 (b2i), not by branching on it: among tied,
+	// jittered release times its outcome is hard to predict.
+	//
+	// There is no j+1 < n test. Index n still holds lt (writes land only
+	// on i < n), so when the last internal node has only a left child its
+	// compare reads lt as a phantom right child. If lt < t[n-1], j becomes
+	// n and t[n] >= lt stops the sift at i — where container/heap stops
+	// too, since there t[n-1] > lt. Otherwise the left child is chosen, as
+	// in container/heap.
 	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j1 := j + 1; j1 < n && t[j1] < t[j] {
-			j = j1
-		}
+	for j := 1; j < n; j = 2*i + 1 {
+		j += b2i(t[j+1] < t[j])
 		if t[j] >= lt {
 			break
 		}
@@ -114,7 +111,19 @@ func (p *capPool) alloc() (int64, int) {
 		i = j
 	}
 	t[i], o[i] = lt, lo
+	// Reslice without capping the capacity: reset reuses the arrays for
+	// the next design point's pool, which may be larger.
+	p.times, p.owners = t[:n], o[:n]
 	return rt, ro
+}
+
+// b2i is 1 for true and 0 for false. It inlines to a flag-to-register set
+// (SETcc), with no branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // free registers that owner releases one entry at time tm.
@@ -245,19 +254,21 @@ func (u *unitPool) reset(n int) *unitPool {
 // limits), it must rebook the unit with adjust so later consumers observe
 // the true occupancy window.
 func (u *unitPool) acquire(at int64, occ int64, user int) (start int64, unit, prev int) {
-	best := 0
-	for i := 1; i < len(u.nextFree); i++ {
-		if u.nextFree[i] < u.nextFree[best] {
-			best = i
-		}
+	// The scan keeps the first minimum by masking, not by branching: a
+	// strictly earlier unit moves best to i (mask all ones), a tie or a
+	// later one leaves it (mask zero).
+	nf := u.nextFree
+	best, bt := 0, nf[0]
+	for i := 1; i < len(nf); i++ {
+		best += (i - best) & -b2i(nf[i] < bt)
+		bt = min(bt, nf[i])
 	}
-	start = at
-	prev = -1
-	if u.nextFree[best] > at {
-		start = u.nextFree[best]
-		prev = u.lastUser[best]
+	start = max(at, bt)
+	prev = u.lastUser[best]
+	if bt <= at {
+		prev = -1
 	}
-	u.nextFree[best] = start + occ
+	nf[best] = start + occ
 	u.lastUser[best] = user
 	return start, best, prev
 }
