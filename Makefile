@@ -23,7 +23,7 @@ COVER_MIN_SELFDEG := 80
 COVER_MIN_OOO := 80
 COVER_MIN_CONFORMANCE := 90
 
-.PHONY: build vet test race cover fuzz-seeds bench bench-deg bench-sim bench-sim-smoke bench-pipeline bench-pipeline-smoke bench-pipeline-par bench-spans bench-all bench-all-smoke bench-smoke profile-sim profile-deg profile-pipeline ci
+.PHONY: build vet test race cover fuzz-seeds bench bench-deg bench-sim bench-sim-smoke bench-pipeline bench-pipeline-smoke bench-pipeline-par bench-spans bench-all bench-all-smoke bench-pair bench-smoke profile-sim profile-deg profile-pipeline ci
 
 build:
 	$(GO) build ./...
@@ -71,15 +71,18 @@ cover:
 # conformance check, the capacity-pool/heap differential (the
 # calendar-queue pool must pop bit-identically to container/heap), the
 # unit-bank differential (the masked scan must pick the unit the branching
-# scan picked, lowest index on ties), and the DEG's anchor-order DP against
-# a comparison-sorted reference DP over perturbed traces, on top of the
-# checked-in seed corpora that `make test` already replays.
+# scan picked, lowest index on ties), the DEG's anchor-order DP against
+# a comparison-sorted reference DP over perturbed traces, and Rule 2's
+# target lookup against the plain scan (closest instruction, earliest on
+# ties), on top of the checked-in seed corpora that `make test` already
+# replays.
 fuzz-seeds:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/persist/
 	$(GO) test -fuzz=FuzzConformance -fuzztime=10s ./internal/conformance/
 	$(GO) test -fuzz=FuzzCapPoolParity -fuzztime=10s ./internal/ooo/
 	$(GO) test -fuzz=FuzzUnitPoolParity -fuzztime=10s ./internal/ooo/
 	$(GO) test -fuzz=FuzzLongestPathOrder -fuzztime=10s ./internal/deg/
+	$(GO) test -fuzz=FuzzRule2Lookup -fuzztime=10s ./internal/deg/
 
 # One regeneration per experiment plus the evaluator fan-out comparison.
 bench:
@@ -89,9 +92,10 @@ bench:
 # AnalyzeWindowed (pooled buffers) on the 20k-instruction trace, plus
 # BenchmarkDEGAnalyzeProbe, the DEG work of one explore probe (12 SPEC06
 # workloads x 500 instructions, whole-trace). BENCH_deg.json records the
-# numbers before and after the sort-free, map-free core, the parent and
-# change medians of the anchor-ordered DP (anchor_order), and those of the
-# implicit pipeline edges (implicit_pipeline), which bench-all gates.
+# numbers before and after the sort-free, map-free core, and the parent
+# and change medians of the anchor-ordered DP (anchor_order), of the
+# implicit pipeline edges (implicit_pipeline) and of Rule 2 by lookup
+# (rule2_lookup, from `make bench-pair`), which bench-all gates.
 bench-deg:
 	$(GO) test -bench='BenchmarkDEGAnalyze(Windowed|Probe)?$$' -benchmem -run XXX -count 3 .
 
@@ -171,9 +175,9 @@ bench-all:
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:branchfree_pools.change.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:branchfree_pools.change.probe.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:implicit_pipeline.change.analyze.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:implicit_pipeline.change.windowed.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:implicit_pipeline.change.probe.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:rule2_lookup.change.analyze.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:rule2_lookup.change.windowed.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:rule2_lookup.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec'
 	$(MAKE) bench-spans
@@ -190,13 +194,52 @@ bench-all-smoke:
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:branchfree_pools.change.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:branchfree_pools.change.probe.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:implicit_pipeline.change.analyze.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:implicit_pipeline.change.windowed.inst_per_sec' \
-	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:implicit_pipeline.change.probe.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:rule2_lookup.change.analyze.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:rule2_lookup.change.windowed.inst_per_sec' \
+	    -expect 'BenchmarkDEGAnalyzeProbe=BENCH_deg.json:rule2_lookup.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkPipelineBuffered=BENCH_pipeline.json:before.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStream=BENCH_pipeline.json:after.inst_per_sec' \
 	    -expect 'BenchmarkPipelineStreamPar=1.5*bench:BenchmarkPipelineStream' \
 	    -expect 'BenchmarkPipelineStreamPar=BENCH_pipeline.json:parallel.par4.inst_per_sec'
+
+# Compare this working tree against another revision in alternating
+# rounds, which cancel the host's drift (bench-all gates against absolute
+# numbers recorded on another day, so a slow hour fails unchanged code):
+#   make bench-pair BASE=HEAD~1
+#   make bench-pair BASE=<rev> PAIR_BENCH='BenchmarkSim(Full|Probe)$$' ROUNDS=10
+# It extracts BASE with git archive into PAIR_DIR (no worktree, nothing
+# written under .git), builds both test binaries of the root package, and
+# runs ROUNDS rounds of PAIR_BENCH at -cpu 1, alternating which side runs
+# first. Per benchmark it prints both medians of ns/op, the median of the
+# per-round ratios (base over change, above 1 when the change is faster)
+# and the rounds the change won, and it fails if a median ratio falls
+# below 1 - PAIR_TOL. The raw rounds stay in PAIR_DIR/{base,change}.txt.
+BASE ?=
+ROUNDS ?= 6
+PAIR_BENCH ?= BenchmarkDEGAnalyze(Windowed|Probe)?$$
+PAIR_BENCHTIME ?= 1s
+PAIR_TOL ?= 0.05
+PAIR_DIR ?= .bench_pair
+
+bench-pair:
+	@test -n "$(BASE)" || { echo "bench-pair: name the revision to compare against, e.g. make bench-pair BASE=HEAD~1"; exit 2; }
+	$(GO) build -o benchgate ./cmd/benchgate
+	git rev-parse --verify --quiet '$(BASE)^{commit}' >/dev/null || { echo "bench-pair: $(BASE) is not a revision"; exit 2; }
+	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
+	git archive --format=tar '$(BASE)' | tar -x -C $(PAIR_DIR)/base
+	cd $(PAIR_DIR)/base && $(GO) test -c -o ../base.test .
+	$(GO) test -c -o $(PAIR_DIR)/change.test .
+	@set -e; dir=$$(cd $(PAIR_DIR) && pwd); \
+	run() { \
+	  if [ $$1 = base ]; then cd "$$dir/base"; else cd "$(CURDIR)"; fi; \
+	  "$$dir/$$1.test" -test.run XXX -test.bench '$(PAIR_BENCH)' -test.cpu 1 -test.benchmem \
+	    -test.benchtime $(PAIR_BENCHTIME) -test.count 1 -test.timeout 10m >> "$$dir/$$1.txt"; \
+	}; \
+	for r in $$(seq 1 $(ROUNDS)); do \
+	  if [ $$((r % 2)) -eq 1 ]; then run base; run change; else run change; run base; fi; \
+	  echo "bench-pair: round $$r of $(ROUNDS) done"; \
+	done
+	./benchgate -pair -tolerance $(PAIR_TOL) $(PAIR_DIR)/base.txt $(PAIR_DIR)/change.txt
 
 # The archbench campaign benchmark's own tests (bench/ is a separate module
 # that compiles against this one): deleting or renaming root API that the
@@ -213,13 +256,15 @@ profile-sim:
 	$(GO) test -bench='BenchmarkSim(Full|Probe)$$' -cpu 1 -run XXX -cpuprofile sim.pprof -o sim.test .
 	@echo "wrote sim.pprof (binary: sim.test); try: go tool pprof -top sim.pprof"
 
-# CPU profile of the DEG layer on one explore probe's work
-# (BenchmarkDEGAnalyzeProbe) at one CPU, the profile the DEG items of
-# ROADMAP.md are sized from. Inspect with
+# CPU profile of the DEG layer at one CPU, in both shapes the evaluator
+# runs: windowed analysis (BenchmarkDEGAnalyzeWindowed, 2000-instruction
+# windows of a 20k-instruction trace, the shape of analyze-stream) and one
+# explore probe's whole-trace work (BenchmarkDEGAnalyzeProbe). It is the
+# profile the DEG items of ROADMAP.md are sized from. Inspect with
 #   go tool pprof -top deg.pprof
 #   go tool pprof -list 'deg.buildInto' deg.pprof
 profile-deg:
-	$(GO) test -bench='BenchmarkDEGAnalyzeProbe$$' -cpu 1 -run XXX -cpuprofile deg.pprof -o deg.test .
+	$(GO) test -bench='BenchmarkDEGAnalyze(Windowed|Probe)$$' -cpu 1 -run XXX -cpuprofile deg.pprof -o deg.test .
 	@echo "wrote deg.pprof (binary: deg.test); try: go tool pprof -top deg.pprof"
 
 # CPU + heap profile of the fused 1M-instruction sim→DEG pipeline — the

@@ -33,6 +33,19 @@
 // scales the baseline before the tolerance applies — here requiring the
 // parallel pipeline to reach at least 1.5× the same run's sequential
 // throughput, a speedup floor rather than a regression floor.
+//
+// With -pair, benchgate compares two revisions measured in alternating
+// rounds instead (`make bench-pair BASE=<rev>` runs them):
+//
+//	benchgate -pair -tolerance 0.05 base.txt change.txt
+//
+// Each file holds one side's rounds of `go test -bench` output, appended
+// round after round; the i-th result of a benchmark in each file is its
+// round i. For each benchmark it prints the two median ns/op, the median of
+// the per-round ratios base/change (above 1 when the change is faster) and
+// the rounds the change won, and it fails if a median ratio falls below
+// 1-tolerance. Pairing rounds run back to back cancels the host's drift,
+// which a gate against numbers recorded on another day cannot.
 package main
 
 import (
@@ -57,9 +70,13 @@ func main() {
 		expects   expectList
 		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional throughput drop before failing")
 		metric    = flag.String("metric", "inst/s", "benchmark metric unit to gate on")
+		pair      = flag.Bool("pair", false, "compare the ns/op of two round files, base then change, given as arguments")
 	)
 	flag.Var(&expects, "expect", "Bench=file.json:dotted.path mapping (repeatable)")
 	flag.Parse()
+	if *pair {
+		os.Exit(runPair(flag.Args(), *tolerance, os.Stdout))
+	}
 	if len(expects) == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: no -expect mappings given")
 		os.Exit(2)
@@ -95,33 +112,19 @@ func main() {
 	}
 }
 
-// parseBench extracts the named metric from `go test -bench` output lines:
-// a value token immediately followed by the metric's unit token. The
-// benchmark name is the first field with any -<GOMAXPROCS> suffix removed.
+// parseBench extracts the named metric from `go test -bench` output lines
+// (see benchValue).
 func parseBench(r io.Reader, metric string) (map[string]float64, error) {
 	out := map[string]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // pass the raw output through for the log
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
+		name, v, ok, err := benchValue(line, metric)
+		if err != nil {
+			return nil, err
 		}
-		name := fields[0]
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		for i := 1; i+1 < len(fields); i++ {
-			if fields[i+1] != metric {
-				continue
-			}
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad %s value in %q: %v", metric, line, err)
-			}
+		if ok {
 			out[name] = v
 		}
 	}

@@ -220,14 +220,10 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 
 	for i := range bd.recs {
 		rec := &bd.recs[i]
-		// Horizontal pipeline chain.
-		prev := pipetrace.SF1
-		for s := pipetrace.SF2; s < pipetrace.Stage(pipetrace.NumStages); s++ {
-			if !rec.HasStage(s) {
-				continue
-			}
-			bd.pipe(i, prev, s)
-			prev = s
+		// Horizontal pipeline chain: in one pass when no hop drops, else
+		// hop by hop, which counts the drops.
+		if !bd.chain(i) {
+			bd.hops(i)
 		}
 
 		// Hardware resource dependencies (rename to rename).
@@ -280,7 +276,7 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 			continue
 		}
 		bd.virtual(from, a.t, b.tkeys[r1])
-		if r2 := rule2(b.tseq, r1, int32(a.code>>stageBits), maxVirtualScan); r2 != r1 {
+		if r2 := b.rule2(r1, int32(a.code>>stageBits)); r2 != r1 {
 			bd.virtual(from, a.t, b.tkeys[r2])
 		}
 	}
@@ -309,6 +305,59 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 	}
 	b.inOff = off
 	return nil
+}
+
+// chain adds the pipeline edges of local instruction seq in one pass, as
+// hops would, when keep drops none of them: F1 happened, and no present
+// stamp lies below one before it. It reports whether it did; otherwise it
+// writes nothing. Each present stage is listed, and every one above F1
+// marked markPipe, when the chain has at least one hop.
+func (bd *builder) chain(seq int) bool {
+	st := &bd.recs[seq].Stamp
+	// A present stamp at or above the running maximum of the stamps before
+	// it cannot run backward from the present stage before it. A false
+	// alarm only sends the record down the per-hop path.
+	last := st[pipetrace.SF1]
+	if last == pipetrace.NoStamp {
+		return false
+	}
+	for _, t := range st[1:] {
+		if t < last && t != pipetrace.NoStamp {
+			return false
+		}
+		last = max(last, t)
+	}
+	mark := (*[pipetrace.NumStages]uint8)(bd.b.mark[Vertex(seq, 0):])
+	var hops, listed int
+	for s := 1; s < pipetrace.NumStages; s++ {
+		if st[s] == pipetrace.NoStamp {
+			continue
+		}
+		m := mark[s]
+		mark[s] = m | markListed | markPipe
+		listed += int(^m & markListed)
+		hops++
+	}
+	bd.g.NumVertices += listed
+	if hops > 0 {
+		bd.list(seq, pipetrace.SF1)
+		bd.g.EdgesByKind[EdgePipeline] += hops
+	}
+	return true
+}
+
+// hops adds the pipeline edges of local instruction seq hop by hop, from
+// each present stage to the next.
+func (bd *builder) hops(seq int) {
+	rec := &bd.recs[seq]
+	prev := pipetrace.SF1
+	for s := pipetrace.SF2; s < pipetrace.Stage(pipetrace.NumStages); s++ {
+		if !rec.HasStage(s) {
+			continue
+		}
+		bd.pipe(seq, prev, s)
+		prev = s
+	}
 }
 
 // pipe adds the pipeline edge of local instruction seq from stage from to

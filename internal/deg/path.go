@@ -112,32 +112,76 @@ func (k *keyspace) time(key uint64) int64 {
 // rank in key order, b.rank[v], and Rule 1's target, rule1[v]: the index
 // of the first target ordered after v (len(tkeys) if none is), which is
 // the count of targets ordered up to v itself — so Rule 1 needs no search.
+// Under each instruction it records its targets' indices for Rule 2's
+// lookup, in b.near.
 func (b *buffers) virtualTargets(k *keyspace, keys []uint64, rule1 []int32) {
 	b.tkeys, b.tseq = resize(b.tkeys, len(keys))[:0], resize(b.tseq, len(keys))[:0]
+	b.near = resize(b.near, len(b.mark)/pipetrace.NumStages+2*rule2Near)
+	clear(b.near)
 	for r, key := range keys {
 		c := k.code(key)
 		v := vertexOf(c)
 		if b.mark[v]&markStart != 0 {
 			b.tkeys = append(b.tkeys, key)
 			b.tseq = append(b.tseq, int32(c>>stageBits))
+			b.near[c>>stageBits+rule2Near][nearSlot(c)] = uint32(len(b.tkeys))
 		}
 		rule1[v], b.rank[v] = int32(len(b.tkeys)), int32(r)
 	}
 }
 
-// rule2 picks Rule 2's target for an anchor of instruction aseq whose Rule-1
-// target is r1: among the scan targets from r1 on, the one closest to the
-// anchor in instruction sequence, the earliest on ties — so the scan stops
-// at the first distance of zero.
-func rule2(tseq []int32, r1 int, aseq int32, scan int) int {
+// rule2Near is how far, in instructions on either side of the anchor,
+// Rule 2 looks its target up before it scans.
+const rule2Near = 2
+
+// nearTargets holds one instruction's virtual-edge targets for Rule 2's
+// lookup: per stage that can start a skewed edge (R, I and P, in that
+// order), the target's index in tkeys plus one, or zero for none.
+type nearTargets [3]uint32
+
+// nearSlot is the nearTargets slot of a target's vertex code: a target
+// starts a resource edge at R, an FU, port or data edge at I, or a
+// misprediction edge at P.
+func nearSlot(code uint64) uint64 {
+	return (code&(1<<stageBits-1) - uint64(pipetrace.SR)) >> 1
+}
+
+// rule2 picks Rule 2's target for an anchor of local instruction aseq whose
+// Rule-1 target is r1: among the targets tkeys[r1 : r1+maxVirtualScan], the
+// one closest to the anchor in instruction sequence, the earliest on ties.
+// It looks up the instructions at distance 0, then 1, up to rule2Near: the
+// first distance with a target in that range holds the answer, at its
+// lowest index. Only an anchor with no such target that near scans.
+func (b *buffers) rule2(r1 int, aseq int32) int {
+	near := b.near[aseq : aseq+2*rule2Near+1] // instructions aseq-rule2Near ... aseq+rule2Near
+	// first is the lowest in-range index in e, less r1, or at least
+	// maxVirtualScan when e has none: an index below r1, and an empty slot,
+	// wrap around.
+	base := uint32(r1) + 1
+	first := func(e *nearTargets) uint32 { return min(e[0]-base, e[1]-base, e[2]-base) }
+	if m := first(&near[rule2Near]); m < maxVirtualScan {
+		return r1 + int(m)
+	}
+	for k := 1; k <= rule2Near; k++ {
+		if m := min(first(&near[rule2Near-k]), first(&near[rule2Near+k])); m < maxVirtualScan {
+			return r1 + int(m)
+		}
+	}
+	return rule2Scan(b.tseq, r1, aseq, rule2Near+1)
+}
+
+// rule2Scan scans the targets tseq[r1 : r1+maxVirtualScan] for the one
+// closest to instruction aseq, the earliest on ties. None lies nearer than
+// floor, so the scan stops at the first at distance floor.
+func rule2Scan(tseq []int32, r1 int, aseq, floor int32) int {
 	r2, best := r1, int32(math.MaxInt32)
-	for i, s := range tseq[r1:min(r1+scan, len(tseq))] {
+	for i, s := range tseq[r1:min(r1+maxVirtualScan, len(tseq))] {
 		d := s - aseq
 		d = (d ^ d>>31) - d>>31 // |d|, without a branch
 		if d < best {
 			r2, best = r1+i, d
 		}
-		if best == 0 {
+		if best == floor {
 			break
 		}
 	}
@@ -220,7 +264,7 @@ func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
 		v0 := VertexID(seq * pipetrace.NumStages)
 		for s := next[seq]; s < st; s++ {
 			if mark[v0+VertexID(s)]&^markPipe == markListed { // listed, not an anchor
-				b.relax(v0+VertexID(s), nil)
+				b.relaxChain(v0 + VertexID(s))
 			}
 		}
 		next[seq] = st + 1
@@ -232,7 +276,7 @@ func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
 		v0 := VertexID(seq * pipetrace.NumStages)
 		for ; int(s) < pipetrace.NumStages; s++ {
 			if mark[v0+VertexID(s)]&^markPipe == markListed { // listed, not an anchor
-				b.relax(v0+VertexID(s), nil)
+				b.relaxChain(v0 + VertexID(s))
 			}
 		}
 	}
@@ -261,6 +305,17 @@ func (b *buffers) relax(v VertexID, in []inEdge) int64 {
 	}
 	b.d[v], b.parent[v] = dv, pe
 	return dv
+}
+
+// relaxChain is relax for a chain vertex v, listed but not an anchor,
+// whose one in-edge, if any, is the pipeline edge. Unlike relax it
+// inlines into the DP's chain walk.
+func (b *buffers) relaxChain(v VertexID) {
+	dv, pe := int64(0), int32(-1)
+	if b.mark[v]&markPipe != 0 {
+		dv, pe = b.d[b.pipeTail(v)], -2
+	}
+	b.d[v], b.parent[v] = dv, pe
 }
 
 // earliest returns the listed vertex first in (stamp, VertexID) order: the

@@ -159,12 +159,14 @@ func TestOrderKeysMatchRefSort(t *testing.T) {
 }
 
 // TestVirtualTargetsMatchBruteForce checks the Rule-1/Rule-2 target choice
-// — a count of targets along the sorted order set plus a bounded scan —
-// against a direct scan of every target on random anchor sets: Rule 1
-// picks the first target after the anchor in (time, VertexID) order, Rule 2
-// the one closest in instruction sequence among the next scan targets, the
-// earliest on ties. It also checks each anchor's rank, the count of anchors
-// ordered before it, which keys the in-edge index.
+// — a count of targets along the sorted order set, and Rule 2's lookup or
+// the reference scan over a bounded range — against a direct scan of every
+// target on random anchor sets: Rule 1 picks the first target after the
+// anchor in (time, VertexID) order, Rule 2 the one closest in instruction
+// sequence among the next scan targets, the earliest on ties. Targets start
+// skewed edges, so they sit at R, I or P, as in a build. It also checks
+// each anchor's rank, the count of anchors ordered before it, which keys
+// the in-edge index.
 func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 	rng := xorshift(7)
 	for iter := 0; iter < 300; iter++ {
@@ -181,7 +183,7 @@ func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 			seen[c] = true
 			v := stamped{c, int64(rng.next() % span)}
 			vs = append(vs, v)
-			if rng.next()%2 == 0 {
+			if st := vertexOf(c).Stage(); rng.next()%2 == 0 && (st == pipetrace.SR || st == pipetrace.SI || st == pipetrace.SP) {
 				targets = append(targets, v)
 				b.mark[vertexOf(c)] = markStart
 			}
@@ -225,20 +227,29 @@ func TestVirtualTargetsMatchBruteForce(t *testing.T) {
 				d := vertexOf(a.code).Seq() - vertexOf(c.code).Seq()
 				return max(d, -d)
 			}
-			want2 := after[0]
-			for _, c := range after[:min(scan, len(after))] {
-				if seqDist(c) < seqDist(want2) {
-					want2 = c
+			closest := func(scan int) stamped {
+				want := after[0]
+				for _, c := range after[:min(scan, len(after))] {
+					if seqDist(c) < seqDist(want) {
+						want = c
+					}
 				}
+				return want
 			}
 			if r1 == len(b.tkeys) {
 				t.Fatalf("iter %d: anchor %+v: no Rule-1 target, want %+v", iter, a, after[0])
 			}
-			r2 := rule2(b.tseq, r1, int32(a.code>>stageBits), scan)
-			got1, got2 := ks.code(b.tkeys[r1]), ks.code(b.tkeys[r2])
-			if got1 != after[0].code || got2 != want2.code {
-				t.Fatalf("iter %d (scan %d): anchor %+v: targets %d/%d, want %d/%d", iter, scan, a,
-					vertexOf(got1), vertexOf(got2), vertexOf(after[0].code), vertexOf(want2.code))
+			aseq := int32(a.code >> stageBits)
+			for _, r2 := range []struct {
+				scan int
+				got  int
+			}{{scan, refRule2(b.tseq, r1, aseq, scan)}, {maxVirtualScan, b.rule2(r1, aseq)}} {
+				want2 := closest(r2.scan)
+				got1, got2 := ks.code(b.tkeys[r1]), ks.code(b.tkeys[r2.got])
+				if got1 != after[0].code || got2 != want2.code {
+					t.Fatalf("iter %d (scan %d): anchor %+v: targets %d/%d, want %d/%d", iter, r2.scan, a,
+						vertexOf(got1), vertexOf(got2), vertexOf(after[0].code), vertexOf(want2.code))
+				}
 			}
 		}
 	}

@@ -120,11 +120,12 @@ func (s *WindowStats) Dropped() int { return s.DroppedNoStamp + s.DroppedBackwar
 // buffers is the scratch state of one graph build and its critical-path
 // DP: every slice either would otherwise allocate. Build gives each graph
 // fresh buffers; windowed analyses reuse pooled ones window after window,
-// so they grow to the largest window seen. The mark array and the in-edge
-// offsets are cleared per build, the chain cursors per DP; the rank and
-// d/parent tables carry stale values by design (the build ranks every
-// anchor, the only vertices whose rank is read, and longestPath computes
-// every listed vertex's last entry after its in-edge tails' last entries).
+// so they grow to the largest window seen. The mark array, the Rule-2
+// lookup table and the in-edge offsets are cleared per build, the chain
+// cursors per DP; the rank and d/parent tables carry stale values by
+// design (the build ranks every anchor, the only vertices whose rank is
+// read, and longestPath computes every listed vertex's last entry after
+// its in-edge tails' last entries).
 type buffers struct {
 	// Graph build.
 	edges   []Edge    // the stored edges: skewed in record order, then virtual
@@ -136,11 +137,12 @@ type buffers struct {
 
 	// The anchors' keys, sorted by the build and read by the DP, their
 	// virtual-edge targets (the vertices starting a skewed edge) with their
-	// sequence numbers, then the critical-path DP and its per-instruction
-	// chain cursors.
+	// sequence numbers and, per instruction, their indices, then the
+	// critical-path DP and its per-instruction chain cursors.
 	keys, scratch []uint64
 	tkeys         []uint64
 	tseq          []int32
+	near          []nearTargets // per local instruction, offset by rule2Near
 	next          []uint8
 	d             []int64
 	parent        []int32
