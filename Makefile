@@ -207,29 +207,28 @@ bench-all-smoke:
 # numbers recorded on another day, so a slow hour fails unchanged code):
 #   make bench-pair BASE=HEAD~1
 #   make bench-pair BASE=<rev> PAIR_BENCH='BenchmarkSim(Full|Probe)$$' ROUNDS=10
-# It extracts BASE with git archive into PAIR_DIR (no worktree, nothing
+# It extracts BASE with git archive into .bench_pair (no worktree, nothing
 # written under .git), builds both test binaries of the root package, and
 # runs ROUNDS rounds of PAIR_BENCH at -cpu 1, alternating which side runs
 # first. Per benchmark it prints both medians of ns/op, the median of the
 # per-round ratios (base over change, above 1 when the change is faster)
 # and the rounds the change won, and it fails if a median ratio falls
-# below 1 - PAIR_TOL. The raw rounds stay in PAIR_DIR/{base,change}.txt.
+# below 1 - PAIR_TOL. The raw rounds stay in .bench_pair/{base,change}.txt.
 BASE ?=
 ROUNDS ?= 6
 PAIR_BENCH ?= BenchmarkDEGAnalyze(Windowed|Probe)?$$
 PAIR_BENCHTIME ?= 1s
 PAIR_TOL ?= 0.05
-PAIR_DIR ?= .bench_pair
 
 bench-pair:
 	@test -n "$(BASE)" || { echo "bench-pair: name the revision to compare against, e.g. make bench-pair BASE=HEAD~1"; exit 2; }
 	$(GO) build -o benchgate ./cmd/benchgate
 	git rev-parse --verify --quiet '$(BASE)^{commit}' >/dev/null || { echo "bench-pair: $(BASE) is not a revision"; exit 2; }
-	rm -rf $(PAIR_DIR) && mkdir -p $(PAIR_DIR)/base
-	git archive --format=tar '$(BASE)' | tar -x -C $(PAIR_DIR)/base
-	cd $(PAIR_DIR)/base && $(GO) test -c -o ../base.test .
-	$(GO) test -c -o $(PAIR_DIR)/change.test .
-	@set -e; dir=$$(cd $(PAIR_DIR) && pwd); \
+	rm -rf .bench_pair && mkdir -p .bench_pair/base
+	git archive --format=tar '$(BASE)' | tar -x -C .bench_pair/base
+	cd .bench_pair/base && $(GO) test -c -o ../base.test .
+	$(GO) test -c -o .bench_pair/change.test .
+	@set -e; dir=$$(cd .bench_pair && pwd); \
 	run() { \
 	  if [ $$1 = base ]; then cd "$$dir/base"; else cd "$(CURDIR)"; fi; \
 	  "$$dir/$$1.test" -test.run XXX -test.bench '$(PAIR_BENCH)' -test.cpu 1 -test.benchmem \
@@ -239,7 +238,7 @@ bench-pair:
 	  if [ $$((r % 2)) -eq 1 ]; then run base; run change; else run change; run base; fi; \
 	  echo "bench-pair: round $$r of $(ROUNDS) done"; \
 	done
-	./benchgate -pair -tolerance $(PAIR_TOL) $(PAIR_DIR)/base.txt $(PAIR_DIR)/change.txt
+	./benchgate -pair -tolerance $(PAIR_TOL) .bench_pair/base.txt .bench_pair/change.txt
 
 # The archbench campaign benchmark's own tests (bench/ is a separate module
 # that compiles against this one): deleting or renaming root API that the

@@ -6,101 +6,63 @@ import (
 	"archexplorer/internal/pipetrace"
 )
 
-// chainState is what a record's pipeline edges leave in a build: its
-// marks and the graph's counters.
-type chainState struct {
-	mark                            [pipetrace.NumStages]uint8
-	numVertices                     int
-	edgesByKind                     [NumEdgeKinds]int
-	droppedNoStamp, droppedBackward int
-}
-
-// runChain lists rec's pipeline edges over the given starting marks, in
-// one pass where chain takes the record (onePass) or hop by hop, and
-// returns what they leave and whether the one pass took it.
-func runChain(rec pipetrace.Record, marks [pipetrace.NumStages]uint8, onePass bool) (chainState, bool) {
-	g := &Graph{}
-	b := &buffers{mark: marks[:]}
-	bd := builder{g: g, b: b, recs: []pipetrace.Record{rec}}
-	took := onePass && bd.chain(0)
-	if !took {
-		bd.hops(0)
-	}
-	return chainState{[pipetrace.NumStages]uint8(b.mark), g.NumVertices, g.EdgesByKind, g.DroppedNoStamp, g.DroppedBackward}, took
-}
-
-// TestChainMatchesHops holds the one-pass pipeline chain to the per-hop
-// path, which applies keep's drop rules to every hop: on crafted records
-// (F1 missing, M missing, one backward stamp, only F1 present, equal
-// stamps) and on random ones, each over clear marks and over marks an
-// earlier edge left, both must leave the same marks, NumVertices,
-// EdgesByKind, DroppedNoStamp and DroppedBackward. The crafted records
-// also pin which of them the one pass takes.
-func TestChainMatchesHops(t *testing.T) {
-	stamps := func(ts ...int64) pipetrace.Record {
-		var r pipetrace.Record
-		copy(r.Stamp[:], ts)
-		return r
-	}
+// TestChainDropRules pins what a record's pipeline edges leave in a build:
+// a hop runs from each present stage to the next, and it is kept unless F1,
+// the first hop's tail, never happened or the hop would run backward in
+// time; each dropped hop is counted. On crafted records, each over clear
+// marks and over marks earlier skewed edges left, the marks, NumVertices,
+// EdgesByKind, DroppedNoStamp and DroppedBackward must be as pinned. want
+// spells the marks stage by stage, F1 first: '.' not listed, 'L' listed,
+// 'P' listed and heading a kept hop (markPipe).
+func TestChainDropRules(t *testing.T) {
 	const no = pipetrace.NoStamp
-	crafted := []struct {
-		name string
-		rec  pipetrace.Record
-		took bool
+	cases := []struct {
+		name              string
+		stamps            [pipetrace.NumStages]int64
+		want              string
+		noStamp, backward int
 	}{
-		{"every stage", stamps(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), true},
-		{"M missing", stamps(0, 1, 2, 3, 4, 5, 6, no, 8, 9), true},
-		{"equal stamps", stamps(5, 5, 5, 5, 5, 5, 5, 5, 5, 5), true},
-		{"only F1", stamps(3, no, no, no, no, no, no, no, no, no), true},
-		{"only C", stamps(no, no, no, no, no, no, no, no, no, 9), false},
-		{"F1 missing", stamps(no, 1, 2, 3, 4, 5, 6, 7, 8, 9), false},
-		{"one backward stamp", stamps(0, 1, 2, 3, 4, 5, 3, 7, 8, 9), false},
-		{"backward across M", stamps(0, 1, 2, 3, 4, 5, 7, no, 6, 9), false},
-		{"backward then missing", stamps(0, 1, 2, 3, 4, 5, 6, 7, no, 2), false},
+		{"every stage", [...]int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, "LPPPPPPPPP", 0, 0},
+		{"M missing", [...]int64{0, 1, 2, 3, 4, 5, 6, no, 8, 9}, "LPPPPPP.PP", 0, 0},
+		{"equal stamps", [...]int64{5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, "LPPPPPPPPP", 0, 0},
+		{"only F1", [...]int64{3, no, no, no, no, no, no, no, no, no}, "..........", 0, 0},
+		{"only C", [...]int64{no, no, no, no, no, no, no, no, no, 9}, "..........", 1, 0},
+		{"F1 missing", [...]int64{no, 1, 2, 3, 4, 5, 6, 7, 8, 9}, ".LPPPPPPPP", 1, 0},
+		{"F1 and M missing", [...]int64{no, 1, 2, 3, 4, 5, 6, no, 8, 9}, ".LPPPPP.PP", 1, 0},
+		{"one backward stamp", [...]int64{0, 1, 2, 3, 4, 5, 3, 7, 8, 9}, "LPPPPPLPPP", 0, 1},
+		{"backward across M", [...]int64{0, 1, 2, 3, 4, 5, 7, no, 6, 9}, "LPPPPPP.LP", 0, 1},
+		{"backward then backward", [...]int64{0, 1, 2, 3, 4, 5, 3, 2, 8, 9}, "LPPPPP.LPP", 0, 2},
+		{"backward last", [...]int64{0, 1, 2, 3, 4, 5, 6, 7, no, 2}, "LPPPPPPP..", 0, 1},
 	}
-	var listedBy [pipetrace.NumStages]uint8
-	listedBy[pipetrace.SR], listedBy[pipetrace.SI] = markListed|markEnd, markListed|markStart
-	check := func(name string, rec pipetrace.Record, marks [pipetrace.NumStages]uint8) bool {
-		t.Helper()
-		got, took := runChain(rec, marks, true)
-		want, _ := runChain(rec, marks, false)
-		if got != want {
-			t.Fatalf("%s (stamps %v, marks %v): one pass %+v, per hop %+v", name, rec.Stamp, marks, got, want)
-		}
-		return took
-	}
-	for _, c := range crafted {
-		for _, marks := range [][pipetrace.NumStages]uint8{{}, listedBy} {
-			if took := check(c.name, c.rec, marks); took != c.took {
-				t.Fatalf("%s: the one pass took it: %v, want %v", c.name, took, c.took)
+	var earlier [pipetrace.NumStages]uint8
+	earlier[pipetrace.SR], earlier[pipetrace.SI] = markListed|markEnd, markListed|markStart
+	for _, c := range cases {
+		for _, pre := range [][pipetrace.NumStages]uint8{{}, earlier} {
+			marks := pre
+			g := &Graph{}
+			bd := builder{g: g, b: &buffers{mark: marks[:]}, recs: []pipetrace.Record{{Stamp: c.stamps}}}
+			bd.chain(0)
+
+			want, wantVertices := pre, 0
+			var wantKinds [NumEdgeKinds]int
+			for s, ch := range c.want {
+				if ch != '.' {
+					want[s] |= markListed
+					if pre[s]&markListed == 0 {
+						wantVertices++
+					}
+				}
+				if ch == 'P' {
+					want[s] |= markPipe
+					wantKinds[EdgePipeline]++
+				}
+			}
+			if marks != want || g.NumVertices != wantVertices || g.EdgesByKind != wantKinds ||
+				g.DroppedNoStamp != c.noStamp || g.DroppedBackward != c.backward {
+				t.Errorf("%s over marks %v: marks %v, %d vertices, edges %v, dropped %d no-stamp and %d backward; want %v, %d, %v, %d and %d",
+					c.name, pre, marks, g.NumVertices, g.EdgesByKind, g.DroppedNoStamp, g.DroppedBackward,
+					want, wantVertices, wantKinds, c.noStamp, c.backward)
 			}
 		}
-	}
-	rng := xorshift(11)
-	taken := 0
-	for iter := 0; iter < 20000; iter++ {
-		var rec pipetrace.Record
-		var marks [pipetrace.NumStages]uint8
-		t0 := int64(rng.next() % 4)
-		for s := range rec.Stamp {
-			switch rng.next() % 8 {
-			case 0:
-				rec.Stamp[s] = no
-			case 1:
-				rec.Stamp[s] = max(t0-1, 0) // at most one below
-			default:
-				t0 += int64(rng.next() % 3)
-				rec.Stamp[s] = t0
-			}
-			if rng.next()%4 == 0 {
-				marks[s] = uint8(rng.next()) & (markListed | markStart | markEnd)
-			}
-		}
-		if check("random", rec, marks) {
-			taken++
-		}
-	}
-	if taken == 0 || taken == 20000 {
-		t.Fatalf("the one pass took %d of 20000 random records: both paths must be exercised", taken)
 	}
 }

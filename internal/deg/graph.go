@@ -220,11 +220,8 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 
 	for i := range bd.recs {
 		rec := &bd.recs[i]
-		// Horizontal pipeline chain: in one pass when no hop drops, else
-		// hop by hop, which counts the drops.
-		if !bd.chain(i) {
-			bd.hops(i)
-		}
+		// Horizontal pipeline chain.
+		bd.chain(i)
 
 		// Hardware resource dependencies (rename to rename).
 		for _, rd := range rec.ResourceDeps {
@@ -307,71 +304,41 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 	return nil
 }
 
-// chain adds the pipeline edges of local instruction seq in one pass, as
-// hops would, when keep drops none of them: F1 happened, and no present
-// stamp lies below one before it. It reports whether it did; otherwise it
-// writes nothing. Each present stage is listed, and every one above F1
-// marked markPipe, when the chain has at least one hop.
-func (bd *builder) chain(seq int) bool {
+// chain adds the pipeline edges of local instruction seq, one hop from
+// each present stage to the next, applying keep's drop rules inline: a hop
+// whose tail, F1, never happened or that would run backward is dropped and
+// counted. A kept edge is not stored: both endpoints are listed, the head
+// marked markPipe, and the edge counted. Its tail is the head's nearest
+// listed stage below, and pipeEdge rebuilds it from the record.
+func (bd *builder) chain(seq int) {
 	st := &bd.recs[seq].Stamp
-	// A present stamp at or above the running maximum of the stamps before
-	// it cannot run backward from the present stage before it. A false
-	// alarm only sends the record down the per-hop path.
-	last := st[pipetrace.SF1]
-	if last == pipetrace.NoStamp {
-		return false
-	}
-	for _, t := range st[1:] {
-		if t < last && t != pipetrace.NoStamp {
-			return false
-		}
-		last = max(last, t)
-	}
 	mark := (*[pipetrace.NumStages]uint8)(bd.b.mark[Vertex(seq, 0):])
-	var hops, listed int
-	for s := 1; s < pipetrace.NumStages; s++ {
-		if st[s] == pipetrace.NoStamp {
+	var kept, listed int
+	prev, df := int(pipetrace.SF1), st[pipetrace.SF1] // a hop's tail and its stamp
+	for s := prev + 1; s < pipetrace.NumStages; s++ {
+		t := st[s]
+		if t == pipetrace.NoStamp {
 			continue
 		}
-		m := mark[s]
-		mark[s] = m | markListed | markPipe
-		listed += int(^m & markListed)
-		hops++
+		switch {
+		case df == pipetrace.NoStamp:
+			bd.g.DroppedNoStamp++
+		case t < df:
+			bd.g.DroppedBackward++ // defensive: never create a backward edge
+		default:
+			// List the tail and the head, counting each on first touch.
+			m := mark[prev]
+			mark[prev] = m | markListed
+			listed += int(^m & markListed)
+			m = mark[s]
+			mark[s] = m | markListed | markPipe
+			listed += int(^m & markListed)
+			kept++
+		}
+		prev, df = s, t
 	}
 	bd.g.NumVertices += listed
-	if hops > 0 {
-		bd.list(seq, pipetrace.SF1)
-		bd.g.EdgesByKind[EdgePipeline] += hops
-	}
-	return true
-}
-
-// hops adds the pipeline edges of local instruction seq hop by hop, from
-// each present stage to the next.
-func (bd *builder) hops(seq int) {
-	rec := &bd.recs[seq]
-	prev := pipetrace.SF1
-	for s := pipetrace.SF2; s < pipetrace.Stage(pipetrace.NumStages); s++ {
-		if !rec.HasStage(s) {
-			continue
-		}
-		bd.pipe(seq, prev, s)
-		prev = s
-	}
-}
-
-// pipe adds the pipeline edge of local instruction seq from stage from to
-// stage to, the next present stage, unless keep drops it. The edge is not
-// stored: both endpoints are listed, the head marked markPipe, and the
-// edge counted. Its tail is the head's nearest listed stage below, and
-// pipeEdge rebuilds it from the record.
-func (bd *builder) pipe(seq int, from, to pipetrace.Stage) {
-	if !bd.keep(bd.recs[seq].Stamp[from], bd.recs[seq].Stamp[to]) {
-		return
-	}
-	bd.list(seq, from)
-	bd.b.mark[bd.list(seq, to)] |= markPipe
-	bd.g.EdgesByKind[EdgePipeline]++
+	bd.g.EdgesByKind[EdgePipeline] += kept
 }
 
 // pipeRes attributes the pipeline hop of rec from stage prev to s. The I$

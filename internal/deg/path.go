@@ -263,8 +263,8 @@ func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
 		seq, st := int(c>>stageBits), uint8(c&(1<<stageBits-1))
 		v0 := VertexID(seq * pipetrace.NumStages)
 		for s := next[seq]; s < st; s++ {
-			if mark[v0+VertexID(s)]&^markPipe == markListed { // listed, not an anchor
-				b.relaxChain(v0 + VertexID(s))
+			if u := v0 + VertexID(s); mark[u]&^markPipe == markListed { // listed, not an anchor
+				b.d[u], b.parent[u] = b.pipeIn(u)
 			}
 		}
 		next[seq] = st + 1
@@ -275,8 +275,8 @@ func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
 	for seq, s := range next {
 		v0 := VertexID(seq * pipetrace.NumStages)
 		for ; int(s) < pipetrace.NumStages; s++ {
-			if mark[v0+VertexID(s)]&^markPipe == markListed { // listed, not an anchor
-				b.relaxChain(v0 + VertexID(s))
+			if u := v0 + VertexID(s); mark[u]&^markPipe == markListed { // listed, not an anchor
+				b.d[u], b.parent[u] = b.pipeIn(u)
 			}
 		}
 	}
@@ -293,11 +293,7 @@ func (g *Graph) longestPath() (sink VertexID, cost int64, err error) {
 // parent is -1 for none, -2 for the pipeline edge, or a stored edge's
 // index.
 func (b *buffers) relax(v VertexID, in []inEdge) int64 {
-	var dv int64
-	pe := int32(-1)
-	if b.mark[v]&markPipe != 0 {
-		dv, pe = b.d[b.pipeTail(v)], -2
-	}
+	dv, pe := b.pipeIn(v)
 	for _, r := range in {
 		if cand := b.d[r.from] + r.cost; cand > dv || (cand == dv && pe == -1) {
 			dv, pe = cand, r.edge
@@ -307,15 +303,16 @@ func (b *buffers) relax(v VertexID, in []inEdge) int64 {
 	return dv
 }
 
-// relaxChain is relax for a chain vertex v, listed but not an anchor,
-// whose one in-edge, if any, is the pipeline edge. Unlike relax it
-// inlines into the DP's chain walk.
-func (b *buffers) relaxChain(v VertexID) {
-	dv, pe := int64(0), int32(-1)
+// pipeIn returns the path cost and parent that vertex v's pipeline
+// in-edge gives it: the cost of its tail and -2 when v is marked
+// markPipe, else zero and -1. A listed vertex that is not an anchor has no
+// other in-edge, so the DP's chain walk relaxes it with pipeIn alone,
+// which, unlike relax, inlines there.
+func (b *buffers) pipeIn(v VertexID) (int64, int32) {
 	if b.mark[v]&markPipe != 0 {
-		dv, pe = b.d[b.pipeTail(v)], -2
+		return b.d[b.pipeTail(v)], -2
 	}
-	b.d[v], b.parent[v] = dv, pe
+	return 0, -1
 }
 
 // earliest returns the listed vertex first in (stamp, VertexID) order: the
