@@ -37,18 +37,19 @@ test:
 # The second line repeats the pooled-core concurrency test: recycled
 # cores cross goroutines through a sync.Pool, and one pass of a race test
 # only sees the interleavings that pass happened to run. The third repeats
-# the parallel windowed-DEG tests for the same reason: every window of a
-# parallel analysis crosses goroutines through the window ring, whose one
-# entry point (pushCopy) the ring and overlap tests also drive. The fourth
-# repeats the stage-timeout tests: a timed-out attempt must be cancelled
-# and gone, with its storage released, whenever its deadline lands. The
-# fifth repeats the streamed-evaluation tests: every streamed evaluation
-# drives its window ring from the simulating goroutine, inside the
-# evaluator's workload fan-out.
+# the streamed windowed-DEG tests for the same reason: every window a
+# stream analyzer seals, at one worker or several, crosses goroutines
+# through the window ring, which the stream, parallel, ring and overlap
+# tests all drive. The fourth repeats the stage-timeout tests: a
+# timed-out attempt must be cancelled and gone, with its storage
+# released, whenever its deadline lands. The fifth repeats the
+# streamed-evaluation tests: every streamed evaluation drives its window
+# ring from the simulating goroutine, inside the evaluator's workload
+# fan-out.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestRecycledCoresConcurrent$$' ./internal/ooo/
-	$(GO) test -race -count=5 -run 'TestParallel|TestWindowRing|TestOverlapCovers' ./internal/deg/
+	$(GO) test -race -count=5 -run 'TestStream|TestParallel|TestWindowRing|TestOverlapCovers' ./internal/deg/
 	$(GO) test -race -count=10 -run 'TestStageTimeout|TestNoTraceLeakWithStageTimeouts|TestCancelStalledDEGStage|TestCancelTimedOutStream' ./internal/dse/
 	$(GO) test -race -count=5 -run 'TestEvaluatorStreamed|TestEvaluatorDEGWorkersDeterminism' ./internal/dse/
 

@@ -116,9 +116,13 @@ func BenchmarkPipelineBuffered(b *testing.B) {
 	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
-// BenchmarkPipelineStream: the fused sim→DEG flow over the same trace.
-// Peak memory holds only the analyzer's window+margin working set of
-// records, never the full trace.
+// BenchmarkPipelineStream: the fused sim→DEG flow over the same trace, at
+// one analysis worker. Peak memory holds only the analyzer's
+// window+margin working set of records, never the full trace. One worker
+// is a one-slot window ring, so each window runs on its own goroutine
+// while the simulation feeds the next: on a multicore host that overlaps
+// one window with the simulation, which also raises the same-run baseline
+// that bench-pipeline-par divides BenchmarkPipelineStreamPar by.
 func BenchmarkPipelineStream(b *testing.B) {
 	stream := pipelineStream(b, 20000)
 	cfg := uarch.Baseline()
@@ -134,7 +138,7 @@ func BenchmarkPipelineStream(b *testing.B) {
 // 2-vCPU Xeon at -cpu 1, BenchmarkSimFull takes 5.1 ms and
 // BenchmarkPipelineStream 33 ms per 20k-instruction run, so DEG analysis
 // is ~85% of fused wall-clock. Reports are bit-identical to the
-// sequential run; the bench-pipeline-par Makefile target gates the
+// one-worker run; the bench-pipeline-par Makefile target gates the
 // speedup against same-run BenchmarkPipelineStream on multicore hosts and
 // against a no-regression floor on hosts with fewer than 4 cores, where
 // parallel windows cannot scale fully and must not cost throughput.
@@ -221,9 +225,11 @@ func BenchmarkPipelineBufferedLarge(b *testing.B) {
 
 // BenchmarkPipelineStreamLarge is the fused flow over the same
 // 1M-instruction trace; live heap is sampled mid-stream, where the
-// analyzer's buffer is at its steady-state window+margin size. The peak
-// buffered record count is reported alongside so the memory bound
-// (window + 2·overlap + chunk − 1 records) is checkable from the output.
+// analyzer's retained chunks and its one window copy are at their
+// steady-state window+margin size. The peak buffered record count is
+// reported alongside so the memory bound
+// (window + 2·overlap + chunk − 1 + window + 2·overlap records) is
+// checkable from the output.
 func BenchmarkPipelineStreamLarge(b *testing.B) {
 	stream := pipelineStream(b, 1_000_000)
 	cfg := uarch.Baseline()
@@ -242,7 +248,7 @@ func BenchmarkPipelineStreamLarge(b *testing.B) {
 // BenchmarkPipelineStreamLargePar: the 1M-instruction fused flow at 4
 // analysis workers — the headline parallel measurement (target ≥2.5×
 // BenchmarkPipelineStreamLarge on a ≥4-core host). Peak buffered records
-// rise by one in-flight window copy per worker
+// hold one in-flight window copy per worker
 // (workers·(window + 2·overlap)) but stay trace-length-independent,
 // which the reported metric makes checkable from the output.
 func BenchmarkPipelineStreamLargePar(b *testing.B) {

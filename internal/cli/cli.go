@@ -62,13 +62,10 @@ func Usagef(format string, args ...any) {
 type Telemetry struct {
 	// Journal is the run-journal JSONL path (-journal).
 	Journal string
-	// MetricsAddr is the listen address for /metrics, /debug/pprof and
-	// /debug/vars (-metrics-addr), e.g. "localhost:9090".
+	// MetricsAddr is the listen address for /metrics, /debug/pprof,
+	// /debug/vars and the live dashboard at /dash (-metrics-addr), e.g.
+	// "localhost:9090".
 	MetricsAddr string
-	// DashAddr is the listen address for the live dashboard (-dash-addr).
-	// The dashboard rides the same mux as /metrics, so setting both flags
-	// to different addresses is an error; either flag alone serves both.
-	DashAddr string
 	// Progress is the interval between live summary lines on stderr
 	// (-progress), 0 to disable.
 	Progress time.Duration
@@ -78,8 +75,7 @@ type Telemetry struct {
 // from a main).
 func (t *Telemetry) AddTelemetryFlags(fs *flag.FlagSet) {
 	fs.StringVar(&t.Journal, "journal", "", "write a JSONL run journal to this file (read it back with obsreport)")
-	fs.StringVar(&t.MetricsAddr, "metrics-addr", "", "serve Prometheus /metrics, /debug/pprof and /debug/vars on this address")
-	fs.StringVar(&t.DashAddr, "dash-addr", "", "serve the live campaign dashboard on this address at /dash (also exposes /metrics)")
+	fs.StringVar(&t.MetricsAddr, "metrics-addr", "", "serve Prometheus /metrics, /debug/pprof, /debug/vars and the live campaign dashboard at /dash on this address")
 	fs.DurationVar(&t.Progress, "progress", 0, "print a live telemetry summary line at this interval (e.g. 5s); 0 disables")
 }
 
@@ -89,11 +85,8 @@ func (t *Telemetry) AddTelemetryFlags(fs *flag.FlagSet) {
 // cleanup closes the journal and stops the progress ticker; call it
 // before reading the journal back.
 func (t *Telemetry) Start() (*obs.Recorder, func(), error) {
-	if t.Journal == "" && t.MetricsAddr == "" && t.DashAddr == "" && t.Progress == 0 {
+	if t.Journal == "" && t.MetricsAddr == "" && t.Progress == 0 {
 		return nil, func() {}, nil
-	}
-	if t.MetricsAddr != "" && t.DashAddr != "" && t.MetricsAddr != t.DashAddr {
-		return nil, func() {}, fmt.Errorf("-metrics-addr and -dash-addr name different addresses; they share one server, pass either flag alone")
 	}
 	rec := obs.New()
 	if t.Journal != "" {
@@ -101,20 +94,13 @@ func (t *Telemetry) Start() (*obs.Recorder, func(), error) {
 			return nil, func() {}, err
 		}
 	}
-	serveAddr := t.MetricsAddr
-	if serveAddr == "" {
-		serveAddr = t.DashAddr
-	}
-	if serveAddr != "" {
-		addr, err := rec.Serve(serveAddr)
+	if t.MetricsAddr != "" {
+		addr, err := rec.Serve(t.MetricsAddr)
 		if err != nil {
 			rec.Close()
 			return nil, func() {}, err
 		}
-		fmt.Fprintf(os.Stderr, "%s: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", tool, addr)
-		if t.DashAddr != "" {
-			fmt.Fprintf(os.Stderr, "%s: live dashboard on http://%s/dash\n", tool, addr)
-		}
+		fmt.Fprintf(os.Stderr, "%s: metrics on http://%s/metrics (pprof on /debug/pprof/, live dashboard on /dash)\n", tool, addr)
 	}
 	if t.Progress > 0 {
 		rec.StartProgress(os.Stderr, t.Progress)

@@ -35,3 +35,19 @@ func TestDEGFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestTelemetryFlags: -metrics-addr is the one telemetry address. It
+// serves /metrics, pprof and /dash on one mux, and -dash-addr, once an
+// alias of it, no longer exists.
+func TestTelemetryFlags(t *testing.T) {
+	var tel Telemetry
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	tel.AddTelemetryFlags(fs)
+	if err := fs.Parse([]string{"-metrics-addr=localhost:0"}); err != nil || tel.MetricsAddr != "localhost:0" {
+		t.Fatalf("-metrics-addr=localhost:0: addr %q, err %v", tel.MetricsAddr, err)
+	}
+	if err := fs.Parse([]string{"-dash-addr=localhost:0"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Fatalf("-dash-addr: err %v, want an undefined-flag error", err)
+	}
+}

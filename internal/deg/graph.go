@@ -202,8 +202,8 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 
 	// Producer annotations are global sequence numbers; records sit at
 	// index Seq - seq0 in tr.Records. Batch traces have seq0 == 0 (index
-	// equals sequence number); the stream analyzer's sliding buffer starts
-	// at whatever sequence is still retained.
+	// equals sequence number); a stream analyzer's window copy starts at
+	// its window's backward margin.
 	seq0 := tr.Records[0].Seq
 
 	// clip drops a producer annotation that precedes the build range;

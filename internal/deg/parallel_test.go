@@ -174,10 +174,10 @@ func TestOverlapCoversTraceMatchesWholeTrace(t *testing.T) {
 
 // TestParallelStreamMemoryBound asserts the parallel memory guarantee:
 // with Workers > 1 the analyzer holds at most
-// window + 2*overlap + chunk - 1 records in its sliding buffer plus one
-// in-flight window copy of window + 2*overlap records per worker — the
-// bound stays independent of trace length, and every window copy goes
-// back to the trace pool by Finish.
+// window + 2*overlap + chunk - 1 records that a future window can reach
+// plus one in-flight window copy of window + 2*overlap records per worker
+// — the bound stays independent of trace length, and every window copy
+// goes back to the trace pool by Finish.
 func TestParallelStreamMemoryBound(t *testing.T) {
 	const window, chunk, workers = 500, 128, 4
 	peaks := make(map[int]int)
@@ -202,10 +202,10 @@ func TestParallelStreamMemoryBound(t *testing.T) {
 		if _, _, err := sa.Finish(tr.Cycles); err != nil {
 			t.Fatal(err)
 		}
-		if held := sa.RetainedChunks(); held != 0 {
+		if held := len(sa.chunks); held != 0 {
 			t.Fatalf("n=%d: %d chunks leaked past Finish", n, held)
 		}
-		if live := sa.BufferedRecords(); live != 0 {
+		if live := sa.bufferedRecords(); live != 0 {
 			t.Fatalf("n=%d: %d records still counted live past Finish", n, live)
 		}
 		assertTracesReturned(t, pool)
@@ -226,41 +226,47 @@ func assertTracesReturned(t *testing.T, before pipetrace.PoolStats) {
 	}
 }
 
-// TestParallelStreamCloseMidStream: aborting a parallel analyzer mid-flight
-// waits out its in-flight windows, releases every chunk, and returns every
-// window copy to the trace pool; Close stays idempotent.
+// TestParallelStreamCloseMidStream: aborting an analyzer mid-flight, at
+// one ring slot or several, waits out its in-flight windows, releases
+// every chunk, and returns every window copy to the trace pool; Close
+// stays idempotent.
 func TestParallelStreamCloseMidStream(t *testing.T) {
 	tr := traceFor(t, uarch.Baseline(), "401.bzip2", 3000)
-	pool := pipetrace.TracePoolStats()
-	sa, err := NewStreamAnalyzer(WindowOptions{Window: 200, Overlap: 64, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k%d", workers), func(t *testing.T) {
+			pool := pipetrace.TracePoolStats()
+			sa, err := NewStreamAnalyzer(WindowOptions{Window: 200, Overlap: 64, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedTrace(t, sa, tr, 100)
+			if sa.ring.live == 0 {
+				t.Fatal("no window in flight before Close; the test exercises nothing")
+			}
+			sa.Close()
+			sa.Close()
+			if held := len(sa.chunks); held != 0 {
+				t.Fatalf("%d chunks retained past Close", held)
+			}
+			if live := sa.bufferedRecords(); live != 0 {
+				t.Fatalf("%d records counted live past Close", live)
+			}
+			assertTracesReturned(t, pool)
+		})
 	}
-	feedTrace(t, sa, tr, 100)
-	if sa.BufferedRecords() <= len(sa.buf) {
-		t.Fatal("no window in flight before Close; the test exercises nothing")
-	}
-	sa.Close()
-	sa.Close()
-	if held := sa.RetainedChunks(); held != 0 {
-		t.Fatalf("%d chunks retained past Close", held)
-	}
-	if live := sa.BufferedRecords(); live != 0 {
-		t.Fatalf("%d records counted live past Close", live)
-	}
-	assertTracesReturned(t, pool)
 }
 
-// TestWindowRingFoldsInOrderToFirstError drives the ring directly with
-// two empty (failing) windows among valid ones: it must fold exactly the
-// windows before the lowest failure, in order, whatever finishes first —
-// the sequential loop's error and accumulator state — and close must
-// still wait out everything in flight and return every window copy to the
-// trace pool.
+// TestWindowRingFoldsInOrderToFirstError drives the ring directly, at one
+// slot and several, with two empty (failing) windows among valid ones: it
+// must fold exactly the windows before the lowest failure, in order,
+// whatever finishes first — the sequential loop's error and accumulator
+// state — and close must still wait out everything in flight and return
+// every window copy to the trace pool.
 func TestWindowRingFoldsInOrderToFirstError(t *testing.T) {
 	tr := traceFor(t, uarch.Baseline(), "458.sjeng", 1000)
 	const window = 100
-	for _, workers := range []int{2, 3, 4} {
+	chunks := []*pipetrace.Trace{tr}
+	for _, workers := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("k%d", workers), func(t *testing.T) {
 			pool := pipetrace.TracePoolStats()
 			var wa windowAccum
@@ -272,7 +278,10 @@ func TestWindowRingFoldsInOrderToFirstError(t *testing.T) {
 				if i == 5 || i == 7 {
 					hi = lo // empty: buildInto fails
 				}
-				err = ring.pushCopy(tr.Records[lo:hi], 0, hi-lo)
+				var slot *ringSlot
+				if slot, err = ring.next(); err == nil {
+					ring.start(slot, gather(chunks, lo, hi), 0, hi-lo)
+				}
 			}
 			if err == nil {
 				err = ring.drain()

@@ -405,30 +405,13 @@ func Analyze(tr *pipetrace.Trace, opts Options) (*Report, *Graph, *CriticalPath,
 // undercounts the path), Base is clamped to zero and the report flags it
 // via BaseClamped instead of going silently negative.
 func Attribute(tr *pipetrace.Trace, cp *CriticalPath) *Report {
-	rep := &Report{L: tr.Cycles}
-	if rep.L <= 0 {
-		rep.L = cp.Span
+	res := windowResult{pathSpan: cp.Span}
+	for i := range cp.Edges {
+		res.charge(&cp.Edges[i])
 	}
-	if rep.L <= 0 {
-		rep.L = 1
-	}
-	var attributed int64
-	for _, e := range cp.Edges {
-		if e.Res == uarch.ResNone {
-			continue
-		}
-		rep.DelayByRes[e.Res] += e.Delay
-		rep.EdgeCount[e.Res]++
-		attributed += e.Delay
-	}
-	for r := range rep.Contrib {
-		rep.Contrib[r] = float64(rep.DelayByRes[r]) / float64(rep.L)
-	}
-	rep.Base = 1 - float64(attributed)/float64(rep.L)
-	if rep.Base < 0 {
-		rep.Base = 0
-		rep.BaseClamped = true
-	}
+	var wa windowAccum
+	wa.fold(&res)
+	rep, _, _ := wa.finish(tr.Cycles, cp.Span) // finish cannot fail
 	return rep
 }
 

@@ -2,16 +2,18 @@ package deg
 
 import "archexplorer/internal/pipetrace"
 
-// windowRing is the parallel half of the StreamAnalyzer. It keeps at most
+// windowRing runs the StreamAnalyzer's sealed windows. It keeps at most
 // len(slots) windows in flight, each on its own goroutine with its own
 // pooled buffers and its own copy of the window's records, and folds their
 // results into the accumulator in window order on the caller's goroutine:
 // window i runs in slot i % len(slots), so starting a window in a full
-// ring first waits for, and folds, the oldest one. Folding stops at the
-// first failed window, so the error a caller sees is the lowest failed
-// window's, the one the sequential loop would have hit.
+// ring first waits for, and folds, the oldest one. A one-slot ring is the
+// sequential case, where a window overlaps only the caller's work until
+// the next window seals. Folding stops at the first failed window, so the
+// error a caller sees is the lowest failed window's, the one the
+// sequential loop would have hit.
 //
-// The ring is driven from one goroutine, through pushCopy, drain and
+// The ring is driven from one goroutine, through next, start, drain and
 // close.
 type windowRing struct {
 	wa     *windowAccum
@@ -33,34 +35,12 @@ type ringSlot struct {
 	done   chan struct{} // one send per window, when the pure phase ends
 }
 
-func newWindowRing(wa *windowAccum, workers int) *windowRing {
-	r := &windowRing{wa: wa, slots: make([]ringSlot, workers)}
+func newWindowRing(wa *windowAccum, slots int) *windowRing {
+	r := &windowRing{wa: wa, slots: make([]ringSlot, slots)}
 	for i := range r.slots {
 		r.slots[i].done = make(chan struct{}, 1)
 	}
 	return r
-}
-
-// pushCopy runs recs as a window owning [lo, hi), from a pooled trace the
-// slot owns: the records are copied and their annotation slices
-// re-interned into the copy's arena, so the window reads nothing of the
-// caller's once pushCopy returns.
-func (r *windowRing) pushCopy(recs []pipetrace.Record, lo, hi int) error {
-	s, err := r.next()
-	if err != nil {
-		return err
-	}
-	t := pipetrace.GetTrace(len(recs))
-	t.Records = append(t.Records, recs...)
-	for i := range t.Records {
-		rec := &t.Records[i]
-		rec.ResourceDeps = t.InternDeps(rec.ResourceDeps)
-		rec.DataProducers = t.InternProducers(rec.DataProducers)
-	}
-	s.tr, s.lo, s.hi = t, lo, hi
-	r.copied += len(recs)
-	r.start(s)
-	return nil
 }
 
 // next returns the slot the next window runs in, first retiring the
@@ -78,10 +58,13 @@ func (r *windowRing) next() (*ringSlot, error) {
 	return s, nil
 }
 
-// start runs the slot's window on a goroutine of its own.
-func (r *windowRing) start(s *ringSlot) {
-	r.live++
+// start runs tr, a pooled trace the slot takes over, as the window that
+// owns records [lo, hi) of it, on a goroutine of its own.
+func (r *windowRing) start(s *ringSlot, tr *pipetrace.Trace, lo, hi int) {
+	s.tr, s.lo, s.hi = tr, lo, hi
 	s.res = windowResult{}
+	r.copied += len(tr.Records)
+	r.live++
 	go func() {
 		s.err = analyzeWindowPure(s.tr, 0, len(s.tr.Records), s.lo, s.hi, s.b, &s.res)
 		s.done <- struct{}{}

@@ -11,69 +11,54 @@ import (
 // AnalyzeWindowed would produce over the materialized trace — bit for bit
 // at equal window/overlap, because both run the identical windowAccum
 // stitching core over identical window boundaries. The difference is
-// memory: the analyzer retains only the records a still-unanalyzed window
-// can reach (one window plus two context margins, plus the partially
-// filled chunk), so peak memory is O(window + margin) instead of
-// O(trace), and analysis overlaps simulation instead of trailing it.
+// memory: the analyzer retains only the chunks holding records a
+// still-unsealed window can reach (one window plus two context margins,
+// plus the partially filled chunk), so peak memory is O(window + margin)
+// instead of O(trace), and analysis overlaps simulation instead of
+// trailing it.
 //
 // Lifecycle: NewStreamAnalyzer, then Feed every chunk in commit order,
 // then exactly one Finish (which consumes the analyzer). Close aborts an
 // analyzer that will not reach Finish, releasing retained chunks and
-// pooled buffers; it is idempotent and implied by Finish.
+// in-flight windows; it is idempotent and implied by Finish.
 //
 // Chunk ownership: Feed takes ownership of its chunk — a pooled
 // pipetrace.Trace, records and arena — per the Trace ownership rules, and
 // releases it once every record in it has fallen out of reach of future
 // windows. The caller must not touch a chunk after Feed returns.
 //
-// Parallel mode (WindowOptions.Workers > 1) pushes each sealed window
-// into a window ring instead of analyzing it inline: the window's records
-// [base, end) are copied, annotations included, into a pooled trace of
-// the ring slot's own, and the sliding buffer evicts exactly as in
-// sequential mode. At most Workers windows are in flight and results fold
-// strictly in window order, so the Report and WindowStats stay
-// bit-identical to the sequential run at any worker count, and the
-// sequential memory bound grows by one window copy per worker (see
-// PeakBufferedRecords).
+// Every sealed window runs on a window ring of max(WindowOptions.Workers,
+// 1) slots: its records [base, end) are gathered out of the retained
+// chunks, annotations included, into a pooled trace of the slot's own, so
+// the chunks can be released while the window runs. At most that many
+// windows are in flight and results fold strictly in window order, so the
+// Report and WindowStats are bit-identical to the sequential run at any
+// worker count, and the live working set holds one window copy per slot
+// (see PeakBufferedRecords).
 type StreamAnalyzer struct {
 	opts    WindowOptions
 	overlap int
 
-	wa windowAccum
-	b  *buffers
-	// ring analyzes sealed windows in parallel mode; nil when sequential.
+	wa   windowAccum
 	ring *windowRing
 
-	// Sliding record buffer: buf holds records [lowest, seen) of the
-	// global commit order; view aliases it for the graph builder.
-	buf    []pipetrace.Record
-	view   pipetrace.Trace
-	lowest int // global seq of buf[0]
+	// Retained chunks in commit order, the last one ending at seen; a
+	// chunk is released once all its records lie below floor.
+	chunks []*pipetrace.Trace
 	seen   int // records fed so far
 
-	// Retained chunks in commit order; a chunk is released when every one
-	// of its records is below the live buffer (annotation slices in buf
-	// alias the chunk arenas, so chunks must outlive their records).
-	chunks []retainedChunk
-
-	// nextLo is the global start of the first unanalyzed window.
+	// nextLo is the global start of the first unsealed window.
 	nextLo int
 
 	// Trace-level aggregates mirroring Trace.Cycles fallbacks.
 	firstF1 int64
 	lastC   int64
 
-	// peakBuffered is the high-water mark of live records — sliding buffer
-	// plus in-flight window copies (see PeakBufferedRecords for the bound).
+	// peakBuffered is the high-water mark of bufferedRecords.
 	peakBuffered int
 
 	closed bool
 	err    error
-}
-
-type retainedChunk struct {
-	c   *pipetrace.Trace
-	end int // global seq one past the chunk's last record
 }
 
 // NewStreamAnalyzer validates the options and builds an analyzer. The
@@ -84,20 +69,14 @@ func NewStreamAnalyzer(opts WindowOptions) (*StreamAnalyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &StreamAnalyzer{
-		opts:    opts,
-		overlap: overlap,
-		b:       bufPool.Get().(*buffers),
-	}
-	if opts.Workers > 1 {
-		s.ring = newWindowRing(&s.wa, opts.Workers)
-	}
+	s := &StreamAnalyzer{opts: opts, overlap: overlap}
+	s.ring = newWindowRing(&s.wa, max(opts.Workers, 1))
 	return s, nil
 }
 
-// Feed appends one chunk of committed records and analyzes every window
-// that seals — a window is sealed once its forward context margin is fully
-// buffered. Feed takes ownership of the chunk. Chunks must arrive in
+// Feed appends one chunk of committed records and starts every window
+// that seals — a window is sealed once its forward context margin has
+// been fed. Feed takes ownership of the chunk. Chunks must arrive in
 // commit order with densely increasing sequence numbers.
 func (s *StreamAnalyzer) Feed(c *pipetrace.Trace) error {
 	if s.closed || s.err != nil {
@@ -120,92 +99,92 @@ func (s *StreamAnalyzer) Feed(c *pipetrace.Trace) error {
 		s.firstF1 = c.Records[0].Stamp[pipetrace.SF1]
 	}
 	s.lastC = c.Records[len(c.Records)-1].Stamp[pipetrace.SC]
-	s.buf = append(s.buf, c.Records...)
-	s.chunks = append(s.chunks, retainedChunk{c: c, end: s.seen + len(c.Records)})
+	s.chunks = append(s.chunks, c)
 	s.seen += len(c.Records)
 	s.notePeak()
-	if s.opts.Window > 0 {
-		if err := s.drain(false); err != nil {
-			s.err = err
-			return err
-		}
-	}
-	return nil
+	s.err = s.drain(false)
+	return s.err
 }
 
-// drain analyzes sealed windows. The boundaries replicate AnalyzeWindowed
-// exactly: window [lo, lo+Window) with backward margin max(lo-overlap, 0)
-// and forward margin min(hi+overlap, n). A non-final drain only runs
-// windows whose forward margin is fully buffered — a window whose margin
-// would be clamped by the trace end belongs to the final drain, where
-// seen == n and the clamping matches the batch analyzer's.
-//
-// In parallel mode a sealed window is pushed into the ring instead of
-// analyzed inline; either way the buffer evicts immediately afterwards —
-// pushed windows carry their own record copies.
+// drain starts sealed windows on the ring. The boundaries replicate
+// AnalyzeWindowed exactly: window [lo, lo+Window) with backward margin
+// max(lo-overlap, 0) and forward margin min(hi+overlap, n). A non-final
+// drain only starts windows whose forward margin has been fed — a window
+// whose margin would be clamped by the trace end belongs to the final
+// drain, where seen == n and the clamping matches the batch analyzer's.
+// A Window of zero is one window over the whole trace, which only the
+// final drain seals, with no margin; so is a Window covering the trace.
 func (s *StreamAnalyzer) drain(final bool) error {
+	window := s.opts.Window
+	if window <= 0 {
+		if !final {
+			return nil
+		}
+		window = s.seen
+	}
 	for s.nextLo < s.seen {
 		lo := s.nextLo
-		hi := lo + s.opts.Window
-		if hi > s.seen {
-			if !final {
-				return nil
-			}
-			hi = s.seen
-		}
-		end := hi + s.overlap
+		hi, end := lo+window, lo+window+s.overlap
 		if end > s.seen {
 			if !final {
 				return nil
 			}
-			end = s.seen
+			hi, end = min(hi, s.seen), s.seen
 		}
-		base := lo - s.overlap
-		if base < 0 {
-			base = 0
-		}
-		var err error
-		if s.ring != nil {
-			err = s.ring.pushCopy(s.buf[base-s.lowest:end-s.lowest], lo-base, hi-base)
-			s.notePeak()
-		} else {
-			s.view.Records = s.buf
-			err = s.wa.analyzeWindow(&s.view,
-				base-s.lowest, end-s.lowest, lo-s.lowest, hi-s.lowest, s.b)
-			s.view.Records = nil
-		}
+		base := max(lo-s.overlap, 0)
+		slot, err := s.ring.next()
 		if err != nil {
 			return err
 		}
-		s.nextLo += s.opts.Window
-		s.evict(s.nextLo - s.overlap)
+		s.ring.start(slot, gather(s.chunks, base, end), lo-base, hi-base)
+		s.notePeak()
+		s.nextLo += window
+		s.evict()
 	}
 	return nil
 }
 
-// notePeak refreshes the buffered-record high-water mark.
-func (s *StreamAnalyzer) notePeak() {
-	s.peakBuffered = max(s.peakBuffered, s.BufferedRecords())
+// gather copies records [base, end) of the stream out of the chunks
+// holding them into a pooled trace, re-interning their annotation slices
+// into its arena, so the window reads nothing of the chunks.
+func gather(chunks []*pipetrace.Trace, base, end int) *pipetrace.Trace {
+	t := pipetrace.GetTrace(end - base)
+	for _, c := range chunks {
+		first := c.Records[0].Seq
+		if lo, hi := max(base-first, 0), min(end-first, len(c.Records)); lo < hi {
+			t.Records = append(t.Records, c.Records[lo:hi]...)
+		}
+	}
+	for i := range t.Records {
+		rec := &t.Records[i]
+		rec.ResourceDeps = t.InternDeps(rec.ResourceDeps)
+		rec.DataProducers = t.InternProducers(rec.DataProducers)
+	}
+	return t
 }
 
-// evict drops records below the global sequence floor — no future window's
-// backward margin reaches them — compacting the buffer and releasing the
-// chunks whose records are all gone.
-func (s *StreamAnalyzer) evict(floor int) {
-	if floor <= s.lowest {
-		return
-	}
-	k := floor - s.lowest
-	if k > len(s.buf) {
-		k = len(s.buf)
-	}
-	n := copy(s.buf, s.buf[k:])
-	s.buf = s.buf[:n]
-	s.lowest += k
-	for len(s.chunks) > 0 && s.chunks[0].end <= s.lowest {
-		s.chunks[0].c.Release()
+// floor is the lowest global sequence a future window's backward margin
+// reaches.
+func (s *StreamAnalyzer) floor() int {
+	return min(max(s.nextLo-s.overlap, 0), s.seen)
+}
+
+// evict releases the chunks whose records all lie below the floor.
+func (s *StreamAnalyzer) evict() {
+	floor := s.floor()
+	for len(s.chunks) > 0 {
+		c := s.chunks[0]
+		if c.Records[0].Seq+len(c.Records) > floor {
+			return
+		}
+		c.Release()
 		s.chunks = s.chunks[1:]
 	}
+}
+
+// notePeak refreshes the buffered-record high-water mark.
+func (s *StreamAnalyzer) notePeak() {
+	s.peakBuffered = max(s.peakBuffered, s.bufferedRecords())
 }
 
 // Finish analyzes the remaining tail windows and returns the stitched
@@ -223,52 +202,37 @@ func (s *StreamAnalyzer) Finish(cycles int64) (*Report, *WindowStats, error) {
 	if s.seen == 0 {
 		return nil, nil, fmt.Errorf("deg: empty trace")
 	}
-	var err error
-	if s.opts.Window <= 0 || s.opts.Window >= s.seen {
-		// One window, mirroring AnalyzeWindowed: nothing was sealed
-		// (sealing needs Window+overlap buffered records), so the buffer
-		// still holds the entire trace.
-		s.view.Records = s.buf
-		err = s.wa.analyzeWindow(&s.view, 0, s.seen, 0, s.seen, s.b)
-		s.view.Records = nil
-	} else if err = s.drain(true); err == nil && s.ring != nil {
-		err = s.ring.drain()
+	if err := s.drain(true); err != nil {
+		return nil, nil, err
 	}
-	if err != nil {
+	if err := s.ring.drain(); err != nil {
 		return nil, nil, err
 	}
 	return s.wa.finish(cycles, s.lastC-s.firstF1)
 }
 
-// Close waits out in-flight windows and releases the retained chunks,
-// window copies and pooled buffers. Idempotent; implied by Finish. Use it
-// directly only to abort an analyzer that will not reach Finish.
+// Close waits out in-flight windows and releases the retained chunks and
+// window copies. Idempotent; implied by Finish. Use it directly only to
+// abort an analyzer that will not reach Finish.
 func (s *StreamAnalyzer) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if s.ring != nil {
-		s.ring.close()
-	}
-	for i := range s.chunks {
-		s.chunks[i].c.Release()
+	s.ring.close()
+	for _, c := range s.chunks {
+		c.Release()
 	}
 	s.chunks = nil
-	s.buf = nil
-	if s.b != nil {
-		bufPool.Put(s.b)
-		s.b = nil
-	}
 }
 
-// BufferedRecords returns the records currently held in the sliding
-// buffer plus the copies held by in-flight parallel windows — the live
-// working set.
-func (s *StreamAnalyzer) BufferedRecords() int {
-	n := len(s.buf)
-	if s.ring != nil {
-		n += s.ring.copied
+// bufferedRecords returns the live working set: the retained records a
+// future window can still reach, from the floor up, plus the copies held
+// by in-flight windows.
+func (s *StreamAnalyzer) bufferedRecords() int {
+	n := s.ring.copied
+	if len(s.chunks) > 0 {
+		n += s.seen - s.floor()
 	}
 	return n
 }
@@ -276,13 +240,10 @@ func (s *StreamAnalyzer) BufferedRecords() int {
 // PeakBufferedRecords returns the high-water mark of live records.
 // Whenever Window > 0 it is bounded by
 //
-//	window + 2*overlap + chunkSize - 1                        (sequential)
-//	window + 2*overlap + chunkSize - 1
-//	       + workers * (window + 2*overlap)                   (parallel)
+//	window + 2*overlap + chunkSize - 1 + max(workers, 1)*(window + 2*overlap)
 //
-// — the streaming pipeline's memory guarantee: trace-length-independent
-// either way, with parallel mode holding one window copy per worker.
+// — the streaming pipeline's memory guarantee, independent of trace
+// length: the records from the floor to the last fed one, plus one window
+// copy per ring slot. The retained chunks hold at most chunkSize - 1
+// records more, below the floor in the oldest chunk.
 func (s *StreamAnalyzer) PeakBufferedRecords() int { return s.peakBuffered }
-
-// RetainedChunks returns how many chunks the analyzer currently holds.
-func (s *StreamAnalyzer) RetainedChunks() int { return len(s.chunks) }

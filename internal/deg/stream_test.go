@@ -160,9 +160,9 @@ func TestStreamPropertyRandom(t *testing.T) {
 // TestStreamMemoryBound asserts the tentpole's memory guarantee at every
 // worker count: the analyzer never holds more than
 // window + 2*overlap + chunk - 1 + copies*(window + 2*overlap) records,
-// where copies is the worker count in parallel mode and zero in
-// sequential mode, the bound does not grow with trace length, and every
-// retained chunk is released by Finish.
+// where copies is max(workers, 1), one window copy per ring slot, the
+// bound does not grow with trace length, and every retained chunk is
+// released by Finish.
 func TestStreamMemoryBound(t *testing.T) {
 	const window, chunk = 500, 128
 	for _, workers := range []int{0, 1, 4} {
@@ -181,25 +181,22 @@ func TestStreamMemoryBound(t *testing.T) {
 				feedTrace(t, sa, tr, chunk)
 				// Trace-length-independent: every term is a function of the
 				// options alone.
-				copies := 0
-				if workers > 1 {
-					copies = workers
-				}
+				copies := max(workers, 1)
 				bound := window + 2*overlap + chunk - 1 + copies*(window+2*overlap)
 				if peak := sa.PeakBufferedRecords(); peak > bound {
 					t.Fatalf("peak buffered %d records exceeds bound %d (window=%d overlap=%d chunk=%d copies=%d)",
 						peak, bound, window, overlap, chunk, copies)
 				}
-				// The sliding buffer's chunk retention is worker-independent:
-				// in-flight windows read copies, never the chunks.
+				// Chunk retention is worker-independent: in-flight windows
+				// read copies, never the chunks.
 				maxChunks := (window+2*overlap+chunk-1+chunk-1)/chunk + 1
-				if held := sa.RetainedChunks(); held > maxChunks {
+				if held := len(sa.chunks); held > maxChunks {
 					t.Fatalf("retaining %d chunks, bound %d", held, maxChunks)
 				}
 				if _, _, err := sa.Finish(tr.Cycles); err != nil {
 					t.Fatal(err)
 				}
-				if held := sa.RetainedChunks(); held != 0 {
+				if held := len(sa.chunks); held != 0 {
 					t.Fatalf("%d chunks leaked past Finish", held)
 				}
 			})

@@ -73,14 +73,14 @@ type WindowOptions struct {
 	// config in hand.
 	ReorderWindow int
 	// Workers sets how many windows a StreamAnalyzer analyzes
-	// concurrently. Values <= 1 keep the sequential path; higher values
-	// run the pure per-window phase (graph build + DP) of up to Workers
-	// windows at once, each on its own goroutine, folding results back in
-	// window order so the Report and WindowStats are bit-identical to the
-	// sequential run at any worker count. Callers that want machine
-	// scaling resolve it themselves (e.g. runtime.GOMAXPROCS); the library
-	// default stays sequential. AnalyzeWindowed, the sequential reference,
-	// ignores it.
+	// concurrently: its window ring runs the pure per-window phase (graph
+	// build + DP) of up to max(Workers, 1) windows at once, each on its own
+	// goroutine, folding results back in window order so the Report and
+	// WindowStats are bit-identical to the sequential run at any worker
+	// count. At one worker (the library default) a window overlaps only the
+	// caller's feeding until the next window seals. Callers that want
+	// machine scaling resolve it themselves (e.g. runtime.GOMAXPROCS).
+	// AnalyzeWindowed, the sequential reference, ignores it.
 	Workers int
 }
 
@@ -293,15 +293,23 @@ func analyzeWindowPure(tr *pipetrace.Trace, base, end, lo, hi int, b *buffers, r
 	for b.parent[v] != -1 {
 		e := g.parentEdge(v)
 		v = e.From
-		if e.Res == uarch.ResNone || e.To < own0 || e.To >= own1 {
-			continue
+		if e.To >= own0 && e.To < own1 {
+			res.charge(&e)
 		}
-		res.delayByRes[e.Res] += e.Delay
-		res.edgeCount[e.Res]++
-		res.attributed += e.Delay
 	}
 	res.pathSpan = g.time(sink) - g.time(v)
 	return nil
+}
+
+// charge attributes one critical-path edge's delay to its resource, the
+// sum Equation 1 divides by L; an edge of no resource is base time.
+func (res *windowResult) charge(e *Edge) {
+	if e.Res == uarch.ResNone {
+		return
+	}
+	res.delayByRes[e.Res] += e.Delay
+	res.edgeCount[e.Res]++
+	res.attributed += e.Delay
 }
 
 // fold accumulates one window's pure result into the stitched report.
@@ -332,9 +340,10 @@ func (wa *windowAccum) analyzeWindow(tr *pipetrace.Trace, base, end, lo, hi int,
 }
 
 // finish computes the report's ratios over the runtime L: the trace's cycle
-// count, falling back to a span, then to 1. A one-window analysis is
-// whole-trace analysis and falls back to its critical path's span, as
-// Attribute does; a multi-window one to traceSpan, the trace's F1→C span.
+// count, falling back to a span, then to 1. A one-window analysis (a
+// whole-trace analysis, or Attribute's single path) falls back to its
+// critical path's span; a multi-window one to traceSpan, the trace's F1→C
+// span.
 func (wa *windowAccum) finish(cycles, traceSpan int64) (*Report, *WindowStats, error) {
 	rep, st := &wa.rep, &wa.st
 	rep.L = cycles

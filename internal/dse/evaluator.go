@@ -169,15 +169,15 @@ type Evaluator struct {
 	// into one streaming stage, deg_stream: the simulator's chunk sink
 	// feeds each ooo.DefaultChunkSize chunk of committed records straight
 	// to a deg.StreamAnalyzer, which seals each window as soon as its
-	// margin is buffered and analyzes it on its window ring while the
+	// margin has arrived and analyzes it on its window ring while the
 	// simulation goes on. No full trace is materialized, so peak memory is
 	// O(window + margin) instead of O(trace). The ring runs
-	// par.DefaultLimit() (GOMAXPROCS) windows at a time (inline at 1);
-	// those workers are not drawn from the Parallelism slot pool, since the
-	// windowed phases are short and self-balancing. Probes and calipers
-	// runs need the materialized trace: they simulate, then analyze it
-	// with the sequential deg.AnalyzeWindowed. Reports are bit-identical
-	// either way, at any worker count.
+	// par.DefaultLimit() (GOMAXPROCS) windows at a time, one at
+	// GOMAXPROCS=1; those workers are not drawn from the Parallelism slot
+	// pool, since the windowed phases are short and self-balancing. Probes
+	// and calipers runs need the materialized trace: they simulate, then
+	// analyze it with the sequential deg.AnalyzeWindowed. Reports are
+	// bit-identical either way, at any worker count.
 	DEGWindow int
 
 	// Deprecated: DEGOverlap is ignored; every window's margin is derived

@@ -129,8 +129,9 @@ func (r *Recorder) Emit(e Event) {
 }
 
 // Serve starts an HTTP server on addr exposing the Prometheus text
-// exposition at /metrics, Go's pprof profiles under /debug/pprof/, and
-// expvar at /debug/vars. It returns the bound address (useful with ":0").
+// exposition at /metrics, the live dashboard at /dash, Go's pprof profiles
+// under /debug/pprof/, and expvar at /debug/vars. It returns the bound
+// address (useful with ":0").
 // The server is shut down by Close.
 func (r *Recorder) Serve(addr string) (string, error) {
 	if r == nil {
