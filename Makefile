@@ -23,7 +23,7 @@ COVER_MIN_SELFDEG := 80
 COVER_MIN_OOO := 80
 COVER_MIN_CONFORMANCE := 90
 
-.PHONY: build vet test race cover fuzz-seeds bench bench-deg bench-sim bench-sim-smoke bench-pipeline bench-pipeline-smoke bench-pipeline-par bench-spans bench-all bench-all-smoke bench-pair bench-smoke profile-sim profile-deg profile-pipeline ci
+.PHONY: build vet test race cover fuzz-seeds bench bench-deg bench-sim bench-sim-smoke bench-pipeline bench-pipeline-smoke bench-pipeline-par bench-spans bench-all bench-all-smoke bench-pair archbench-pair bench-smoke profile-sim profile-deg profile-pipeline ci
 
 build:
 	$(GO) build ./...
@@ -240,6 +240,52 @@ bench-pair:
 	  echo "bench-pair: round $$r of $(ROUNDS) done"; \
 	done
 	./benchgate -pair -tolerance $(PAIR_TOL) .bench_pair/base.txt .bench_pair/change.txt
+
+# The same alternating comparison on the archbench campaign benchmark, the
+# end-to-end numbers a change is judged by:
+#   make archbench-pair BASE=HEAD WORKLOAD=analyze-stream PAIRS=10 SEED0=41
+# It extracts BASE with git archive into .archbench_pair/base and makes
+# PAIRS pairs of `bash bench/archbench.sh --workload WORKLOAD --seed S
+# --seconds N --trace 0` runs, one in BASE and one in this working tree,
+# pair i at seed SEED0+i-1, alternating which side runs first. N is
+# BENCHMARK.json's run_seconds, as bench/run.sh reads it, so both sides
+# run at the benchmark's own length. Each side builds into its own
+# CARGO_TARGET_DIR (.archbench_pair/build-base, .archbench_pair/build-change).
+# Every run's result line is appended to
+# .archbench_pair/WORKLOAD-{base,change}.jsonl and its whole output to the
+# .log beside it. benchgate -archpair then prints, per end-to-end metric
+# of BENCHMARK.json, both medians with quartiles, the median per-pair
+# ratio (base over change, as bench-pair prints it), the pairs won and
+# lost (ties count for neither) and each side's failed operations; it
+# fails if a median is worse than the metric's bound, a run fails its
+# checks, or the change fails a larger share of operations.
+WORKLOAD ?= analyze-stream
+PAIRS ?= 10
+SEED0 ?= 1
+
+archbench-pair:
+	@test -n "$(BASE)" || { echo "archbench-pair: name the revision to compare against, e.g. make archbench-pair BASE=HEAD WORKLOAD=explore"; exit 2; }
+	$(GO) build -o benchgate ./cmd/benchgate
+	git rev-parse --verify --quiet '$(BASE)^{commit}' >/dev/null || { echo "archbench-pair: $(BASE) is not a revision"; exit 2; }
+	rm -rf .archbench_pair/base && mkdir -p .archbench_pair/base
+	git archive --format=tar '$(BASE)' | tar -x -C .archbench_pair/base
+	rm -f .archbench_pair/$(WORKLOAD)-base.* .archbench_pair/$(WORKLOAD)-change.*
+	@set -e; dir=$$(cd .archbench_pair && pwd); \
+	secs=$$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])'); \
+	run() { \
+	  if [ $$1 = base ]; then src="$$dir/base"; else src="$(CURDIR)"; fi; \
+	  ( cd "$$src" && CARGO_TARGET_DIR="$$dir/build-$$1" bash bench/archbench.sh \
+	      --workload '$(WORKLOAD)' --seed $$2 --seconds $$secs --trace 0 ) > "$$dir/run.out" || true; \
+	  cat "$$dir/run.out" >> "$$dir/$(WORKLOAD)-$$1.log"; \
+	  tail -n 1 "$$dir/run.out" | grep '^{' >> "$$dir/$(WORKLOAD)-$$1.jsonl" || \
+	    { echo "archbench-pair: the $$1 run at seed $$2 printed no result line"; exit 1; }; \
+	}; \
+	for p in $$(seq 1 $(PAIRS)); do \
+	  seed=$$(($(SEED0) + p - 1)); \
+	  if [ $$((p % 2)) -eq 1 ]; then run base $$seed; run change $$seed; else run change $$seed; run base $$seed; fi; \
+	  echo "archbench-pair: pair $$p of $(PAIRS) (seed $$seed) done"; \
+	done
+	./benchgate -archpair BENCHMARK.json .archbench_pair/$(WORKLOAD)-base.jsonl .archbench_pair/$(WORKLOAD)-change.jsonl
 
 # The archbench campaign benchmark's own tests (bench/ is a separate module
 # that compiles against this one): deleting or renaming root API that the

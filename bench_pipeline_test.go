@@ -17,6 +17,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"archexplorer/internal/deg"
 	"archexplorer/internal/isa"
@@ -45,6 +46,10 @@ func pipelineStream(b *testing.B, n int) []isa.Inst {
 	return stream
 }
 
+// runBuffered simulates into a full trace and analyzes it. The core goes
+// back to the pool as soon as its run returns (the trace does not share
+// its storage), so each iteration times recycled construction, as the
+// evaluator pays it.
 func runBuffered(b *testing.B, cfg uarch.Config, stream []isa.Inst) *pipetrace.Trace {
 	b.Helper()
 	core, err := ooo.New(cfg)
@@ -52,6 +57,7 @@ func runBuffered(b *testing.B, cfg uarch.Config, stream []isa.Inst) *pipetrace.T
 		b.Fatal(err)
 	}
 	tr, _, err := core.Run(stream)
+	core.Release()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +75,8 @@ func runStreamed(b *testing.B, cfg uarch.Config, stream []isa.Inst, probe func(s
 
 // runStreamedWorkers is runStreamed with an explicit analysis worker
 // count; the benchmarks pin it instead of deriving it from the host so a
-// committed baseline means the same thing on every machine.
+// committed baseline means the same thing on every machine. Like
+// runBuffered, it releases the core once its run returns.
 func runStreamedWorkers(b *testing.B, cfg uarch.Config, stream []isa.Inst, workers int, probe func(sa *deg.StreamAnalyzer)) {
 	b.Helper()
 	core, err := ooo.New(cfg)
@@ -95,6 +102,7 @@ func runStreamedWorkers(b *testing.B, cfg uarch.Config, stream []isa.Inst, worke
 		}
 		return err
 	})
+	core.Release()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,18 +205,24 @@ func BenchmarkPipelineStreamSpans(b *testing.B) {
 	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
-// liveHeap forces a collection and returns the live heap, the number the
-// Large variants report to evidence the O(window+margin) bound.
-func liveHeap() float64 {
+// reportLiveHeap forces a collection and reports the live heap, with the
+// share of it that is the input stream beside it. The stream is O(n), at
+// the size of isa.Inst per instruction, and the process-wide trace cache
+// holds it for the whole run; what the pipeline itself holds is the
+// difference, which the streamed variants bound by O(window + margin).
+func reportLiveHeap(b *testing.B, stream []isa.Inst) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return float64(ms.HeapAlloc)
+	b.ReportMetric(float64(ms.HeapAlloc), "live-heap-bytes")
+	b.ReportMetric(float64(uintptr(len(stream))*unsafe.Sizeof(isa.Inst{})), "stream-bytes")
 }
 
 // BenchmarkPipelineBufferedLarge measures live heap on a 1M-instruction
 // trace at the buffered pipeline's peak — trace fully materialized,
-// analysis done, trace not yet released. Run with -benchtime=1x.
+// analysis done, trace not yet released. Run with -benchtime=1x. The
+// sample also counts the core runBuffered released: its pool keeps it
+// through the one forced collection (1.7 MB at the baseline config).
 func BenchmarkPipelineBufferedLarge(b *testing.B) {
 	stream := pipelineStream(b, 1_000_000)
 	cfg := uarch.Baseline()
@@ -216,7 +230,7 @@ func BenchmarkPipelineBufferedLarge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := runBuffered(b, cfg, stream)
 		b.StopTimer()
-		b.ReportMetric(liveHeap(), "live-heap-bytes")
+		reportLiveHeap(b, stream)
 		b.StartTimer()
 		tr.Release()
 	}
@@ -237,7 +251,7 @@ func BenchmarkPipelineStreamLarge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runStreamed(b, cfg, stream, func(sa *deg.StreamAnalyzer) {
 			b.StopTimer()
-			b.ReportMetric(liveHeap(), "live-heap-bytes")
+			reportLiveHeap(b, stream)
 			b.ReportMetric(float64(sa.PeakBufferedRecords()), "peak-buffered-records")
 			b.StartTimer()
 		})
@@ -258,7 +272,7 @@ func BenchmarkPipelineStreamLargePar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runStreamedWorkers(b, cfg, stream, 4, func(sa *deg.StreamAnalyzer) {
 			b.StopTimer()
-			b.ReportMetric(liveHeap(), "live-heap-bytes")
+			reportLiveHeap(b, stream)
 			b.ReportMetric(float64(sa.PeakBufferedRecords()), "peak-buffered-records")
 			b.StartTimer()
 		})

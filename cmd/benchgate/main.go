@@ -46,6 +46,22 @@
 // the rounds the change won, and it fails if a median ratio falls below
 // 1-tolerance. Pairing rounds run back to back cancels the host's drift,
 // which a gate against numbers recorded on another day cannot.
+//
+// With -archpair, it compares archbench runs of two revisions made in
+// alternating pairs (`make archbench-pair BASE=<rev> WORKLOAD=<name>` runs
+// them):
+//
+//	benchgate -archpair BENCHMARK.json base.jsonl change.jsonl
+//
+// Each .jsonl file holds one side's archbench result lines, one run per
+// line; line i of each file is pair i. For each end-to-end metric that
+// BENCHMARK.json lists it prints both medians with their quartiles (by
+// the exclusive method, as bench/run.sh reports them), the median
+// per-pair ratio base/change (as -pair prints it), the pairs the change
+// won and lost (ties count for neither) and a verdict, and under the
+// table each side's failed operations. It fails if a metric's median is
+// worse than its bound allows, a run failed its correctness checks, or
+// the change failed a larger share of its operations.
 package main
 
 import (
@@ -71,11 +87,15 @@ func main() {
 		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional throughput drop before failing")
 		metric    = flag.String("metric", "inst/s", "benchmark metric unit to gate on")
 		pair      = flag.Bool("pair", false, "compare the ns/op of two round files, base then change, given as arguments")
+		archpair  = flag.Bool("archpair", false, "compare archbench result lines of two revisions: BENCHMARK.json, then the base and change files, given as arguments")
 	)
 	flag.Var(&expects, "expect", "Bench=file.json:dotted.path mapping (repeatable)")
 	flag.Parse()
 	if *pair {
 		os.Exit(runPair(flag.Args(), *tolerance, os.Stdout))
+	}
+	if *archpair {
+		os.Exit(runArchPair(flag.Args(), os.Stdout))
 	}
 	if len(expects) == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: no -expect mappings given")

@@ -76,14 +76,28 @@ func comparePairs(base, change rounds) ([]pairResult, error) {
 	return out, nil
 }
 
-func median(xs []float64) float64 {
+func median(xs []float64) float64 { return quartiles(xs)[1] }
+
+// quartiles returns the first quartile, the median and the third quartile
+// of xs by the exclusive method, the default of Python's
+// statistics.quantiles(xs, n=4) that bench/run.sh reports spreads with:
+// quartile k sits at the 1-based rank k(n+1)/4, interpolated between the
+// two values beside it. For fewer than three values a rank below 1 or
+// above n is clamped to the nearest value, where Python extrapolates.
+func quartiles(xs []float64) [3]float64 {
 	s := slices.Clone(xs)
 	slices.Sort(s)
 	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
+	var q [3]float64
+	for k := 1; k <= 3; k++ {
+		r4 := max(4, min(k*(n+1), 4*n)) // four times the clamped rank
+		j, d := r4/4, r4%4
+		q[k-1] = s[j-1]
+		if d > 0 {
+			q[k-1] = (s[j-1]*float64(4-d) + s[j]*float64(d)) / 4
+		}
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return q
 }
 
 // runPair reads the base and change round files, prints the comparison and
@@ -104,13 +118,13 @@ func runPair(files []string, tolerance float64, w io.Writer) int {
 	results, err := comparePairs(sides[0], sides[1])
 	check(err)
 	failed := false
-	fmt.Fprintf(w, "%-34s %14s %14s %8s %6s\n", "benchmark (ns/op, medians)", "base", "change", "ratio", "wins")
+	fmt.Fprintf(w, "%-34s %14s %14s %11s %6s\n", "benchmark (ns/op, medians)", "base", "change", "base/change", "wins")
 	for _, r := range results {
 		status := "ok"
 		if r.ratio < 1-tolerance {
 			status, failed = "FAIL", true
 		}
-		fmt.Fprintf(w, "%-34s %14.0f %14.0f %7.3fx %6s  %s\n",
+		fmt.Fprintf(w, "%-34s %14.0f %14.0f %10.3fx %6s  %s\n",
 			r.name, r.baseMedian, r.changeMed, r.ratio, strconv.Itoa(r.wins)+"/"+strconv.Itoa(r.n), status)
 	}
 	if failed {

@@ -75,53 +75,82 @@ const (
 	ZeroReg        = 0 // integer register 0: reads are free, writes discarded
 )
 
-// Reg names an architectural register in one of the two register files.
-type Reg struct {
-	Index int  // 0..31
-	Float bool // true selects the floating-point file
-}
+// Reg names an architectural register in one of the two register files,
+// in one byte: the index in the low five bits and bit 5 for the
+// floating-point file, so the 64 registers are 0..63 and the zero value
+// is x0. InvalidReg is all ones. IntReg and FpReg are the only
+// constructors.
+type Reg uint8
+
+const (
+	regIndex Reg = NumIntArchRegs - 1 // low five bits: the index, 0..31
+	regFloat Reg = 1 << 5             // set for the floating-point file
+)
 
 // InvalidReg marks an unused operand slot.
-var InvalidReg = Reg{Index: -1}
+const InvalidReg Reg = 0xff
+
+// IntReg names integer register i; it panics unless 0 <= i < 32.
+func IntReg(i int) Reg { return Reg(regNumber(i)) }
+
+// FpReg names floating-point register i; it panics unless 0 <= i < 32.
+func FpReg(i int) Reg { return Reg(regNumber(i)) | regFloat }
+
+// regNumber checks an architectural register index, so an out-of-range
+// index fails where it is made instead of naming another register.
+func regNumber(i int) uint8 {
+	if uint(i) >= NumIntArchRegs {
+		panic(fmt.Sprintf("isa: register index %d outside 0..%d", i, NumIntArchRegs-1))
+	}
+	return uint8(i)
+}
 
 // Valid reports whether the register names a real architectural register.
-func (r Reg) Valid() bool { return r.Index >= 0 }
+func (r Reg) Valid() bool { return r != InvalidReg }
+
+// Index is the register's number within its file, 0..31, or -1 for
+// InvalidReg.
+func (r Reg) Index() int {
+	if !r.Valid() {
+		return -1
+	}
+	return int(r & regIndex)
+}
+
+// Float reports whether the register is in the floating-point file;
+// InvalidReg is in neither file.
+func (r Reg) Float() bool { return r.Valid() && r&regFloat != 0 }
 
 // IsZero reports whether the register is the hard-wired integer zero.
-func (r Reg) IsZero() bool { return !r.Float && r.Index == ZeroReg }
+func (r Reg) IsZero() bool { return r == ZeroReg }
 
 func (r Reg) String() string {
 	if !r.Valid() {
 		return "-"
 	}
-	if r.Float {
-		return fmt.Sprintf("f%d", r.Index)
+	if r.Float() {
+		return fmt.Sprintf("f%d", r.Index())
 	}
-	return fmt.Sprintf("x%d", r.Index)
+	return fmt.Sprintf("x%d", r.Index())
 }
-
-// IntReg and FpReg are convenience constructors.
-func IntReg(i int) Reg { return Reg{Index: i} }
-func FpReg(i int) Reg  { return Reg{Index: i, Float: true} }
 
 // Inst is one dynamic instruction in a workload trace. The workload layer
 // produces fully-resolved dynamic streams (branch outcomes and effective
 // addresses included) so the timing model needs no functional execution.
+//
+// It is 32 bytes, half a cache line: the three 64-bit fields come first
+// and the seven one-byte fields follow them in the last word.
 type Inst struct {
-	PC    uint64
-	Class OpClass
+	PC     uint64
+	Addr   uint64 // effective address (Load/Store)
+	Target uint64 // actual next PC when taken (control flow)
 
-	Src1, Src2 Reg // source operands; InvalidReg if unused
-	Dest       Reg // destination; InvalidReg if none (stores, branches, nops)
-
-	// Memory operations.
-	Addr uint64 // effective address (Load/Store)
-	Size uint8  // access size in bytes
-
-	// Control flow.
-	BrKind BranchKind
-	Taken  bool   // actual branch outcome
-	Target uint64 // actual next PC when taken
+	Class      OpClass
+	Src1, Src2 Reg   // source operands; InvalidReg if unused
+	Dest       Reg   // destination; InvalidReg if none (stores, branches, nops)
+	Size       uint8 // access size in bytes (Load/Store)
+	BrKind     BranchKind
+	Taken      bool // actual branch outcome
 }
 
 // BranchKind refines OpBranch for the branch-predictor model.

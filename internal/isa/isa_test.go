@@ -1,8 +1,10 @@
 package isa
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpClassPredicates(t *testing.T) {
@@ -35,10 +37,10 @@ func TestOpClassPredicates(t *testing.T) {
 }
 
 func TestRegisters(t *testing.T) {
-	if !IntReg(5).Valid() || IntReg(5).Float {
+	if !IntReg(5).Valid() || IntReg(5).Float() {
 		t.Error("IntReg(5) malformed")
 	}
-	if !FpReg(7).Float {
+	if !FpReg(7).Float() {
 		t.Error("FpReg(7) not float")
 	}
 	if InvalidReg.Valid() {
@@ -52,6 +54,70 @@ func TestRegisters(t *testing.T) {
 	}
 	if IntReg(3).String() != "x3" || FpReg(4).String() != "f4" || InvalidReg.String() != "-" {
 		t.Error("register names wrong")
+	}
+}
+
+// TestLayout pins the sizes the trace cache and every streamed window pay
+// per instruction: a one-byte register and a 32-byte instruction (a
+// 16-byte register and an 88-byte instruction before the encoding).
+func TestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Reg(0)); got != 1 {
+		t.Errorf("Reg is %d bytes, want 1", got)
+	}
+	if got := unsafe.Sizeof(Inst{}); got != 32 {
+		t.Errorf("Inst is %d bytes, want 32", got)
+	}
+}
+
+// TestRegRoundTrip reads every register, and InvalidReg, back through
+// each accessor: the encoding keeps the index, the file, validity and
+// the name apart for all 65 values.
+func TestRegRoundTrip(t *testing.T) {
+	type want struct {
+		index        int
+		float, valid bool
+		zero         bool
+		name         string
+	}
+	check := func(r Reg, w want) {
+		t.Helper()
+		got := want{r.Index(), r.Float(), r.Valid(), r.IsZero(), r.String()}
+		if got != w {
+			t.Errorf("Reg(%#02x): got %+v, want %+v", uint8(r), got, w)
+		}
+	}
+	seen := map[Reg]bool{InvalidReg: true}
+	for i := 0; i < NumIntArchRegs; i++ {
+		check(IntReg(i), want{i, false, true, i == ZeroReg, fmt.Sprintf("x%d", i)})
+		check(FpReg(i), want{i, true, true, false, fmt.Sprintf("f%d", i)})
+		for _, r := range []Reg{IntReg(i), FpReg(i)} {
+			if seen[r] {
+				t.Errorf("%s shares its encoding %#02x", r, uint8(r))
+			}
+			seen[r] = true
+		}
+	}
+	check(InvalidReg, want{-1, false, false, false, "-"})
+	var zero Reg
+	if zero != IntReg(ZeroReg) {
+		t.Errorf("zero Reg is %s, want x0", zero)
+	}
+}
+
+// TestRegConstructorsPanic: an index outside 0..31 is refused where it is
+// made instead of wrapping into another register.
+func TestRegConstructorsPanic(t *testing.T) {
+	for _, i := range []int{-1, NumIntArchRegs, NumFpArchRegs + 1, 255, 1 << 40} {
+		for name, mk := range map[string]func(int) Reg{"IntReg": IntReg, "FpReg": FpReg} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) did not panic", name, i)
+					}
+				}()
+				mk(i)
+			}()
+		}
 	}
 }
 

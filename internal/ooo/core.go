@@ -465,7 +465,7 @@ func (c *Core) rename(in *isa.Inst, rec *pipetrace.Record) {
 		take(t, owner, uarch.ResSQ)
 	}
 	if in.HasDest() {
-		if in.Dest.Float {
+		if in.Dest.Float() {
 			t, owner := c.fpRF.alloc()
 			take(t, owner, uarch.ResFpRF)
 		} else {
@@ -507,10 +507,10 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 		}
 		var t int64
 		var prod int
-		if src.Float {
-			t, prod = c.fpReady[src.Index], c.fpProd[src.Index]
+		if i := src.Index(); src.Float() {
+			t, prod = c.fpReady[i], c.fpProd[i]
 		} else {
-			t, prod = c.intReady[src.Index], c.intProd[src.Index]
+			t, prod = c.intReady[i], c.intProd[i]
 		}
 		if t > base && prod >= 0 {
 			prodBuf[prods] = prod
@@ -589,12 +589,12 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 
 	// Publish the destination for dependents.
 	if in.HasDest() {
-		if in.Dest.Float {
-			c.fpReady[in.Dest.Index] = done + 1
-			c.fpProd[in.Dest.Index] = rec.Seq
+		if i := in.Dest.Index(); in.Dest.Float() {
+			c.fpReady[i] = done + 1
+			c.fpProd[i] = rec.Seq
 		} else {
-			c.intReady[in.Dest.Index] = done + 1
-			c.intProd[in.Dest.Index] = rec.Seq
+			c.intReady[i] = done + 1
+			c.intProd[i] = rec.Seq
 		}
 	}
 
@@ -620,7 +620,7 @@ func (c *Core) commit(in *isa.Inst, rec *pipetrace.Record) {
 
 	c.rob.free(cc+1, rec.Seq)
 	if in.HasDest() {
-		if in.Dest.Float {
+		if in.Dest.Float() {
 			c.fpRF.free(cc+1, rec.Seq)
 		} else {
 			c.intRF.free(cc+1, rec.Seq)

@@ -102,6 +102,10 @@ type staticInst struct {
 	region  uint64 // base address of this slot's region
 	regSize uint64 // region size in bytes
 	stride  uint64
+	// state numbers the slots whose next dynamic instance depends on
+	// their earlier ones (streaming and chasing memory slots, loop
+	// branches), densely from 0, for Generator.state.
+	state int
 	// branch slots
 	brKind isa.BranchKind
 	bias   float64 // probability of taking the branch (irregular branches)
@@ -121,24 +125,31 @@ type Program struct {
 	Profile Profile
 	blocks  []block
 	entry   int
+	states  int // static slots that carry generator state
 }
+
+// dataBase is where every memory slot's region starts. No streaming or
+// chasing address falls below it, so a zero in Generator.state means the
+// slot has not run yet.
+const dataBase = 0x100000
 
 // Generator walks a Program, producing the dynamic instruction stream.
 type Generator struct {
 	prog *Program
 	rng  *rand.Rand
 
-	cur      int // current block index
-	idx      int // next instruction slot within the current block
-	stack    []int
-	streams  map[uint64]uint64 // per-slot next streaming address
-	chasePtr map[uint64]uint64 // per-slot current pointer-chase position
-	brCount  map[uint64]int    // per-slot execution count (loop periods)
-	winBase  uint64            // shared hot-window base (random pattern)
-	winCnt   int               // shared access count (window drift)
-	lastDest isa.Reg           // most recent destination register
-	lastLoad isa.Reg           // most recent load destination (for chases)
-	regRot   int               // round-robin architectural dest allocator
+	cur   int // current block index
+	idx   int // next instruction slot within the current block
+	stack []int
+	// state is indexed by staticInst.state: a streaming slot's next
+	// address, a chasing slot's current pointer, a loop branch's
+	// execution count. Zero means the slot has not run.
+	state    []uint64
+	winBase  uint64  // shared hot-window base (random pattern)
+	winCnt   int     // shared access count (window drift)
+	lastDest isa.Reg // most recent destination register
+	lastLoad isa.Reg // most recent load destination (for chases)
+	regRot   int     // round-robin architectural dest allocator
 }
 
 // Compile expands a Profile into a static Program using the given seed.
@@ -184,7 +195,7 @@ func Compile(p Profile, seed int64) (*Program, error) {
 				si.class = isa.OpIntAlu
 			}
 			if si.class.IsMem() {
-				si.region = 0x100000
+				si.region = dataBase
 				si.regSize = footprint
 				si.stride = 8 // element-granular streaming: ~1 miss per 8 accesses
 				mr := rng.Float64()
@@ -195,6 +206,9 @@ func Compile(p Profile, seed int64) (*Program, error) {
 					si.pattern = memStream
 				default:
 					si.pattern = memRandom
+				}
+				if si.pattern != memRandom {
+					si.state = prog.newState()
 				}
 			}
 			blk.insts = append(blk.insts, si)
@@ -245,6 +259,7 @@ func Compile(p Profile, seed int64) (*Program, error) {
 			// remain biased one way, as real hard branches are.
 			if rng.Float64() < (1+p.BranchBias)/2 {
 				term.period = 3 + rng.Intn(6)
+				term.state = prog.newState()
 			} else {
 				term.bias = 0.65 + 0.25*rng.Float64()
 			}
@@ -253,6 +268,7 @@ func Compile(p Profile, seed int64) (*Program, error) {
 			term.taken = rng.Intn(p.Blocks)
 			if rng.Float64() < (1+p.BranchBias)/2 {
 				term.period = 2 + rng.Intn(7)
+				term.state = prog.newState()
 			} else {
 				term.bias = 0.65 + 0.25*rng.Float64()
 			}
@@ -261,15 +277,19 @@ func Compile(p Profile, seed int64) (*Program, error) {
 	return prog, nil
 }
 
+// newState numbers the next static slot that carries generator state.
+func (prog *Program) newState() int {
+	prog.states++
+	return prog.states - 1
+}
+
 // NewGenerator starts a dynamic walk over the program.
 func (prog *Program) NewGenerator(seed int64) *Generator {
 	return &Generator{
 		prog:     prog,
 		rng:      rand.New(rand.NewSource(seed)),
 		cur:      prog.entry,
-		streams:  make(map[uint64]uint64),
-		chasePtr: make(map[uint64]uint64),
-		brCount:  make(map[uint64]int),
+		state:    make([]uint64, prog.states),
 		lastDest: isa.InvalidReg,
 		lastLoad: isa.InvalidReg,
 	}
@@ -293,7 +313,7 @@ func (g *Generator) nextReg(float bool) isa.Reg {
 // of instruction-level parallelism.
 func (g *Generator) srcReg(float bool) isa.Reg {
 	p := g.prog.Profile
-	if g.lastDest.Valid() && g.lastDest.Float == float && g.rng.Float64() < p.ChainFrac {
+	if g.lastDest.Valid() && g.lastDest.Float() == float && g.rng.Float64() < p.ChainFrac {
 		return g.lastDest
 	}
 	if g.rng.Float64() < 0.45 {
@@ -314,22 +334,22 @@ func (g *Generator) srcReg(float bool) isa.Reg {
 func (g *Generator) address(si *staticInst) uint64 {
 	switch si.pattern {
 	case memStream:
-		a, ok := g.streams[si.pc]
-		if !ok || a >= si.region+si.regSize {
+		a := g.state[si.state]
+		if a == 0 || a >= si.region+si.regSize {
 			a = si.region
 		}
-		g.streams[si.pc] = a + si.stride
+		g.state[si.state] = a + si.stride
 		return a
 	case memChase:
-		a, ok := g.chasePtr[si.pc]
-		if !ok {
+		a := g.state[si.state]
+		if a == 0 {
 			a = si.region
 		}
 		// A deterministic scramble keeps the chase inside the working
 		// set while defeating next-line locality.
 		next := si.region + (a*2654435761+97)%si.regSize
 		next &^= 7
-		g.chasePtr[si.pc] = next
+		g.state[si.state] = next
 		return a
 	default:
 		// Random accesses model heap locality with a drifting hot window
@@ -354,20 +374,16 @@ func (g *Generator) address(si *staticInst) uint64 {
 	}
 }
 
-// Next produces the next dynamic instruction.
-func (g *Generator) Next() isa.Inst {
+// next fills *out with the next dynamic instruction, in place.
+func (g *Generator) next(out *isa.Inst) {
 	blk := &g.prog.blocks[g.cur]
-	// Walk the current block start-to-end; the Generator stores position
-	// implicitly by emitting whole blocks via an internal buffer-less
-	// index. For simplicity we keep a per-call scan: the generator emits
-	// one instruction per call using idx.
 	if g.idx >= len(blk.insts) {
 		g.idx = 0
 	}
 	si := &blk.insts[g.idx]
 	g.idx++
 
-	out := isa.Inst{PC: si.pc, Class: si.class}
+	*out = isa.Inst{PC: si.pc, Class: si.class}
 	switch si.class {
 	case isa.OpLoad:
 		out.Addr = g.address(si)
@@ -416,9 +432,9 @@ func (g *Generator) Next() isa.Inst {
 			next = si.taken
 		default:
 			if si.period > 0 {
-				cnt := g.brCount[si.pc]
-				g.brCount[si.pc] = cnt + 1
-				if cnt%si.period != si.period-1 {
+				cnt := g.state[si.state]
+				g.state[si.state] = cnt + 1
+				if cnt%uint64(si.period) != uint64(si.period-1) {
 					taken = true
 					next = si.taken
 				}
@@ -433,7 +449,6 @@ func (g *Generator) Next() isa.Inst {
 		}
 		g.cur = next
 		g.idx = 0
-		return out
 	default:
 		float := si.class.IsFloat()
 		out.Src1 = g.srcReg(float)
@@ -445,14 +460,13 @@ func (g *Generator) Next() isa.Inst {
 		out.Dest = g.nextReg(float)
 		g.lastDest = out.Dest
 	}
-	return out
 }
 
-// Trace emits n dynamic instructions.
+// Trace emits n dynamic instructions, each generated in its place.
 func (g *Generator) Trace(n int) []isa.Inst {
 	out := make([]isa.Inst, n)
 	for i := range out {
-		out[i] = g.Next()
+		g.next(&out[i])
 	}
 	return out
 }
