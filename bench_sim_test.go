@@ -36,8 +36,8 @@ func benchStream(b *testing.B) []isa.Inst {
 }
 
 // BenchmarkSimFull is the steady-state full-fidelity simulation: trace
-// buffers and cores recycle through their pools, annotations are recorded
-// and interned into the trace arenas.
+// buffers and cores recycle through their pools, and every record carries
+// its annotations inline.
 func BenchmarkSimFull(b *testing.B) {
 	stream := benchStream(b)
 	cfg := uarch.Baseline()

@@ -160,8 +160,8 @@ func Build(tr *pipetrace.Trace, cfg Config) (*Graph, error) {
 		}
 
 		// True data dependencies with static forwarding latency.
-		for _, p := range rec.DataProducers {
-			add(Vertex(p, SExecute), Vertex(i, SExecute), 1, uarch.ResRawDep)
+		for _, p := range rec.DataProducers() {
+			add(Vertex(int(p), SExecute), Vertex(i, SExecute), 1, uarch.ResRawDep)
 		}
 
 		// Read/write port contention: consecutive memory instructions are

@@ -224,11 +224,10 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 		bd.chain(i)
 
 		// Hardware resource dependencies (rename to rename).
-		for _, rd := range rec.ResourceDeps {
-			if clip(rd.Producer) {
-				continue
+		for _, rd := range rec.ResourceDeps() {
+			if p := int(rd.Producer); !clip(p) {
+				bd.skewed(toLocal(p), pipetrace.SR, i, pipetrace.SR, EdgeResource, rd.Resource)
 			}
-			bd.skewed(toLocal(rd.Producer), pipetrace.SR, i, pipetrace.SR, EdgeResource, rd.Resource)
 		}
 		// Functional unit and port contention (issue to issue).
 		if rec.FUProducer >= 0 && !clip(rec.FUProducer) {
@@ -238,11 +237,10 @@ func buildInto(g *Graph, tr *pipetrace.Trace, base, end int, b *buffers) error {
 			bd.skewed(toLocal(rec.PortProducer), pipetrace.SI, i, pipetrace.SI, EdgeFU, uarch.ResRdWrPort)
 		}
 		// True data dependence.
-		for _, p := range rec.DataProducers {
-			if clip(p) {
-				continue
+		for _, p := range rec.DataProducers() {
+			if p := int(p); !clip(p) {
+				bd.skewed(toLocal(p), pipetrace.SI, i, pipetrace.SI, EdgeData, uarch.ResRawDep)
 			}
-			bd.skewed(toLocal(p), pipetrace.SI, i, pipetrace.SI, EdgeData, uarch.ResRawDep)
 		}
 		// Misprediction dependence.
 		if rec.MispredictFrom >= 0 && !clip(rec.MispredictFrom) {

@@ -146,15 +146,9 @@ func dirtyBuffers(t testing.TB) *buffers {
 	return b
 }
 
-// cloneTrace deep-copies tr's records, so a test can edit them.
+// cloneTrace copies tr's records, so a test can edit them.
 func cloneTrace(tr *pipetrace.Trace) *pipetrace.Trace {
-	out := &pipetrace.Trace{Cycles: tr.Cycles, Records: make([]pipetrace.Record, len(tr.Records))}
-	for i, r := range tr.Records {
-		r.ResourceDeps = append([]pipetrace.ResourceDep(nil), r.ResourceDeps...)
-		r.DataProducers = append([]int(nil), r.DataProducers...)
-		out.Records[i] = r
-	}
-	return out
+	return &pipetrace.Trace{Cycles: tr.Cycles, Records: append([]pipetrace.Record(nil), tr.Records...)}
 }
 
 // craftedTrace is a trace the simulator never emits, with the property its
@@ -184,7 +178,7 @@ func craftedTraces(t testing.TB) []craftedTrace {
 		{"backward", edit(func(_ int, r *pipetrace.Record) {
 			// I stamped before R: the R and I anchors of an instruction
 			// stalled at rename come out of stage order.
-			if len(r.ResourceDeps) > 0 {
+			if len(r.ResourceDeps()) > 0 {
 				r.Stamp[pipetrace.SI] = r.Stamp[pipetrace.SR] - 1
 			}
 		}), func(g *Graph, _ int64) bool {
@@ -202,7 +196,8 @@ func craftedTraces(t testing.TB) []craftedTrace {
 			}
 		}), func(g *Graph, _ int64) bool { return g.DroppedNoStamp > 0 }},
 		{"no-anchors", edit(func(_ int, r *pipetrace.Record) {
-			r.ResourceDeps, r.DataProducers = nil, nil
+			r.SetResourceDeps()
+			r.SetDataProducers()
 			r.FUProducer, r.PortProducer, r.MispredictFrom = -1, -1, -1
 		}), func(g *Graph, cost int64) bool { return g.SkewedAnchors == 0 && cost == 0 }},
 		{"wide-span", edit(func(k int, r *pipetrace.Record) {
@@ -218,7 +213,7 @@ func craftedTraces(t testing.TB) []craftedTrace {
 		}), func(g *Graph, _ int64) bool { return g.ks.ranks != nil && g.Dropped() == 0 }},
 		{"zero-cost", edit(func(_ int, r *pipetrace.Record) {
 			// Data edges and virtual edges cost nothing.
-			r.ResourceDeps = nil
+			r.SetResourceDeps()
 			r.FUProducer, r.PortProducer, r.MispredictFrom = -1, -1, -1
 		}), func(g *Graph, cost int64) bool {
 			return g.SkewedAnchors > 0 && g.EdgesByKind[EdgeVirtual] > 0 && cost == 0
@@ -262,7 +257,8 @@ func TestLongestPathMatchesReferenceOrder(t *testing.T) {
 // trace, or of one of the crafted traces (the seed corpus), and checks the
 // DEG's DP against the reference order. Each three-byte group of ops edits
 // one record: a stamp nudged or removed, or a data, resource, FU, port or
-// misprediction producer set to an earlier instruction or cleared.
+// misprediction producer set to an earlier instruction or cleared. A data
+// or resource producer is added only while the record has room for it.
 func FuzzLongestPathOrder(f *testing.F) {
 	crafted := craftedTraces(f)
 	bases := []*pipetrace.Trace{traceFor(f, goldenConfigs()[1].cfg, "445.gobmk", 96)}
@@ -294,13 +290,13 @@ func FuzzLongestPathOrder(f *testing.F) {
 					r.Stamp[st] = max(0, r.Stamp[st]+int64(int8(val)))
 				}
 			case 1:
-				if p := producer(); p >= 0 {
-					r.DataProducers = append(r.DataProducers, p)
+				if p, prods := producer(), r.DataProducers(); p >= 0 && len(prods) < pipetrace.MaxDataProducers {
+					r.SetDataProducers(append(prods, int32(p))...)
 				}
 			case 2:
-				if p := producer(); p >= 0 {
+				if p, deps := producer(), r.ResourceDeps(); p >= 0 && len(deps) < pipetrace.MaxResourceDeps {
 					res := uarch.Resource(int(sel/6) % uarch.NumResources)
-					r.ResourceDeps = append(r.ResourceDeps, pipetrace.ResourceDep{Resource: res, Producer: p})
+					r.SetResourceDeps(append(deps, pipetrace.ResourceDep{Resource: res, Producer: int32(p)})...)
 				}
 			case 3:
 				r.FUProducer = producer()

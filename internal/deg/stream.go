@@ -22,19 +22,19 @@ import (
 // analyzer that will not reach Finish, releasing retained chunks and
 // in-flight windows; it is idempotent and implied by Finish.
 //
-// Chunk ownership: Feed takes ownership of its chunk — a pooled
-// pipetrace.Trace, records and arena — per the Trace ownership rules, and
-// releases it once every record in it has fallen out of reach of future
-// windows. The caller must not touch a chunk after Feed returns.
+// Chunk ownership: Feed takes ownership of its chunk, a pooled
+// pipetrace.Trace, per the Trace ownership rules, and releases it once
+// every record in it has fallen out of reach of future windows. The caller
+// must not touch a chunk after Feed returns.
 //
 // Every sealed window runs on a window ring of max(WindowOptions.Workers,
-// 1) slots: its records [base, end) are gathered out of the retained
-// chunks, annotations included, into a pooled trace of the slot's own, so
-// the chunks can be released while the window runs. At most that many
-// windows are in flight and results fold strictly in window order, so the
-// Report and WindowStats are bit-identical to the sequential run at any
-// worker count, and the live working set holds one window copy per slot
-// (see PeakBufferedRecords).
+// 1) slots: its records [base, end) are copied out of the retained chunks
+// into a pooled trace of the slot's own, so the chunks can be released
+// while the window runs. At most that many windows are in flight and
+// results fold strictly in window order, so the Report and WindowStats
+// are bit-identical to the sequential run at any worker count, and the
+// live working set holds one window copy per slot (see
+// PeakBufferedRecords).
 type StreamAnalyzer struct {
 	opts    WindowOptions
 	overlap int
@@ -145,8 +145,8 @@ func (s *StreamAnalyzer) drain(final bool) error {
 }
 
 // gather copies records [base, end) of the stream out of the chunks
-// holding them into a pooled trace, re-interning their annotation slices
-// into its arena, so the window reads nothing of the chunks.
+// holding them into a pooled trace. Records are self-contained, so the
+// window reads nothing of the chunks.
 func gather(chunks []*pipetrace.Trace, base, end int) *pipetrace.Trace {
 	t := pipetrace.GetTrace(end - base)
 	for _, c := range chunks {
@@ -154,11 +154,6 @@ func gather(chunks []*pipetrace.Trace, base, end int) *pipetrace.Trace {
 		if lo, hi := max(base-first, 0), min(end-first, len(c.Records)); lo < hi {
 			t.Records = append(t.Records, c.Records[lo:hi]...)
 		}
-	}
-	for i := range t.Records {
-		rec := &t.Records[i]
-		rec.ResourceDeps = t.InternDeps(rec.ResourceDeps)
-		rec.DataProducers = t.InternProducers(rec.DataProducers)
 	}
 	return t
 }

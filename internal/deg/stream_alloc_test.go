@@ -14,8 +14,8 @@ import (
 // path: once the pools are warm, a full streamed analysis allocates a
 // small, record-count-independent number of times — analyzer construction
 // and initial buffer growth to the window+margin working set. A per-record
-// allocation regression (the thing the arenas and pooled buffers exist to
-// prevent) blows through the budget by two orders of magnitude on this
+// allocation regression (the thing the trace pool and pooled buffers exist
+// to prevent) blows through the budget by two orders of magnitude on this
 // trace. Excluded under -race: the race runtime inflates allocation counts.
 func TestStreamAllocsBounded(t *testing.T) {
 	const n, window, chunk = 3000, 500, 256
@@ -33,12 +33,7 @@ func TestStreamAllocsBounded(t *testing.T) {
 				hi = n
 			}
 			c := pipetrace.GetTrace(hi - lo)
-			for i := lo; i < hi; i++ {
-				r := tr.Records[i]
-				r.ResourceDeps = c.InternDeps(r.ResourceDeps)
-				r.DataProducers = c.InternProducers(r.DataProducers)
-				c.Records = append(c.Records, r)
-			}
+			c.Records = append(c.Records, tr.Records[lo:hi]...)
 			if err := sa.Feed(c); err != nil {
 				t.Fatal(err)
 			}

@@ -12,9 +12,9 @@ import (
 )
 
 // feedTrace replays a materialized trace through a StreamAnalyzer as
-// chunkSize-record chunks, re-interning each record's annotation slices
-// into its chunk's arena — exactly the ownership shape ooo.RunStream
-// produces (whose record-level parity with Run is pinned separately).
+// chunkSize-record pooled chunks — exactly the ownership shape
+// ooo.RunStream produces (whose record-level parity with Run is pinned
+// separately).
 func feedTrace(t *testing.T, sa *StreamAnalyzer, tr *pipetrace.Trace, chunkSize int) {
 	t.Helper()
 	n := len(tr.Records)
@@ -24,12 +24,7 @@ func feedTrace(t *testing.T, sa *StreamAnalyzer, tr *pipetrace.Trace, chunkSize 
 			hi = n
 		}
 		c := pipetrace.GetTrace(hi - lo)
-		for i := lo; i < hi; i++ {
-			r := tr.Records[i]
-			r.ResourceDeps = c.InternDeps(r.ResourceDeps)
-			r.DataProducers = c.InternProducers(r.DataProducers)
-			c.Records = append(c.Records, r)
-		}
+		c.Records = append(c.Records, tr.Records[lo:hi]...)
 		if err := sa.Feed(c); err != nil {
 			t.Fatalf("Feed at %d: %v", lo, err)
 		}

@@ -91,7 +91,7 @@ func TestResourceEdgeRenameToRename(t *testing.T) {
 		}
 		r2.Stamp[s] = r2.Stamp[pipetrace.SR] + int64(s-pipetrace.SDP) + 1
 	}
-	r2.ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResROB, Producer: 0}}
+	r2.SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResROB, Producer: 0})
 	tr := mkTrace(r0, r1, r2)
 
 	g, err := Build(tr, Options{})
@@ -127,7 +127,7 @@ func TestFUAndDataEdgesIssueToIssue(t *testing.T) {
 	}
 	r1.FUProducer = 0
 	r1.FURes = uarch.ResIntMultDiv
-	r1.DataProducers = []int{0}
+	r1.SetDataProducers(0)
 	tr := mkTrace(r0, r1)
 
 	g, err := Build(tr, Options{})
@@ -184,8 +184,8 @@ func TestVirtualEdgesConnectConsecutiveSkewedEdges(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		recs = append(recs, mkRecord(i, int64(3*i), isa.OpIntAlu))
 	}
-	recs[2].ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResIQ, Producer: 0}}
-	recs[5].ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResIQ, Producer: 3}}
+	recs[2].SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResIQ, Producer: 0})
+	recs[5].SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResIQ, Producer: 3})
 	tr := mkTrace(recs...)
 
 	g, err := Build(tr, Options{})
@@ -235,9 +235,9 @@ func TestAnchorDedupPinnedEdgeCounts(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		recs = append(recs, mkRecord(i, int64(3*i), isa.OpIntAlu))
 	}
-	recs[2].ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResROB, Producer: 0}}
-	recs[3].ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResIQ, Producer: 0}}
-	recs[5].ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResIQ, Producer: 3}}
+	recs[2].SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResROB, Producer: 0})
+	recs[3].SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResIQ, Producer: 0})
+	recs[5].SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResIQ, Producer: 3})
 	tr := mkTrace(recs...)
 
 	g, err := Build(tr, Options{})
@@ -279,7 +279,7 @@ func TestAttributionUsesActualDelays(t *testing.T) {
 		}
 		r1.Stamp[s] = r1.Stamp[pipetrace.SR] + int64(s-pipetrace.SR)
 	}
-	r1.ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResIntRF, Producer: 0}}
+	r1.SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResIntRF, Producer: 0})
 	tr := mkTrace(r0, r1)
 
 	rep, _, _, err := Analyze(tr, Options{})

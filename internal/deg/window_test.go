@@ -147,7 +147,7 @@ func TestAnalyzeWindowedClipsDistantProducers(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		recs = append(recs, mkRecord(i, int64(3*i), isa.OpIntAlu))
 	}
-	recs[6].ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResROB, Producer: 0}}
+	recs[6].SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResROB, Producer: 0})
 	tr := mkTrace(recs...)
 
 	// Default overlap covers the whole trace: the long-range edge is seen
@@ -197,7 +197,7 @@ func TestAttributeSpanFallback(t *testing.T) {
 		}
 		r1.Stamp[s] = r1.Stamp[pipetrace.SR] + int64(s-pipetrace.SR)
 	}
-	r1.ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResIntRF, Producer: 0}}
+	r1.SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResIntRF, Producer: 0})
 	tr := mkTrace(r0, r1)
 	tr.Cycles = 0 // simulate a trace missing its runtime
 
@@ -236,7 +236,7 @@ func TestAttributeClampsNegativeBase(t *testing.T) {
 		}
 		r1.Stamp[s] = r1.Stamp[pipetrace.SR] + int64(s-pipetrace.SR)
 	}
-	r1.ResourceDeps = []pipetrace.ResourceDep{{Resource: uarch.ResIntRF, Producer: 0}}
+	r1.SetResourceDeps(pipetrace.ResourceDep{Resource: uarch.ResIntRF, Producer: 0})
 	tr := mkTrace(r0, r1)
 	tr.Cycles = 5 // undercounts the 10-cycle stall on the path
 

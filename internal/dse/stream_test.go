@@ -242,8 +242,8 @@ func stalledDEGEvaluator() *Evaluator {
 // TestNoTraceLeakWithStageTimeouts: with stage timeouts enabled, every
 // evaluation has released its trace by the time Evaluate returns.
 // Previously the evaluator skipped tr.Release() whenever StageTimeout != 0 —
-// every (config, workload) run leaked its records and arenas for the life
-// of the campaign.
+// every (config, workload) run leaked its records for the life of the
+// campaign.
 func TestNoTraceLeakWithStageTimeouts(t *testing.T) {
 	base := poolLive()
 

@@ -117,7 +117,7 @@ func Analyze(tr *pipetrace.Trace) (*Stack, error) {
 	// Rename-stall shares per resource (delayed-instruction counting, the
 	// Section 2.2 necessity metric).
 	for i := range tr.Records {
-		for _, rd := range tr.Records[i].ResourceDeps {
+		for _, rd := range tr.Records[i].ResourceDeps() {
 			st.RenameByRes[rd.Resource]++
 		}
 	}
@@ -141,7 +141,7 @@ func classify(tr *pipetrace.Trace, idx int, c int64) Cause {
 		}
 		return CauseFrontend
 	case c < rec.Stamp[pipetrace.SR]:
-		if len(rec.ResourceDeps) > 0 {
+		if len(rec.ResourceDeps()) > 0 {
 			return CauseRename
 		}
 		return CauseFrontend

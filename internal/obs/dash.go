@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"runtime"
-	"time"
 )
 
 // The live dashboard rides the recorder's HTTP mux (Serve): /dash is a
@@ -16,7 +15,7 @@ import (
 // nobody watches pays one atomic load per span and nothing else.
 
 // sampleRuntime refreshes the archx_runtime_* gauges from the Go runtime.
-// Called at scrape/poll time and from the optional background sampler.
+// Called at scrape/poll time.
 func (r *Recorder) sampleRuntime() {
 	if r == nil {
 		return
@@ -31,41 +30,6 @@ func (r *Recorder) sampleRuntime() {
 	if ms.NumGC > 0 {
 		reg.Gauge(MetricRuntimeGCPause).Set(float64(ms.PauseNs[(ms.NumGC+255)%256]))
 	}
-}
-
-// StartRuntimeSampler samples the runtime gauges every interval until
-// Close — for headless runs that export /metrics to a scraper with its own
-// cadence, or journal-only runs that want the final run_end metrics
-// snapshot to include the self-profile. No-op on a nil recorder, a
-// non-positive interval, or when a sampler is already running.
-func (r *Recorder) StartRuntimeSampler(interval time.Duration) {
-	if r == nil || interval <= 0 {
-		return
-	}
-	r.mu.Lock()
-	if r.stopSampler != nil {
-		r.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	r.stopSampler = stop
-	r.mu.Unlock()
-
-	r.sampleRuntime()
-	r.samplerWG.Add(1)
-	go func() {
-		defer r.samplerWG.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				r.sampleRuntime()
-			}
-		}
-	}()
 }
 
 // dashHist is one histogram in the dashboard snapshot.

@@ -57,10 +57,9 @@ const (
 	MetricDEGPeakEdges = "archx_deg_peak_edges"          // largest single-window edge count (gauge)
 	MetricDEGDrops     = "archx_deg_dropped_edges_total" // defensively dropped DEG edges (corruption indicator)
 	MetricDEGWorkers   = "archx_deg_workers"             // window-ring width of the last streamed analysis (gauge)
-	// Runtime self-profile gauges, sampled by the recorder's runtime
-	// sampler (started by the live dashboard, or explicitly via
-	// Recorder.StartRuntimeSampler) so a stalled campaign can be triaged
-	// from /metrics or /dash without attaching pprof.
+	// Runtime self-profile gauges, sampled whenever /metrics or /dash is
+	// scraped, so a stalled campaign can be triaged without attaching
+	// pprof.
 	MetricRuntimeHeap       = "archx_runtime_heap_alloc_bytes" // live heap at the last sample (gauge)
 	MetricRuntimeSys        = "archx_runtime_sys_bytes"        // total memory obtained from the OS (gauge)
 	MetricRuntimeGoroutines = "archx_runtime_goroutines"       // goroutine count at the last sample (gauge)
@@ -166,38 +165,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.count++
 	h.mu.Unlock()
-}
-
-// Merge folds another histogram's samples into h. Both must share bucket
-// bounds; mismatched shapes return an error and leave h unchanged. The
-// source is snapshotted before h locks, so concurrent cross-merges cannot
-// deadlock; merging a histogram into itself is a no-op.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil || h == o {
-		return nil
-	}
-	o.mu.Lock()
-	oBuckets := o.buckets
-	oCounts := append([]uint64(nil), o.counts...)
-	oSum, oCount := o.sum, o.count
-	o.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.buckets) != len(oBuckets) {
-		return fmt.Errorf("obs: merge across %d- and %d-bucket histograms", len(h.buckets), len(oBuckets))
-	}
-	for i, b := range h.buckets {
-		if b != oBuckets[i] {
-			return fmt.Errorf("obs: merge across mismatched bucket bounds")
-		}
-	}
-	for i, c := range oCounts {
-		h.counts[i] += c
-	}
-	h.sum += oSum
-	h.count += oCount
-	return nil
 }
 
 // Snapshot returns cumulative bucket counts (Prometheus `le` semantics),

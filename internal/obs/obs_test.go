@@ -47,65 +47,6 @@ func TestConcurrentMetrics(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge folds two disjoint histograms and checks the combined
-// distribution, plus the mismatched-shape error path.
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2, 4})
-	b := NewHistogram([]float64{1, 2, 4})
-	a.Observe(0.5)
-	a.Observe(3)
-	b.Observe(1.5)
-	b.Observe(100)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	cum, sum, count := a.Snapshot()
-	if count != 4 || sum != 105 {
-		t.Fatalf("merged count=%d sum=%v, want 4, 105", count, sum)
-	}
-	// cumulative over bounds 1,2,4,+Inf: 0.5 -> [1]; 1.5 -> [2]; 3 -> [4]; 100 -> +Inf
-	want := []uint64{1, 2, 3, 4}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Fatalf("cumulative[%d] = %d, want %d", i, cum[i], want[i])
-		}
-	}
-	if err := a.Merge(a); err != nil {
-		t.Fatalf("self-merge: %v", err)
-	}
-	if _, _, c := a.Snapshot(); c != 4 {
-		t.Fatalf("self-merge changed count to %d", c)
-	}
-	odd := NewHistogram([]float64{1, 3})
-	if err := a.Merge(odd); err == nil {
-		t.Fatal("merge across mismatched buckets did not fail")
-	}
-	if _, _, c := a.Snapshot(); c != 4 {
-		t.Fatal("failed merge mutated the target")
-	}
-}
-
-// TestConcurrentHistogramMerge cross-merges two histograms from concurrent
-// goroutines while observers run — the deadlock/race regression test.
-func TestConcurrentHistogramMerge(t *testing.T) {
-	a := NewHistogram(nil)
-	b := NewHistogram(nil)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				a.Observe(0.001)
-				b.Observe(0.002)
-				a.Merge(b)
-				b.Merge(a)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestJournalRoundTrip emits every event type into a buffer, closes, and
 // parses it back: seq must be dense and in order, types preserved.
 func TestJournalRoundTrip(t *testing.T) {

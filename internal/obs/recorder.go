@@ -31,9 +31,7 @@ type Recorder struct {
 
 	spans atomic.Int64
 
-	spanLive    // in-flight span tracking for the dashboard
-	stopSampler chan struct{}
-	samplerWG   sync.WaitGroup
+	spanLive // in-flight span tracking for the dashboard
 }
 
 // New returns a recorder with a fresh registry and no sinks attached.
@@ -208,18 +206,13 @@ func (r *Recorder) Close() error {
 	}
 	r.mu.Lock()
 	stop, srv, j := r.stopProg, r.srv, r.j
-	sampler := r.stopSampler
-	r.stopProg, r.srv, r.j, r.stopSampler = nil, nil, nil, nil
+	r.stopProg, r.srv, r.j = nil, nil, nil
 	r.mu.Unlock()
 
 	if stop != nil {
 		close(stop)
 	}
-	if sampler != nil {
-		close(sampler)
-	}
 	r.progWG.Wait()
-	r.samplerWG.Wait()
 	var err error
 	if srv != nil {
 		err = srv.Close()

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestSpanEventRoundTrip: span events survive the journal with every field
@@ -210,7 +209,6 @@ func TestNilRecorderSpanAPIs(t *testing.T) {
 	}
 	end() // must not panic
 	r.EnableLiveSpans()
-	r.StartRuntimeSampler(time.Second)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -372,24 +370,5 @@ func TestDashEndpoints(t *testing.T) {
 	// The runtime gauges also reach the Prometheus exposition.
 	if !bytes.Contains(get("/metrics"), []byte(MetricRuntimeHeap)) {
 		t.Fatal("/metrics missing runtime gauges")
-	}
-}
-
-// TestRuntimeSampler: the periodic sampler populates the runtime gauges
-// and stops with Close; starting it twice is a no-op.
-func TestRuntimeSampler(t *testing.T) {
-	r := New()
-	r.StartRuntimeSampler(time.Millisecond)
-	r.StartRuntimeSampler(time.Millisecond)
-	deadline := time.After(5 * time.Second)
-	for r.Gauge(MetricRuntimeGoroutines).Value() <= 0 {
-		select {
-		case <-deadline:
-			t.Fatal("sampler never populated the runtime gauges")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

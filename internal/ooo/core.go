@@ -146,10 +146,6 @@ type Core struct {
 	// release the stalled front end (-1 when the front end is healthy).
 	pendingRedirectSeq int
 
-	// arena is the current trace's annotation storage, which the records
-	// being simulated intern into; nil between runs.
-	arena *pipetrace.Arena
-
 	stats Stats
 
 	// released marks a core handed back by Release and not yet reissued
@@ -313,13 +309,12 @@ func (c *Core) RunLite(stream []isa.Inst) (*pipetrace.Trace, *Stats, error) { re
 // error stops the simulation at once and is returned as is. On success it
 // returns a copy of the run's Stats.
 func (c *Core) run(stream []isa.Inst, chunkSize int, sink func(*pipetrace.Trace) error) (*Stats, error) {
-	if len(stream) == 0 {
-		return nil, fmt.Errorf("ooo: empty instruction stream")
+	if err := checkStreamLen(len(stream)); err != nil {
+		return nil, err
 	}
 	for lo := 0; lo < len(stream); lo += chunkSize {
 		hi := min(lo+chunkSize, len(stream))
 		tr := pipetrace.GetTrace(hi - lo)
-		c.arena = &tr.Arena
 		for seq := lo; seq < hi; seq++ {
 			in := &stream[seq]
 			tr.Records = pipetrace.AppendReset(tr.Records, seq, in.PC, in.Class)
@@ -331,7 +326,6 @@ func (c *Core) run(stream []isa.Inst, chunkSize int, sink func(*pipetrace.Trace)
 			c.schedule(in, rec)
 			c.commit(in, rec)
 		}
-		c.arena = nil
 		if err := sink(tr); err != nil {
 			return nil, err
 		}
@@ -339,6 +333,19 @@ func (c *Core) run(stream []isa.Inst, chunkSize int, sink func(*pipetrace.Trace)
 	c.finalizeStats(len(stream))
 	st := c.stats
 	return &st, nil
+}
+
+// checkStreamLen rejects a stream the simulator cannot trace: an empty
+// one, or one longer than pipetrace.MaxTraceLen, whose producer sequence
+// numbers the records' int32 annotations would wrap.
+func checkStreamLen(n int) error {
+	if n == 0 {
+		return fmt.Errorf("ooo: empty instruction stream")
+	}
+	if n > pipetrace.MaxTraceLen {
+		return fmt.Errorf("ooo: %d instructions exceed the trace limit of %d", n, pipetrace.MaxTraceLen)
+	}
+	return nil
 }
 
 // finalizeStats fills the end-of-run counters after n committed
@@ -436,13 +443,13 @@ func (c *Core) rename(in *isa.Inst, rec *pipetrace.Record) {
 
 	// Allocate every structure this instruction needs — ROB, IQ, LQ or SQ,
 	// and a rename file when it has a destination — directly, one call per
-	// pool. Deps are staged in a stack buffer and interned into the trace
-	// arena in one shot — no per-record slice allocation.
-	var depBuf [4]pipetrace.ResourceDep
+	// pool. Deps are staged in a stack buffer and stored in the record in
+	// one shot.
+	var depBuf [pipetrace.MaxResourceDeps]pipetrace.ResourceDep
 	deps := 0
 	take := func(t int64, owner int, res uarch.Resource) {
 		if t > base && owner >= 0 {
-			depBuf[deps] = pipetrace.ResourceDep{Resource: res, Producer: owner}
+			depBuf[deps] = pipetrace.ResourceDep{Resource: res, Producer: int32(owner)}
 			deps++
 			c.stats.RenameStalls[res]++
 		}
@@ -474,7 +481,7 @@ func (c *Core) rename(in *isa.Inst, rec *pipetrace.Record) {
 		}
 	}
 	if deps > 0 {
-		rec.ResourceDeps = c.arena.InternDeps(depBuf[:deps])
+		rec.SetResourceDeps(depBuf[:deps]...)
 	}
 
 	r := c.renameBW.book(ready)
@@ -495,7 +502,7 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 
 	// Operand readiness (true data dependence), both sources unrolled into
 	// a stack buffer.
-	var prodBuf [2]int
+	var prodBuf [pipetrace.MaxDataProducers]int32
 	prods := 0
 	for s := 0; s < 2; s++ {
 		src := in.Src1
@@ -513,13 +520,13 @@ func (c *Core) schedule(in *isa.Inst, rec *pipetrace.Record) {
 			t, prod = c.intReady[i], c.intProd[i]
 		}
 		if t > base && prod >= 0 {
-			prodBuf[prods] = prod
+			prodBuf[prods] = int32(prod)
 			prods++
 		}
 		base = max(base, t)
 	}
 	if prods > 0 {
-		rec.DataProducers = c.arena.InternProducers(prodBuf[:prods])
+		rec.SetDataProducers(prodBuf[:prods]...)
 	}
 
 	// Functional unit.

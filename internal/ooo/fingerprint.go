@@ -36,8 +36,8 @@ func ChunkedFingerprint(cycles int64, st *Stats, visit func(hash func(r *pipetra
 	fmt.Fprintf(h, "cycles=%d\n", cycles)
 	visit(func(r *pipetrace.Record) {
 		fmt.Fprintf(h, "%d %#x %d %v %v %d %d %v %d %d %d %d %v\n",
-			r.Seq, r.PC, r.Class, r.Stamp, r.ResourceDeps, r.FUProducer,
-			r.FURes, r.DataProducers, r.PortProducer, r.MispredictFrom,
+			r.Seq, r.PC, r.Class, r.Stamp, r.ResourceDeps(), r.FUProducer,
+			r.FURes, r.DataProducers(), r.PortProducer, r.MispredictFrom,
 			r.ICacheLat, r.DCacheLat, fpBool(r.Mispredicted))
 		fmt.Fprintf(h, "exec=%d\n", r.ExecLat)
 	})

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -56,8 +57,8 @@ func TestResourceProducersPrecedeConsumers(t *testing.T) {
 	tr, _ := runWorkload(t, uarch.Baseline(), "458.sjeng", 6000)
 	for i := range tr.Records {
 		rec := &tr.Records[i]
-		for _, rd := range rec.ResourceDeps {
-			if rd.Producer >= rec.Seq {
+		for _, rd := range rec.ResourceDeps() {
+			if int(rd.Producer) >= rec.Seq {
 				t.Fatalf("seq %d: resource producer %d not older", rec.Seq, rd.Producer)
 			}
 			// Rename-to-rename: the producer renamed before us.
@@ -73,8 +74,8 @@ func TestResourceProducersPrecedeConsumers(t *testing.T) {
 				t.Fatalf("seq %d: FU producer issued later", rec.Seq)
 			}
 		}
-		for _, p := range rec.DataProducers {
-			if p >= rec.Seq {
+		for _, p := range rec.DataProducers() {
+			if int(p) >= rec.Seq {
 				t.Fatalf("seq %d: data producer %d not older", rec.Seq, p)
 			}
 		}
@@ -232,6 +233,36 @@ func TestEmptyStreamRejected(t *testing.T) {
 	}
 	if _, _, err := core.Run(nil); err == nil {
 		t.Fatal("expected error for empty stream")
+	}
+}
+
+// TestStreamLengthLimit: a record names its producers by int32 sequence
+// numbers, so a stream longer than pipetrace.MaxTraceLen would wrap them
+// and the simulator rejects it. The guard looks at the length alone, which
+// the test checks without building such a stream; Run and RunStream call
+// it before they take a trace from the pool, as the empty stream shows.
+func TestStreamLengthLimit(t *testing.T) {
+	if err := checkStreamLen(pipetrace.MaxTraceLen); err != nil {
+		t.Fatalf("a stream of MaxTraceLen instructions must be accepted: %v", err)
+	}
+	over := int64(pipetrace.MaxTraceLen) + 1
+	if over > math.MaxInt {
+		t.Skip("an int cannot count past the trace limit")
+	}
+	if err := checkStreamLen(int(over)); err == nil {
+		t.Fatal("a stream longer than MaxTraceLen must be rejected")
+	}
+	core, err := New(uarch.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer core.Release()
+	base := pipetrace.TracePoolStats()
+	if _, err := core.RunStream(nil, 0, func(*pipetrace.Trace) error { return nil }); err == nil {
+		t.Fatal("RunStream must reject an empty stream")
+	}
+	if st := pipetrace.TracePoolStats(); st.Gets != base.Gets {
+		t.Fatalf("a rejected stream took %d traces from the pool", st.Gets-base.Gets)
 	}
 }
 

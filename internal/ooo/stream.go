@@ -24,10 +24,9 @@ const DefaultChunkSize = 1024
 // are bit-identical to Run over the same stream (pinned by the stream
 // parity test); only the record packaging differs. Each chunk is a pooled
 // pipetrace.Trace whose Cycles field is left zero. Records keep their
-// global sequence numbers, and each chunk's annotation slices are interned
-// into that chunk's own arena, so ownership of a chunk — records plus
-// annotation storage — passes wholesale to sink (see pipetrace.Trace for
-// the ownership rules). A sink error stops the simulation immediately and
+// global sequence numbers and hold their annotations inline, so ownership
+// of a chunk passes wholesale to sink (see pipetrace.Trace for the
+// ownership rules). A sink error stops the simulation immediately and
 // surfaces as RunStream's error; the chunk that produced the error is
 // still owned by the sink. Like Run's, the returned Stats is a copy.
 //

@@ -13,6 +13,7 @@ package pipetrace
 
 import (
 	"fmt"
+	"math"
 
 	"archexplorer/internal/isa"
 	"archexplorer/internal/uarch"
@@ -59,22 +60,41 @@ const NoStamp int64 = -1
 // R(i) -> R(j) hardware-resource dependence).
 type ResourceDep struct {
 	Resource uarch.Resource
-	Producer int // dynamic sequence number of the releasing instruction
+	Producer int32 // dynamic sequence number of the releasing instruction
 }
 
+// Annotation capacities of a Record. Rename allocates at most one entry
+// each of the ROB, the IQ, the LQ or SQ and one register file, so at most
+// four structures can stall it; an instruction has at most two source
+// operands, so at most two data producers.
+const (
+	MaxResourceDeps  = 4
+	MaxDataProducers = 2
+)
+
+// MaxTraceLen is the longest run a trace can describe: the dependence
+// annotations hold producer sequence numbers as int32, so a longer run
+// would wrap them. The simulator rejects longer streams.
+const MaxTraceLen = math.MaxInt32
+
 // Record is the complete microexecution history of one committed
-// instruction.
+// instruction. It holds its dependence annotations inline and no pointer,
+// so copying a record copies all of it. The annotations name producers by
+// int32 sequence numbers, which limits a run to MaxTraceLen instructions.
 type Record struct {
 	Seq   int // dynamic sequence number, 0-based commit order
 	PC    uint64
 	Class isa.OpClass
 
+	// nDeps and nProds count the entries of deps and prods in use.
+	nDeps, nProds uint8
+
 	// Stamp holds the cycle of each pipeline event; NoStamp if absent.
 	Stamp [NumStages]int64
 
-	// ResourceDeps lists the back-end structures whose exhaustion stalled
-	// this instruction at rename, with the releasing producers.
-	ResourceDeps []ResourceDep
+	// deps lists the back-end structures whose exhaustion stalled this
+	// instruction at rename, with the releasing producers (ResourceDeps).
+	deps [MaxResourceDeps]ResourceDep
 
 	// FUProducer is the sequence number of the instruction that last
 	// released the functional unit this one executes on, when acquiring
@@ -85,9 +105,10 @@ type Record struct {
 	// PortProducer is like FUProducer for the cache read/write port.
 	PortProducer int
 
-	// DataProducers are sequence numbers of in-window producers of this
-	// instruction's source operands (true data dependence, I(i) -> I(j)).
-	DataProducers []int
+	// prods are the sequence numbers of in-window producers of this
+	// instruction's source operands (true data dependence, I(i) -> I(j);
+	// DataProducers).
+	prods [MaxDataProducers]int32
 
 	// MispredictFrom is the sequence number of the mispredicted branch
 	// whose resolution restarted the fetch of this instruction; -1 if the
@@ -115,7 +136,7 @@ func NewRecord(seq int, pc uint64, class isa.OpClass) Record {
 // slot a pipeline stage is about to write instead of building a ~200-byte
 // struct on the stack and copying it into the slice per instruction. Every
 // field is (re)assigned, so slots recycled by the trace pool cannot leak
-// stale stamps or annotation subslices.
+// stale stamps or annotations.
 func (r *Record) Reset(seq int, pc uint64, class isa.OpClass) {
 	// Field-wise on purpose: `*r = Record{...}` materializes a ~200-byte
 	// temporary and duffcopies it into the slot, which is the exact copy
@@ -126,16 +147,47 @@ func (r *Record) Reset(seq int, pc uint64, class isa.OpClass) {
 	for i := range r.Stamp {
 		r.Stamp[i] = NoStamp
 	}
-	r.ResourceDeps = nil
+	r.nDeps, r.nProds = 0, 0
+	r.deps = [MaxResourceDeps]ResourceDep{}
 	r.FUProducer = -1
 	r.FURes = 0
 	r.PortProducer = -1
-	r.DataProducers = nil
+	r.prods = [MaxDataProducers]int32{}
 	r.MispredictFrom = -1
 	r.Mispredicted = false
 	r.ICacheLat = 0
 	r.DCacheLat = 0
 	r.ExecLat = 0
+}
+
+// ResourceDeps lists the back-end structures whose exhaustion stalled the
+// instruction at rename, with the releasing producers. The slice aliases
+// r: it reads r's current annotations and is valid as long as r is.
+func (r *Record) ResourceDeps() []ResourceDep { return r.deps[:r.nDeps] }
+
+// SetResourceDeps replaces r's resource dependences with deps. It panics
+// if deps holds more than MaxResourceDeps entries.
+func (r *Record) SetResourceDeps(deps ...ResourceDep) {
+	if len(deps) > MaxResourceDeps {
+		panic(fmt.Sprintf("pipetrace: seq %d: %d resource dependences, at most %d fit",
+			r.Seq, len(deps), MaxResourceDeps))
+	}
+	r.nDeps = uint8(copy(r.deps[:], deps))
+}
+
+// DataProducers lists the sequence numbers of the in-window producers of
+// the instruction's source operands (true data dependence, I(i) -> I(j)).
+// The slice aliases r, as ResourceDeps' does.
+func (r *Record) DataProducers() []int32 { return r.prods[:r.nProds] }
+
+// SetDataProducers replaces r's data producers with prods. It panics if
+// prods holds more than MaxDataProducers entries.
+func (r *Record) SetDataProducers(prods ...int32) {
+	if len(prods) > MaxDataProducers {
+		panic(fmt.Sprintf("pipetrace: seq %d: %d data producers, at most %d fit",
+			r.Seq, len(prods), MaxDataProducers))
+	}
+	r.nProds = uint8(copy(r.prods[:], prods))
 }
 
 // AppendReset extends recs by one record — reusing the existing slot in
@@ -184,26 +236,17 @@ func (r *Record) HasStage(s Stage) bool { return r.Stamp[s] != NoStamp }
 // Trace is the microexecution of a workload on one design point: the
 // whole run (ooo's Run), or one chunk of it in the streaming sim→DEG
 // pipeline (ooo's RunStream), whose records keep their global sequence
-// numbers.
-//
-// A Trace owns arena storage for its records' annotation slices
-// (ResourceDeps, DataProducers): the simulator interns each record's
-// annotations into the arena instead of allocating one slice per record,
-// so handing a trace over hands over all storage its records reference,
-// and Release recycles the whole bundle — records and arena — through the
-// trace pool.
+// numbers. Records are self-contained, so a trace's record storage is all
+// the storage it owns.
 //
 // Ownership rules (one owner at a time):
 //
 //   - The simulator owns a trace from GetTrace until it returns it (Run)
 //     or its sink callback returns (RunStream); it does not touch the
 //     trace afterwards.
-//   - The receiver owns it from then until it Releases it — which it may
-//     only do once no retained Record (or annotation subslice) it still
-//     reads aliases the trace. A receiver that needs records past that
-//     point copies them out, re-interning their annotations into storage
-//     of its own; the stream analyzer holds every chunk whose records
-//     overlap a still-unanalyzed window.
+//   - The receiver owns it from then until it Releases it, which it may
+//     only do once it no longer reads the trace's records in place. A
+//     receiver that needs records past that point copies them out.
 //   - Release recycles the storage through a pool shared with future
 //     runs and chunks, so a late read after it observes another
 //     simulation's records.
@@ -212,11 +255,6 @@ type Trace struct {
 	// commit index in the whole run, also in a streamed chunk.
 	Records []Record
 	Cycles  int64 // total simulated cycles of a whole run; zero in a streamed chunk
-
-	// Arena is the backing storage for the records' annotation slices.
-	// Records hold three-index subslices of it, so the arena lives exactly
-	// as long as the records that point into it.
-	Arena
 
 	// pooled marks traces that came from GetTrace: only those are
 	// recycled — a zero-valued &Trace{} resets on Release but never enters

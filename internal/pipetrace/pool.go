@@ -1,16 +1,26 @@
 package pipetrace
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// tracePool recycles Trace buffers — the records array plus the annotation
-// arena — across simulator runs, streamed chunks and the stream analyzer's
-// window copies. Repeated evaluations (the DSE loop's steady state) then
-// run allocation-free in the record path: the pool mirrors the DEG stage's
-// buffer pools from the windowed analyzer.
-var tracePool sync.Pool
+// tracePools recycle Trace record buffers across simulator runs, streamed
+// chunks and the stream analyzer's window copies. Repeated evaluations (the
+// DSE loop's steady state) then run allocation-free in the record path:
+// the pools mirror the DEG stage's buffer pools from the windowed analyzer.
+//
+// Pool k holds released traces whose record capacity lies in [2^k,
+// 2^(k+1)), and GetTrace(n) takes from pool floor(log2 n), so it never
+// hands out a trace of twice the capacity asked for: a released
+// whole-run trace cannot come back as a small chunk and keep its records
+// live.
+var tracePools [bits.UintSize]sync.Pool
+
+// capClass is the pool a trace of record capacity n belongs to,
+// floor(log2 n), with capacity 0 in pool 0.
+func capClass(n int) int { return max(bits.Len(uint(n))-1, 0) }
 
 // PoolStats counts the trace pool's traffic (TracePoolStats). The counters
 // exist so tests can assert lifecycle invariants — every acquired trace is
@@ -31,11 +41,12 @@ func TracePoolStats() PoolStats {
 }
 
 // GetTrace returns an empty trace whose record storage can hold at least
-// capacity records without growing, reusing a released trace when one is
-// available. The caller owns the trace and hands it back with Release.
+// capacity records without growing, reusing a released trace of less than
+// twice that capacity when one is available. The caller owns the trace and
+// hands it back with Release.
 func GetTrace(capacity int) *Trace {
 	poolGets.Add(1)
-	if v := tracePool.Get(); v != nil {
+	if v := tracePools[capClass(capacity)].Get(); v != nil {
 		t := v.(*Trace)
 		if cap(t.Records) < capacity {
 			t.Records = make([]Record, 0, capacity)
@@ -47,7 +58,7 @@ func GetTrace(capacity int) *Trace {
 }
 
 // Release resets the trace and returns its storage to the pool. The
-// caller must not touch the trace — or any Record or annotation slice
+// caller must not touch the trace — or any Record or annotation view
 // obtained from it — afterwards: the next GetTrace may hand the same
 // backing storage to a concurrent simulation. Releasing a pooled trace
 // twice panics: a second Put would let two later GetTrace calls hand the
@@ -65,10 +76,9 @@ func (t *Trace) Release() {
 	}
 	t.Records = t.Records[:0]
 	t.Cycles = 0
-	t.Arena.reset()
 	if t.pooled {
 		t.released = true
 		poolPuts.Add(1)
-		tracePool.Put(t)
+		tracePools[capClass(cap(t.Records))].Put(t)
 	}
 }

@@ -1,10 +1,6 @@
 package pipetrace
 
-import (
-	"testing"
-
-	"archexplorer/internal/uarch"
-)
+import "testing"
 
 func TestGetTraceCapacityAndReuse(t *testing.T) {
 	tr := GetTrace(128)
@@ -13,17 +9,12 @@ func TestGetTraceCapacityAndReuse(t *testing.T) {
 	}
 	tr.Records = append(tr.Records, NewRecord(0, 0x100, 0))
 	tr.Cycles = 42
-	tr.Records[0].ResourceDeps = tr.InternDeps([]ResourceDep{{Resource: uarch.ResROB, Producer: 7}})
-	tr.Records[0].DataProducers = tr.InternProducers([]int{1, 2})
 	tr.Release()
 
 	// A released trace comes back empty whatever storage it reuses.
 	got := GetTrace(64)
 	if len(got.Records) != 0 || got.Cycles != 0 {
 		t.Fatalf("reused trace not reset: len=%d cycles=%d", len(got.Records), got.Cycles)
-	}
-	if len(got.deps) != 0 || len(got.prods) != 0 {
-		t.Fatalf("reused trace kept arena contents: deps=%d prods=%d", len(got.deps), len(got.prods))
 	}
 	got.Release()
 
@@ -40,53 +31,32 @@ func TestReleaseNilTraceIsSafe(t *testing.T) {
 	tr.Release() // must not panic
 }
 
-func TestInternDepsContentAndStability(t *testing.T) {
-	tr := &Trace{}
-	if got := tr.InternDeps(nil); got != nil {
-		t.Fatalf("empty intern should return nil, got %v", got)
+// TestGetTraceReturnsWhatWasAsked: a released large trace must not come
+// back as a small chunk and keep its records live; GetTrace hands out only
+// traces of less than twice the capacity asked for.
+func TestGetTraceReturnsWhatWasAsked(t *testing.T) {
+	GetTrace(100000).Release()
+	small := GetTrace(1024)
+	if c := cap(small.Records); c < 1024 || c >= 2048 {
+		t.Fatalf("GetTrace(1024) after releasing a 100000-record trace: cap=%d, want [1024, 2048)", c)
 	}
-
-	// Intern enough batches to force at least one arena chunk retirement
-	// and verify earlier slices keep their contents (the retired chunk
-	// stays referenced by the returned subslices).
-	var slices [][]ResourceDep
-	var want [][]ResourceDep
-	for i := 0; i < 2000; i++ {
-		src := []ResourceDep{
-			{Resource: uarch.ResROB, Producer: i},
-			{Resource: uarch.ResIQ, Producer: i + 1},
-		}
-		slices = append(slices, tr.InternDeps(src))
-		want = append(want, src)
-	}
-	for i := range slices {
-		if len(slices[i]) != 2 || slices[i][0] != want[i][0] || slices[i][1] != want[i][1] {
-			t.Fatalf("interned slice %d corrupted: %v want %v", i, slices[i], want[i])
-		}
-	}
-
-	// Full-capacity subslices: an append to one interned slice must not
-	// overwrite its neighbor.
-	a := tr.InternDeps([]ResourceDep{{Resource: uarch.ResLQ, Producer: 1}})
-	b := tr.InternDeps([]ResourceDep{{Resource: uarch.ResSQ, Producer: 2}})
-	_ = append(a, ResourceDep{Resource: uarch.ResROB, Producer: 99})
-	if b[0].Producer != 2 || b[0].Resource != uarch.ResSQ {
-		t.Fatalf("append through interned slice clobbered neighbor: %v", b[0])
+	// A pooled trace of the right class but short of the request regrows.
+	small.Release()
+	grown := GetTrace(2000)
+	defer grown.Release()
+	if c := cap(grown.Records); c < 2000 || c >= 4000 {
+		t.Fatalf("GetTrace(2000) after releasing a 1024-record trace: cap=%d, want [2000, 4000)", c)
 	}
 }
 
-func TestInternProducersContent(t *testing.T) {
-	tr := &Trace{}
-	if got := tr.InternProducers(nil); got != nil {
-		t.Fatalf("empty intern should return nil, got %v", got)
-	}
-	var slices [][]int
-	for i := 0; i < 3000; i++ {
-		slices = append(slices, tr.InternProducers([]int{i, i * 2}))
-	}
-	for i := range slices {
-		if slices[i][0] != i || slices[i][1] != i*2 {
-			t.Fatalf("interned producers %d corrupted: %v", i, slices[i])
+// TestCapClass: the pool a capacity files under is floor(log2 cap), so
+// every trace pool k holds has capacity in [2^k, 2^(k+1)).
+func TestCapClass(t *testing.T) {
+	for _, c := range []struct{ n, class int }{
+		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {1023, 9}, {1024, 10}, {2047, 10}, {2048, 11}, {100000, 16},
+	} {
+		if got := capClass(c.n); got != c.class {
+			t.Errorf("capClass(%d) = %d, want %d", c.n, got, c.class)
 		}
 	}
 }

@@ -20,16 +20,14 @@ func TestDirectTraceNeverPools(t *testing.T) {
 }
 
 // TestChunkReleaseRecycles: streamed chunks round-trip through the trace
-// pool with records and arena reset.
+// pool with their records reset.
 func TestChunkReleaseRecycles(t *testing.T) {
 	var c *Chunk = GetTrace(4)
 	c.Records = append(c.Records, NewRecord(0, 0x40, 0))
-	c.Records[0].ResourceDeps = c.InternDeps([]ResourceDep{{Producer: 3}})
-	c.Records[0].DataProducers = c.InternProducers([]int{1, 2})
 	c.Release()
 
 	c2 := GetTrace(4)
-	if len(c2.Records) != 0 || len(c2.deps) != 0 || len(c2.prods) != 0 {
+	if len(c2.Records) != 0 || c2.Cycles != 0 {
 		t.Fatal("recycled chunk not reset")
 	}
 	c2.Release()
