@@ -54,7 +54,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestRecycledCoresConcurrent$$' ./internal/ooo/
 	$(GO) test -race -count=5 -run 'TestStream|TestParallel|TestWindowRing|TestOverlapCovers' ./internal/deg/
-	$(GO) test -race -count=10 -run 'TestStageTimeout|TestNoTraceLeakWithStageTimeouts|TestCancelStalledDEGStage|TestCancelTimedOutStream' ./internal/dse/
+	$(GO) test -race -count=10 -run 'TestStageTimeout|TestNoTraceLeakWithStageTimeouts|TestCancelStalledDEGStage|TestCancelTimedOutStream|TestCancelTimedOutStatsSim' ./internal/dse/
 	$(GO) test -race -count=5 -run 'TestEvaluatorStreamed|TestEvaluatorDEGWorkersDeterminism' ./internal/dse/
 
 cover:
@@ -106,17 +106,18 @@ bench-deg:
 	$(GO) test -bench='BenchmarkDEGAnalyze(Windowed|Probe)?$$' -benchmem -run XXX -count 3 .
 
 # Simulator hot path: full-fidelity (pooled, annotated) runs on the
-# 20k-instruction trace, plus BenchmarkSimProbe, the simulation work of
-# explore probes (12 SPEC06 workloads x 500 instructions, New+Run+Release
-# per simulation). BENCH_sim.json records the before/after of each
-# rewrite; re-run this after touching internal/ooo.
+# 20k-instruction trace, the same run stats-only (BenchmarkSimStats,
+# RunStats with ring-mode pools), plus BenchmarkSimProbe, the simulation
+# work of explore probes (12 SPEC06 workloads x 500 instructions,
+# New+Run+Release per simulation). BENCH_sim.json records the
+# before/after of each rewrite; re-run this after touching internal/ooo.
 bench-sim:
-	$(GO) test -bench='BenchmarkSim(Full|Probe)$$' -benchmem -run XXX -count 3 .
+	$(GO) test -bench='BenchmarkSim(Full|Stats|Probe)$$' -benchmem -run XXX -count 3 .
 
 # Single-iteration smoke of the simulator benchmarks — catches a broken
 # bench harness in CI without paying for a full measurement run.
 bench-sim-smoke:
-	$(GO) test -bench='BenchmarkSim(Full|Probe)$$' -benchtime=1x -run XXX .
+	$(GO) test -bench='BenchmarkSim(Full|Stats|Probe)$$' -benchtime=1x -run XXX .
 
 # Buffered (Run + AnalyzeWindowed) vs fused streaming (RunStream +
 # StreamAnalyzer) sim→DEG pipeline on the 20k-instruction trace.
@@ -170,16 +171,21 @@ bench-spans:
 # speedup floor: SimFull must also hold >=1.2x the pre-calendar-queue
 # after_full record, so the pool rewrites' win cannot silently erode back
 # even across re-baselines. SimProbe holds the same section's probe number.
+# SimStats is gated against the SAME run's SimFull (benchgate's bench:
+# baseline, so host drift cancels): 1.1x under bench-all's 10% tolerance
+# puts its floor at 0.99x, so a stats-only run may never be slower than
+# the annotated one.
 # Re-baseline (re-run bench-sim / bench-pipeline and update the JSONs)
 # when a deliberate change moves the numbers. The span-overhead gate rides
 # along (span capture must cost <2% of same-run pipeline throughput), as
 # does the parallel-DEG speedup gate.
 bench-all:
 	$(GO) build -o benchgate ./cmd/benchgate
-	$(GO) test -bench='BenchmarkSim(Full|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream)$$' -benchmem -run XXX -count 1 . | \
+	$(GO) test -bench='BenchmarkSim(Full|Stats|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream)$$' -benchmem -run XXX -count 1 . | \
 	  ./benchgate -tolerance 0.10 \
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:branchfree_pools.change.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
+	    -expect 'BenchmarkSimStats=1.1*bench:BenchmarkSimFull' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:branchfree_pools.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:rule2_lookup.change.analyze.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:rule2_lookup.change.windowed.inst_per_sec' \
@@ -195,10 +201,11 @@ bench-all:
 # any host, without paying for — or trusting — a real measurement run.
 bench-all-smoke:
 	$(GO) build -o benchgate ./cmd/benchgate
-	$(GO) test -bench='BenchmarkSim(Full|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream|StreamPar)$$' -benchtime=1x -run XXX . | \
+	$(GO) test -bench='BenchmarkSim(Full|Stats|Probe)$$|BenchmarkDEG|BenchmarkPipeline(Buffered|Stream|StreamPar)$$' -benchtime=1x -run XXX . | \
 	  ./benchgate -tolerance 0.95 \
 	    -expect 'BenchmarkSimFull=BENCH_sim.json:branchfree_pools.change.full.inst_per_sec' \
 	    -expect 'BenchmarkSimFull=1.2*BENCH_sim.json:after_full.inst_per_sec' \
+	    -expect 'BenchmarkSimStats=1.1*bench:BenchmarkSimFull' \
 	    -expect 'BenchmarkSimProbe=BENCH_sim.json:branchfree_pools.change.probe.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyze=BENCH_deg.json:rule2_lookup.change.analyze.inst_per_sec' \
 	    -expect 'BenchmarkDEGAnalyzeWindowed=BENCH_deg.json:rule2_lookup.change.windowed.inst_per_sec' \
@@ -298,13 +305,13 @@ archbench-pair:
 bench-smoke:
 	$(GO) -C bench test ./...
 
-# CPU profile of the simulator benchmarks (BenchmarkSimFull and
-# BenchmarkSimProbe) at one CPU, the profile the simulator items of
-# ROADMAP.md are sized from. Inspect with
+# CPU profile of the simulator benchmarks (BenchmarkSimFull,
+# BenchmarkSimStats and BenchmarkSimProbe) at one CPU, the profile the
+# simulator items of ROADMAP.md are sized from. Inspect with
 #   go tool pprof -top sim.pprof
 #   go tool pprof -list 'capPool..alloc' sim.pprof
 profile-sim:
-	$(GO) test -bench='BenchmarkSim(Full|Probe)$$' -cpu 1 -run XXX -cpuprofile sim.pprof -o sim.test .
+	$(GO) test -bench='BenchmarkSim(Full|Stats|Probe)$$' -cpu 1 -run XXX -cpuprofile sim.pprof -o sim.test .
 	@echo "wrote sim.pprof (binary: sim.test); try: go tool pprof -top sim.pprof"
 
 # CPU profile of the DEG layer at one CPU, in both shapes the evaluator

@@ -1,15 +1,18 @@
 // Simulator hot-path benchmarks: the bench-sim / profile-sim Makefile
 // targets run exactly these. BenchmarkSimFull measures the steady-state DSE
 // configuration — pooled trace storage and recycled cores, all DEG
-// annotations recorded. BenchmarkSimProbe is the simulation work of
-// explore probes, where core construction costs as much as the run.
-// BENCH_sim.json records the before/after numbers of each rewrite.
+// annotations recorded. BenchmarkSimStats is the same run stats-only, as
+// every evaluation without DEG runs it. BenchmarkSimProbe is the
+// simulation work of explore probes, where core construction costs as
+// much as the run. BENCH_sim.json records the before/after numbers of
+// each rewrite.
 //
-//	make bench-sim       # both benchmarks, -benchmem
-//	make profile-sim     # CPU profile of both at -cpu 1 → sim.pprof
+//	make bench-sim       # all three benchmarks, -benchmem
+//	make profile-sim     # CPU profile of all three at -cpu 1 → sim.pprof
 package archexplorer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -52,6 +55,27 @@ func BenchmarkSimFull(b *testing.B) {
 			b.Fatal(err)
 		}
 		tr.Release()
+		core.Release()
+	}
+	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
+}
+
+// BenchmarkSimStats is BenchmarkSimFull's stream and config through
+// RunStats: no trace is kept, and the ROB, LQ and rename pools run as
+// release-order rings.
+func BenchmarkSimStats(b *testing.B) {
+	stream := benchStream(b)
+	cfg := uarch.Baseline()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core, err := ooo.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.RunStats(ctx, stream); err != nil {
+			b.Fatal(err)
+		}
 		core.Release()
 	}
 	b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "inst/s")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,10 +27,11 @@ func evalMean(cfg uarch.Config, suite []workload.Profile, n int) (ipc, pow, area
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, st, err := core.Run(stream)
+		st, err := core.RunStats(context.Background(), stream)
 		if err != nil {
 			log.Fatal(err)
 		}
+		core.Release()
 		pw, err := mcpat.Evaluate(cfg, st)
 		if err != nil {
 			log.Fatal(err)

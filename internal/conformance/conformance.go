@@ -2,7 +2,8 @@
 // simulator's timing entry points — per-config Core.Run and streaming
 // Core.RunStream, one per-instruction loop that packages its records as
 // one trace or as chunks — plus Run on a recycled core (one a different
-// config released, as in the evaluator's steady state), and the parallel
+// config released, as in the evaluator's steady state), the stats-only
+// Core.RunStats (ring-mode pools, no trace), and the parallel
 // windowed DEG pipeline: RunStream chunks fed straight into a 4-worker
 // deg.StreamAnalyzer, the shape of the evaluator's windowed full
 // evaluations. All of them implement one timing-and-attribution model, so
@@ -13,6 +14,8 @@
 // reference and recycled runs are hashed through ooo.Fingerprint (every
 // deterministic record field), and the chunked stream through
 // ooo.ChunkedFingerprint, the same byte layout fed chunk by chunk.
+// RunStats returns no records, so its Stats must equal the reference
+// run's, compared through ChunkedFingerprint over no records.
 // Agreement of the traces' annotations is necessary but not sufficient
 // for ArchExplorer, whose decisions consume the bottleneck reports, so the
 // streamed DEG pipeline must also reproduce the report and stats of the
@@ -26,6 +29,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -68,10 +72,10 @@ func (g *Gen) Config() uarch.Config { return g.Space.Decode(g.Point()) }
 // Mismatch is one engine disagreement: the named engine's output diverged
 // from the per-config reference run on this (config, workload).
 type Mismatch struct {
-	Engine    string // "stream", "recycled", "deg-stream"
+	Engine    string // "stream", "recycled", "stats", "deg-stream"
 	Workload  string
 	Config    uarch.Config
-	Want, Got uint64 // reference and diverging fingerprints (0 for the deg engines)
+	Want, Got uint64 // reference and diverging fingerprints, Stats-only for "stats" (0 for the deg engines)
 }
 
 // Error implements error.
@@ -106,6 +110,9 @@ type engineRuns struct {
 	ref      uint64 // reference Run: Fingerprint
 	stream   uint64 // RunStream: ChunkedFingerprint
 	recycled uint64 // Run on a recycled core: Fingerprint
+	// The reference Run's Stats and RunStats', each through
+	// statsFingerprint.
+	refStats, stats uint64
 	// With the DEG oracle on: the sequential windowed analysis of the
 	// reference trace (seq) and the streamed pipeline that must reproduce
 	// it. Both stay zero, and so agree, without it.
@@ -127,6 +134,8 @@ func (r *engineRuns) diverged() (engine string, want, got uint64) {
 		return "stream", r.ref, r.stream
 	case r.recycled != r.ref:
 		return "recycled", r.ref, r.recycled
+	case r.stats != r.refStats:
+		return "stats", r.refStats, r.stats
 	case !reflect.DeepEqual(r.streamed, r.seq):
 		return "deg-stream", 0, 0
 	}
@@ -145,12 +154,15 @@ func runEngines(stream []isa.Inst, cfg uarch.Config, withDEG bool) (*engineRuns,
 		return nil, err
 	}
 	defer tr.Release()
-	r := &engineRuns{ref: ooo.Fingerprint(tr, st)}
+	r := &engineRuns{ref: ooo.Fingerprint(tr, st), refStats: statsFingerprint(st)}
 
 	if r.stream, err = streamFingerprint(cfg, stream); err != nil {
 		return nil, err
 	}
 	if r.recycled, err = recycledFingerprint(cfg, stream); err != nil {
+		return nil, err
+	}
+	if r.stats, err = runStatsFingerprint(cfg, stream); err != nil {
 		return nil, err
 	}
 	if !withDEG {
@@ -234,6 +246,27 @@ func recycledFingerprint(cfg uarch.Config, stream []isa.Inst) (uint64, error) {
 	}
 	defer tr.Release()
 	return ooo.Fingerprint(tr, st), nil
+}
+
+// runStatsFingerprint runs the stats-only engine, RunStats, and
+// fingerprints the Stats it returns.
+func runStatsFingerprint(cfg uarch.Config, stream []isa.Inst) (uint64, error) {
+	core, err := ooo.New(cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer core.Release()
+	st, err := core.RunStats(context.Background(), stream)
+	if err != nil {
+		return 0, err
+	}
+	return statsFingerprint(st), nil
+}
+
+// statsFingerprint is ooo.ChunkedFingerprint over no records: the hash of
+// a run's Stats alone.
+func statsFingerprint(st *ooo.Stats) uint64 {
+	return ooo.ChunkedFingerprint(st.Cycles, st, func(func(*pipetrace.Record)) {})
 }
 
 // streamWindowed runs the streamed DEG pipeline: the streaming engine's

@@ -38,6 +38,7 @@ func TestDivergedNamesEngine(t *testing.T) {
 	}{
 		{"stream", func(r *engineRuns) { r.stream = diff.stream }, true},
 		{"recycled", func(r *engineRuns) { r.recycled = diff.recycled }, true},
+		{"stats", func(r *engineRuns) { r.stats = diff.stats }, true},
 		{"deg-stream", func(r *engineRuns) { r.streamed = diff.streamed }, false},
 		// Equal reports with diverging stats are still a divergence.
 		{"deg-stream", func(r *engineRuns) {
@@ -110,6 +111,19 @@ func TestRecycledFingerprintErrors(t *testing.T) {
 	bad := uarch.Baseline()
 	bad.IntRF = 2
 	if _, err := recycledFingerprint(bad, stream(t, "458.sjeng", 200)); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestRunStatsFingerprintErrors: failures of the stats-only engine
+// propagate instead of producing a bogus hash.
+func TestRunStatsFingerprintErrors(t *testing.T) {
+	if _, err := runStatsFingerprint(uarch.Baseline(), nil); err == nil {
+		t.Fatal("empty stream accepted")
+	}
+	bad := uarch.Baseline()
+	bad.IntRF = 2
+	if _, err := runStatsFingerprint(bad, stream(t, "458.sjeng", 200)); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

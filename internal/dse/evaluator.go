@@ -228,10 +228,11 @@ type Evaluator struct {
 	Retry fault.Retry
 
 	// StageTimeout bounds each stage attempt: the attempt is cancelled at
-	// its next cancellation point (an injected stall, a streamed chunk) and
-	// retried as a transient failure. Buffered sim and DEG stages have no
-	// such point; they run to completion and keep their result. 0 disables
-	// the bound.
+	// its next cancellation point (an injected stall, a streamed chunk, a
+	// stats-only sim's chunk) and retried as a transient failure. A sim
+	// that keeps its trace (a probe or a buffered DEG evaluation) and the
+	// buffered DEG stage have no such point; they run to completion and
+	// keep their result. 0 disables the bound.
 	StageTimeout time.Duration
 
 	// SkipFailures degrades a permanently failed evaluation to a journaled
@@ -857,7 +858,7 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 
 	// stats feeds the power model. tr is a buffered run's materialized
 	// trace, which warm-window IPC and the deg stage read; nil when
-	// streamed.
+	// streamed or stats-only.
 	var stats *ooo.Stats
 	var tr *pipetrace.Trace
 	if streamed {
@@ -871,33 +872,41 @@ func (ev *Evaluator) simWorkload(cfg uarch.Config, wl workload.Profile, traceLen
 		stats = d.stats
 		r.setDEG(d, ev.DEGWindow > 0)
 	} else {
-		sim, err := timedStage(sp, sr, fault.SiteSim, &r.times.Sim, func(context.Context) (simOutcome, error) {
+		sim, err := timedStage(sp, sr, fault.SiteSim, &r.times.Sim, func(ctx context.Context) (simOutcome, error) {
 			core, err := ooo.New(cfg)
 			if err != nil {
 				return simOutcome{}, err
 			}
 			// The trace and Stats the run returns do not share the core's storage.
 			defer core.Release()
-			tr, stats, err := core.Run(stream)
+			// Only a probe's warm-window IPC and the deg stage read the
+			// trace. Any other evaluation runs stats-only: RunStats keeps
+			// no trace and stops at its next chunk once ctx ends.
+			var out simOutcome
+			if withDEG || probe {
+				out.tr, out.stats, err = core.Run(stream)
+			} else {
+				out.stats, err = core.RunStats(ctx, stream)
+			}
 			if err != nil {
 				return simOutcome{}, fmt.Errorf("dse: %s on %s: %w", wl.Name, cfg, err)
 			}
-			if len(tr.Records) == 0 {
-				tr.Release()
+			if out.stats.Committed == 0 {
+				out.tr.Release()
 				return simOutcome{}, fmt.Errorf("dse: %s on %s: simulation committed no instructions", wl.Name, cfg)
 			}
-			return simOutcome{tr: tr, stats: stats}, nil
+			return out, nil
 		})
 		if err != nil {
 			r.err = err
 			return r
 		}
 		tr, stats = sim.tr, sim.stats
-		// The trace is consumed entirely within this call (warm-window IPC
-		// and the DEG report aggregate; neither escapes holding record
+		// A kept trace is consumed entirely within this call (warm-window
+		// IPC and the DEG report aggregate; neither escapes holding record
 		// references), and every stage attempt that reads it has returned by
 		// then, so its buffers recycle through the trace pool when this call
-		// returns.
+		// returns. Release is nil-safe: a stats-only run kept none.
 		defer tr.Release()
 	}
 	r.simInsts = int64(stats.Committed)

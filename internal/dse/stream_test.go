@@ -340,3 +340,34 @@ func TestCancelTimedOutStream(t *testing.T) {
 	checkGoroutines(t, goroutines)
 	checkPoolBalanced(t, pools)
 }
+
+// TestCancelTimedOutStatsSim: a plain evaluation (no DEG) simulates
+// stats-only, and a stats-only sim that runs past its stage timeout stops
+// at its next chunk and fails with a TimeoutError. A sim with no
+// cancellation point would instead run its 200k instructions to the end
+// and keep its result, so the error itself shows the attempt stopped
+// early. The core and every chunk are back in their pools by the time
+// Evaluate returns.
+func TestCancelTimedOutStatsSim(t *testing.T) {
+	const n = 200000
+	suite := workload.Suite17()[:1]
+	// A warm trace cache puts the whole 10 ms in the sim stage.
+	if _, err := workload.CachedTrace(suite[0], n); err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(uarch.StandardSpace(), suite, n)
+	ev.Parallelism = 1
+	ev.StageTimeout = 10 * time.Millisecond
+	pt := ev.Space.Nearest(uarch.Baseline())
+	goroutines, pools := runtime.NumGoroutine(), poolLive()
+	_, err := ev.Evaluate(pt, false)
+	var te *fault.TimeoutError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want a *fault.TimeoutError", err)
+	}
+	if te.Site != fault.SiteSim {
+		t.Fatalf("timeout at %q, want %q", te.Site, fault.SiteSim)
+	}
+	checkGoroutines(t, goroutines)
+	checkPoolBalanced(t, pools)
+}

@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -246,18 +247,34 @@ func exploreGrid(o Options, variants, seeds int, run func(variant int, seed int6
 	return out, nil
 }
 
-// simulate runs one config on one workload and returns the trace + stats.
-func simulate(cfg uarch.Config, wl workload.Profile, n int) (*pipetrace.Trace, *ooo.Stats, error) {
+// simulate runs one config on one workload and returns its trace.
+func simulate(cfg uarch.Config, wl workload.Profile, n int) (*pipetrace.Trace, error) {
 	stream, err := workload.CachedTrace(wl, n)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	core, err := ooo.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer core.Release()
-	return core.Run(stream)
+	tr, _, err := core.Run(stream)
+	return tr, err
+}
+
+// simulateStats runs one config on one workload and returns only the
+// stats: the stats-only run, which builds no trace.
+func simulateStats(cfg uarch.Config, wl workload.Profile, n int) (*ooo.Stats, error) {
+	stream, err := workload.CachedTrace(wl, n)
+	if err != nil {
+		return nil, err
+	}
+	core, err := ooo.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer core.Release()
+	return core.RunStats(context.TODO(), stream)
 }
 
 // suiteByName maps "SPEC06"/"SPEC17" to workload profiles.

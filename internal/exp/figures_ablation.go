@@ -109,7 +109,7 @@ func runSec2Stats(o Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, st, err := simulate(cfg, wl, o.TraceLen)
+		st, err := simulateStats(cfg, wl, o.TraceLen)
 		if err != nil {
 			return err
 		}

@@ -59,7 +59,7 @@ func runFig4(o Options, w io.Writer) error {
 		return err
 	}
 	cfg := uarch.Baseline()
-	tr, _, err := simulate(cfg, wl, 400)
+	tr, err := simulate(cfg, wl, 400)
 	if err != nil {
 		return err
 	}
@@ -99,7 +99,7 @@ func runFig5(o Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tr, _, err := simulate(cfg, wl, o.TraceLen)
+		tr, err := simulate(cfg, wl, o.TraceLen)
 		if err != nil {
 			return err
 		}
@@ -135,7 +135,7 @@ func runFig9(o Options, w io.Writer) error {
 		return err
 	}
 	cfg := uarch.Baseline()
-	tr, _, err := simulate(cfg, wl, 300)
+	tr, err := simulate(cfg, wl, 300)
 	if err != nil {
 		return err
 	}
@@ -203,7 +203,7 @@ func runGraphStats(o Options, w io.Writer) error {
 			tr.Release() // the previous pass's trace; nil-safe
 			t0 := time.Now()
 			var err error
-			if tr, _, err = simulate(cfg, wl, o.TraceLen); err != nil {
+			if tr, err = simulate(cfg, wl, o.TraceLen); err != nil {
 				return err
 			}
 			t1 := time.Now()

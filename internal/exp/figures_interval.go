@@ -36,7 +36,7 @@ func runCPIStack(o Options, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tr, _, err := simulate(cfg, wl, o.TraceLen)
+		tr, err := simulate(cfg, wl, o.TraceLen)
 		if err != nil {
 			return err
 		}

@@ -42,7 +42,7 @@ func evalOn(cfg uarch.Config, suite []workload.Profile, traceLen, parallelism in
 	type slot struct{ ipc, pow, area float64 }
 	slots := make([]slot, len(suite))
 	err = par.ForEach(len(suite), parallelism, func(i int) error {
-		_, st, e := simulate(cfg, suite[i], traceLen)
+		st, e := simulateStats(cfg, suite[i], traceLen)
 		if e != nil {
 			return e
 		}
@@ -89,7 +89,7 @@ func runFig1(o Options, w io.Writer) error {
 	area := make([]float64, o.Samples)
 	err = par.ForEach(o.Samples, o.Parallelism, func(i int) error {
 		cfg := s.Decode(pts[i])
-		_, st, err := simulate(cfg, wl, o.TraceLen)
+		st, err := simulateStats(cfg, wl, o.TraceLen)
 		if err != nil {
 			return err
 		}
@@ -280,7 +280,7 @@ func runFig3(o Options, w io.Writer) error {
 	for step := 1; step <= 6; step++ {
 		// Measure necessity on one representative workload.
 		cfg := s.Decode(pt)
-		_, st, err := simulate(cfg, suite[0], o.TraceLen)
+		st, err := simulateStats(cfg, suite[0], o.TraceLen)
 		if err != nil {
 			return err
 		}

@@ -53,7 +53,7 @@ func runTable1(o Options, w io.Writer) error {
 	var ipcSum, powSum, area float64
 	suite := workload.Suite17()
 	for _, wl := range suite {
-		_, st, err := simulate(cfg, wl, o.TraceLen)
+		st, err := simulateStats(cfg, wl, o.TraceLen)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -113,10 +114,14 @@ type Core struct {
 
 	// Capacity pools. The fetch queue is the one pool with monotone
 	// releases and an unobserved pop owner, so it gets the O(1) calendar
-	// pool; the rest must replay heap order exactly (see capPool).
+	// pool; the rest must replay heap order exactly (see capPool), except
+	// in RunStats, where no owner is observed and the four pools released
+	// in commit order run on rings. rings keeps those rings' storage
+	// across reset.
 	rob, iq, lq, sq *capPool
 	intRF, fpRF     *capPool
 	fq              *fifoPool
+	rings           [4]*fifoPool
 
 	// Execution units, indexed densely by uarch.Resource (only the four FU
 	// classes are populated; a map here would hash on every issue).
@@ -228,6 +233,7 @@ func (c *Core) reset(cfg uarch.Config) error {
 		lq:         c.lq.reset(cfg.LQEntries),
 		sq:         c.sq.reset(cfg.SQEntries),
 		fq:         c.fq.reset(cfg.FetchQueueUops),
+		rings:      c.rings,
 		intRF:      c.intRF.reset(cfg.IntRF - isa.NumIntArchRegs),
 		fpRF:       c.fpRF.reset(cfg.FpRF - isa.NumFpArchRegs),
 		fus: [uarch.NumResources]*unitPool{
@@ -294,6 +300,27 @@ func (c *Core) Run(stream []isa.Inst) (*pipetrace.Trace, *Stats, error) {
 	}
 	tr.Cycles = st.Cycles
 	return tr, st, nil
+}
+
+// RunStats is Run for a caller that reads only the Stats: the same
+// per-instruction loop, with each DefaultChunkSize chunk of records
+// released as soon as it fills, so no trace is kept or returned. With no
+// owner observed, the ROB, LQ and rename pools, whose entries are
+// released in commit order, pop their earliest release from a ring
+// instead of a heap (DESIGN.md §25); the popped times, and with them
+// every field of Stats, equal Run's. The run checks ctx once per chunk
+// and, once ctx has ended, stops there and returns ctx's error.
+//
+// Like Run, RunStats simulates from the state New left the core in and
+// never mutates the stream, and the returned Stats is a copy.
+func (c *Core) RunStats(ctx context.Context, stream []isa.Inst) (*Stats, error) {
+	for i, p := range [...]*capPool{c.rob, c.lq, c.intRF, c.fpRF} {
+		c.rings[i] = p.useRing(c.rings[i])
+	}
+	return c.run(stream, DefaultChunkSize, func(t *pipetrace.Trace) error {
+		t.Release()
+		return ctx.Err()
+	})
 }
 
 // RunLite is Run.
@@ -447,11 +474,15 @@ func (c *Core) rename(in *isa.Inst, rec *pipetrace.Record) {
 	// one shot.
 	var depBuf [pipetrace.MaxResourceDeps]pipetrace.ResourceDep
 	deps := 0
+	// A pool that constrains names its owner unless it runs on a ring
+	// (RunStats), so the stall counts are the same either way.
 	take := func(t int64, owner int, res uarch.Resource) {
-		if t > base && owner >= 0 {
-			depBuf[deps] = pipetrace.ResourceDep{Resource: res, Producer: int32(owner)}
-			deps++
+		if t > base {
 			c.stats.RenameStalls[res]++
+			if owner >= 0 {
+				depBuf[deps] = pipetrace.ResourceDep{Resource: res, Producer: int32(owner)}
+				deps++
+			}
 		}
 		ready = max(ready, t)
 	}

@@ -192,21 +192,28 @@ func FuzzCapPoolParity(f *testing.F) {
 	})
 }
 
-// TestFIFOPoolMatchesHeap checks the calendar pool against the heap shadow
-// under the fetch queue's actual invariant — monotone non-decreasing
-// release times — where the minimum is always the oldest entry and the
-// two structures must agree on every popped time.
+// TestFIFOPoolMatchesHeap checks the calendar pool, and a capPool
+// switched to it by useRing (RunStats' ROB, LQ and rename pools), against
+// the heap shadow under the commit-order invariant — monotone
+// non-decreasing release times — where the minimum is always the oldest
+// entry and the structures must agree on every popped time. The ring-mode
+// capPool names no owner, constrained or not, and a reset makes it a heap
+// again.
 func TestFIFOPoolMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, capacity := range []int{1, 2, 7, 32} {
 		fifo := (*fifoPool)(nil).reset(capacity)
+		ring := (*capPool)(nil).reset(capacity)
+		ring.useRing(nil)
 		ref := &refCapPool{capacity: capacity}
 		clock := int64(0)
 		pending := 0
+		var allocs [2]int // unconstrained, constrained
 		for i := 0; i < 4096; i++ {
 			if pending < capacity && rng.Intn(3) > 0 {
 				clock += int64(rng.Intn(3))
 				fifo.free(clock)
+				ring.free(clock, i)
 				ref.free(clock, i)
 				pending++
 				continue
@@ -215,13 +222,32 @@ func TestFIFOPoolMatchesHeap(t *testing.T) {
 			// sim's contract, which is also what keeps len <= capacity.
 			popped := pending == capacity
 			gt := fifo.alloc()
-			wt, _ := ref.alloc()
-			if gt != wt {
-				t.Fatalf("capacity %d op %d: fifo alloc %d, heap reference %d", capacity, i, gt, wt)
+			rt, ro := ring.alloc()
+			wt, wo := ref.alloc()
+			if gt != wt || rt != wt || ro != -1 {
+				t.Fatalf("capacity %d op %d: fifo alloc %d, ring-mode capPool (%d, %d), heap reference (%d, %d)",
+					capacity, i, gt, rt, ro, wt, wo)
 			}
+			if popped != (wo >= 0) {
+				t.Fatalf("capacity %d op %d: heap reference (%d, %d) with %d of %d entries pending",
+					capacity, i, wt, wo, pending, capacity)
+			}
+			allocs[b2i(popped)]++
 			if popped {
 				pending--
 			}
+		}
+		if allocs[0] == 0 || allocs[1] == 0 {
+			t.Fatalf("capacity %d: %d unconstrained and %d constrained allocs; both sides of the full boundary must be covered",
+				capacity, allocs[0], allocs[1])
+		}
+		ring.reset(capacity)
+		ring.free(5, 7)
+		for range capacity - 1 {
+			ring.free(9, 8)
+		}
+		if tm, o := ring.alloc(); ring.ring != nil || tm != 5 || o != 7 {
+			t.Fatalf("capacity %d: alloc after reset = (%d, %d) with ring %v, want the heap's (5, 7)", capacity, tm, o, ring.ring)
 		}
 	}
 }

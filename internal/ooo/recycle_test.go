@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -87,22 +88,31 @@ const (
 	engineRun engine = iota
 	engineStream
 	engineStreamFail // RunStream whose sink fails on the second chunk
+	engineStats      // RunStats: ring-mode pools, no trace
 	numEngines
 )
 
 func (e engine) String() string {
-	return [...]string{"run", "stream", "stream-fail"}[e]
+	return [...]string{"run", "stream", "stream-fail", "stats"}[e]
 }
 
 var errSinkFailed = errors.New("sink failed")
 
 // runFingerprint runs stream on c with engine e and fingerprints the
-// output: Fingerprint for Run, ChunkedFingerprint for the streams. A
-// failed stream fingerprints the chunks it delivered before the failure,
-// under zero cycles and Stats.
+// output: Fingerprint for Run, ChunkedFingerprint for the streams, and
+// for RunStats ChunkedFingerprint over no records. A failed stream
+// fingerprints the chunks it delivered before the failure, under zero
+// cycles and Stats.
 func runFingerprint(t testing.TB, c *Core, stream []isa.Inst, e engine) uint64 {
 	t.Helper()
-	if e == engineRun {
+	switch e {
+	case engineStats:
+		st, err := c.RunStats(context.Background(), stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return statsFingerprint(st)
+	case engineRun:
 		tr, st, err := c.Run(stream)
 		if err != nil {
 			t.Fatal(err)
@@ -208,6 +218,9 @@ func TestRecycledLineageMatchesFresh(t *testing.T) {
 
 // TestSeedParityRecycled replays TestSeedParity's pinned fingerprints on
 // one recycled core, starting from a core whose issue ring has grown.
+// Each pinned Run follows a RunStats of the same pin on the same core, so
+// the ring-mode pools are shown not to survive the reset between them,
+// and RunStats' Stats must equal the pinned run's.
 func TestSeedParityRecycled(t *testing.T) {
 	c := fresh(t, chaseConfig())
 	runFingerprint(t, c, chaseStream(3000), engineRun)
@@ -217,7 +230,6 @@ func TestSeedParityRecycled(t *testing.T) {
 	}{{"tight", tightConfig()}, {"baseline", uarch.Baseline()}} {
 		cfgName := pin.cfgName
 		for _, name := range parityWorkloads {
-			renew(t, c, pin.cfg)
 			p, err := workload.ByName(name)
 			if err != nil {
 				t.Fatal(err)
@@ -226,11 +238,28 @@ func TestSeedParityRecycled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := runFingerprint(t, c, stream, engineRun), seedFingerprints[cfgName][name]; got != want {
-				t.Errorf("%s/%s on a recycled core: fingerprint %#x, pinned %#x", cfgName, name, got, want)
+			renew(t, c, pin.cfg)
+			stats := runFingerprint(t, c, stream, engineStats)
+			renew(t, c, pin.cfg)
+			tr, st, err := c.Run(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := Fingerprint(tr, st)
+			tr.Release()
+			if want := seedFingerprints[cfgName][name]; got != want {
+				t.Errorf("%s/%s on a recycled core after RunStats: fingerprint %#x, pinned %#x", cfgName, name, got, want)
+			}
+			if want := statsFingerprint(st); stats != want {
+				t.Errorf("%s/%s: RunStats' Stats fingerprint %#x, Run's %#x", cfgName, name, stats, want)
 			}
 		}
 	}
+}
+
+// statsFingerprint is ChunkedFingerprint of a run's Stats alone.
+func statsFingerprint(st *Stats) uint64 {
+	return ChunkedFingerprint(st.Cycles, st, func(func(*pipetrace.Record)) {})
 }
 
 // TestStatsOutliveRelease pins the Stats copy: the evaluator releases a

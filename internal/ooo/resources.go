@@ -51,16 +51,23 @@ type freeEvent struct {
 // inductive argument in DESIGN.md §15, the differential fuzzer
 // (FuzzCapPoolParity) against a live container/heap shadow, and the seed
 // fingerprints.
+//
+// A run whose trace nobody reads (RunStats) needs only the popped times,
+// and there a pool whose releases are monotone may be served by a
+// release-order ring instead (useRing; DESIGN.md §25): the heap's
+// minimum is then always its oldest entry, so both pop the same time,
+// and only the tied owner, which no such caller sees, differs.
 type capPool struct {
 	capacity int
-	times    []int64 // heap-ordered release cycles
-	owners   []int   // owners[i] released the entry freeing at times[i]
+	times    []int64   // heap-ordered release cycles
+	owners   []int     // owners[i] released the entry freeing at times[i]
+	ring     *fifoPool // serves the pool when non-nil; nil means the heap
 }
 
 // reset empties the pool for a structure of the given capacity, reusing
 // its arrays when they are large enough, and returns it; a nil p
 // allocates. The pool never holds more than capacity entries, so the
-// arrays never grow during a run.
+// arrays never grow during a run. A reset pool is a heap again.
 func (p *capPool) reset(capacity int) *capPool {
 	if p == nil {
 		p = new(capPool)
@@ -71,13 +78,28 @@ func (p *capPool) reset(capacity int) *capPool {
 	}
 	p.capacity = capacity
 	p.times, p.owners = p.times[:0], p.owners[:0]
+	p.ring = nil
 	return p
 }
 
+// useRing switches the empty pool to release-order service on r, reset
+// for the pool's capacity (a nil r allocates), and returns the ring so
+// the caller can keep its storage for a later run. From then on alloc
+// names no owner and free panics on an out-of-order release, until the
+// next reset.
+func (p *capPool) useRing(r *fifoPool) *fifoPool {
+	p.ring = r.reset(p.capacity)
+	return p.ring
+}
+
 // alloc reserves one entry and returns the earliest cycle the entry is
-// available plus the instruction that released it (-1 when unconstrained).
-// The caller must later pass the entry's own release to free.
+// available plus the instruction that released it: -1 when unconstrained,
+// and always -1 on a ring, which keeps no owners. The caller must later
+// pass the entry's own release to free.
 func (p *capPool) alloc() (int64, int) {
+	if p.ring != nil {
+		return p.ring.alloc(), -1
+	}
 	n := len(p.times)
 	if n < p.capacity {
 		return 0, -1
@@ -128,6 +150,10 @@ func b2i(b bool) int {
 
 // free registers that owner releases one entry at time tm.
 func (p *capPool) free(tm int64, owner int) {
+	if p.ring != nil {
+		p.ring.free(tm)
+		return
+	}
 	t := append(p.times, tm)
 	o := append(p.owners, owner)
 	// Sift up through the hole: strict-less against the parent, exactly
@@ -154,7 +180,8 @@ func (p *capPool) free(tm int64, owner int) {
 // field it exposes, the release time. The fetch queue qualifies: decode
 // frees it at the in-order DC+1 cycle, and fetch discards the owner (fetch
 // stalls are attributed through the F stamps themselves, not through a
-// pool annotation).
+// pool annotation). In a RunStats run the ROB, LQ and rename pools
+// qualify too, served through capPool.useRing (DESIGN.md §25).
 //
 // Both invariants are enforced, not assumed: free panics on a
 // non-monotone release (which would silently un-sort the ring), and alloc

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -115,5 +116,50 @@ func TestRunStreamSinkError(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("sink called %d times after erroring on call 2", calls)
+	}
+}
+
+// countingCtx is a context whose Err reports cancellation from its
+// (limit+1)th call on, and counts the calls.
+type countingCtx struct {
+	context.Context
+	calls, limit int
+}
+
+func (c *countingCtx) Err() error {
+	c.calls++
+	if c.calls > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunStatsChecksContextPerChunk: RunStats asks ctx once per
+// DefaultChunkSize chunk, stops at the first chunk after it ends and
+// returns its error, and releases every chunk it filled either way.
+func TestRunStatsChecksContextPerChunk(t *testing.T) {
+	stream := testStream(t, 3*DefaultChunkSize-100) // three chunks, the last short
+	for _, tc := range []struct {
+		limit, calls int
+		err          error
+	}{{limit: 3, calls: 3}, {limit: 1, calls: 2, err: context.Canceled}, {limit: 0, calls: 1, err: context.Canceled}} {
+		core, err := New(uarch.Baseline())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := pipetrace.TracePoolStats()
+		ctx := &countingCtx{Context: context.Background(), limit: tc.limit}
+		st, err := core.RunStats(ctx, stream)
+		after := pipetrace.TracePoolStats()
+		if err != tc.err || ctx.calls != tc.calls {
+			t.Fatalf("ctx ending after %d checks: err %v after %d checks, want %v after %d", tc.limit, err, ctx.calls, tc.err, tc.calls)
+		}
+		if (err == nil) != (st != nil) {
+			t.Fatalf("ctx ending after %d checks: Stats %v with err %v", tc.limit, st, err)
+		}
+		if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != int64(tc.calls) || puts != gets {
+			t.Fatalf("ctx ending after %d checks: %d chunks taken, %d released, want %d of each", tc.limit, gets, puts, tc.calls)
+		}
+		core.Release()
 	}
 }
